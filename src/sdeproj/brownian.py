@@ -29,6 +29,12 @@ _MAX_FACTOR = 256
 #: would silently change every simulation output.
 BLOCK_WIDTH = 4096
 
+# Normals drawn per generator call when filling a block.  Successive calls
+# continue one Philox stream, so the chunk size never changes a value; it
+# only bounds the row-major staging buffer (1 MiB).  Capping elements rather
+# than rows keeps short blocks at a single call.
+_CHUNK_NORMALS = 1 << 17
+
 
 def _splitmix64(x: int) -> int:
     """Finalize a seed with the splitmix64 avalanche function."""
@@ -97,29 +103,55 @@ class BrownianFabric:
         fewer rows yields exactly the leading rows of the full block, so a
         partial final block reproduces the same paths as a full one.
 
+        The values are those of one `standard_normal((rows, n))` call on the
+        block's generator, but the array is stored column-major (Fortran
+        order) so that each time step `[:, i]` is one contiguous run.  The
+        storage order is a speed choice only: every consumer in the package
+        gives the same bits for a row-major copy.
+
         Returns:
-            Array of shape (rows or BLOCK_WIDTH, n).
+            F-contiguous array of shape (rows or BLOCK_WIDTH, n).
         """
         if rows is None:
             rows = BLOCK_WIDTH
         if not 0 < rows <= BLOCK_WIDTH:
             raise ValueError(f"rows must be in (0, {BLOCK_WIDTH}]")
         rng = self._generator(_TAG_BLOCK, level, factor, block)
-        return rng.standard_normal((rows, n))
+        out = np.empty((rows, n), order="F")
+        if out.flags.c_contiguous:
+            # One column or one row: both layouts are the same memory.
+            rng.standard_normal(out=out)
+            return out
+        step = max(1, _CHUNK_NORMALS // n)
+        staging = np.empty((min(step, rows), n))
+        for lo in range(0, rows, step):
+            chunk = staging[:rows - lo]
+            rng.standard_normal(out=chunk)
+            out[lo:lo + chunk.shape[0]] = chunk
+        return out
 
     def block_increments(self, level: int, block: int, n: int, h: float, *,
                          factor: int = 0, rows: int | None = None) -> np.ndarray:
-        """Like `block_normals` but scaled to Brownian increments N(0, h)."""
+        """Like `block_normals` but scaled to Brownian increments N(0, h).
+
+        Scaled in place, so the result keeps the column-major storage of
+        `block_normals` and no second block-sized array is allocated.
+        """
         if h <= 0:
             raise ValueError("h must be positive")
-        return self.block_normals(level, block, n, factor=factor, rows=rows) * math.sqrt(h)
+        out = self.block_normals(level, block, n, factor=factor, rows=rows)
+        out *= math.sqrt(h)
+        return out
 
 
 def couple_levels(fine: np.ndarray, m: int) -> np.ndarray:
     """Aggregate fine increments into coarse ones over the same Brownian path.
 
     Groups of `m` consecutive increments along the last axis are summed
-    left to right, so the result is bit-for-bit reproducible.
+    left to right, so the result is bit-for-bit reproducible.  The result
+    keeps the memory layout of `fine`: column-major blocks give column-major
+    coarse increments, and each strided slice then reads contiguous runs.
+    The values do not depend on the layout.
 
     Args:
         fine: increments with last axis length divisible by m.
@@ -133,7 +165,7 @@ def couple_levels(fine: np.ndarray, m: int) -> np.ndarray:
     fine = np.asarray(fine)
     if fine.shape[-1] % m:
         raise ValueError(f"last axis ({fine.shape[-1]}) not divisible by m ({m})")
-    coarse = fine[..., 0::m].copy()
+    coarse = fine[..., 0::m].copy(order="K")
     for j in range(1, m):
         coarse += fine[..., j::m]
     return coarse

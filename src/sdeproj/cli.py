@@ -208,11 +208,16 @@ def _gl_exact_price(cfg: ExperimentConfig) -> tuple[float, float]:
     while done < pr.paths:
         block, row_lo = divmod(done, BLOCK_WIDTH)
         row_hi = min(BLOCK_WIDTH, row_lo + (pr.paths - done))
-        incs = fabric.block_increments(pr.fine_exponent, block, n, h,
-                                       rows=row_hi)[row_lo:]
-        w = np.zeros((incs.shape[0], n + 1))
-        np.cumsum(incs, axis=1, out=w[:, 1:])
+        # w stays row-major: np.dot below then reads a strided terminal
+        # column, and BLAS sums strided and contiguous vectors in different
+        # orders, so a column-major w would move half_width's last bits.
+        w = np.zeros((row_hi - row_lo, n + 1))
+        np.cumsum(fabric.block_increments(pr.fine_exponent, block, n, h,
+                                          rows=row_hi)[row_lo:],
+                  axis=1, out=w[:, 1:])
         values = ginzburg_landau_exact(lam, sigma, x0, times, w)[:, -1]
+        # Release this block before the next one is drawn.
+        del w
         total += float(np.sum(values))
         total_sq += float(np.dot(values, values))
         done += row_hi - row_lo

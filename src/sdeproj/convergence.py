@@ -24,7 +24,8 @@ from .brownian import BLOCK_WIDTH, BrownianFabric, couple_levels
 from .errors import DomainError
 from .models import LampertiMap, TransformedModel
 from .projection import ProjectionPlan, clamp_variant, evolve_terminal
-from .reference import ImplicitCirParams, ginzburg_landau_exact, implicit_cir_step
+from .reference import (ImplicitCirParams, ginzburg_landau_exact, implicit_cir_step,
+                        running_sum)
 
 VALUE_CAP = 2.0 ** 20
 
@@ -193,11 +194,10 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             ref_vals = _to_space(y, space, "raw", plan, h_fine, lamperti)
             ref_vals, ref_bad = _sanitize(ref_vals)
         elif reference == "closed-form":
-            w = np.zeros((rows, n_fine + 1))
-            np.cumsum(fine, axis=1, out=w[:, 1:])
             times = np.linspace(0.0, horizon, n_fine + 1)
             exact = ginzburg_landau_exact(model.meta["lam"], model.meta["sigma"],
-                                          model.meta["x0"], times, w)[:, -1]
+                                          model.meta["x0"], times,
+                                          running_sum(fine))[:, -1]
             if space == "y":
                 exact = lamperti.forward(exact)
             ref_vals, ref_bad = _sanitize(exact)
@@ -218,6 +218,8 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             bad = approx_bad | ref_bad
             err_sums[n_exp] += float(np.sum(np.abs(ref_vals - approx)))
             bad_counts[n_exp] += int(np.count_nonzero(bad))
+        # Release this block before the next one is drawn.
+        del fine, coarse
 
     records = []
     for n_exp in exps:

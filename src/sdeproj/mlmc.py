@@ -353,6 +353,31 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric) -> MlmcReport:
         savings=savings, seed=fabric.master_seed, metadata=metadata)
 
 
+def _implicit_values(config: MlmcConfig, params: list,
+                     drivers: tuple[np.ndarray, ...], n: int, h: float) -> np.ndarray:
+    """Payoffs for a batch of paths from the drift-implicit stepper."""
+    # Looked up at call time, so that a wrapper installed on
+    # `reference.implicit_cir_step` (as the benchmark tracer does) is called.
+    from .reference import implicit_cir_step
+
+    if config.payoff == "zcb":
+        w = drivers[0]
+        y = np.full(w.shape[0], params[0].y0)
+        integral = np.zeros(w.shape[0])
+        inverse = config.models[0].lamperti.inverse
+        for i in range(n):
+            integral += inverse(y) * h
+            y = implicit_cir_step(y, params[0], h, w[:, i])
+        return np.exp(-integral)
+    terminals = []
+    for p, triple, drv in zip(params, config.models, drivers):
+        y = np.full(drv.shape[0], p.y0)
+        for i in range(n):
+            y = implicit_cir_step(y, p, h, drv[:, i])
+        terminals.append(triple.lamperti.inverse(y))
+    return payoff_spread(terminals[0], terminals[1], config.strike)
+
+
 def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
                    fine_exponent: int = 12) -> tuple[float, float]:
     """High-resolution benchmark price from the drift-implicit stepper.
@@ -361,7 +386,7 @@ def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
     path, using addresses disjoint from the multilevel levels (the grid
     exponent is the stream level tag).  Returns (price, standard error).
     """
-    from .reference import ImplicitCirParams, implicit_cir_step
+    from .reference import ImplicitCirParams
 
     if paths < 2:
         raise DomainError("paths must be >= 2")
@@ -383,26 +408,12 @@ def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
     while done < paths:
         block, row_lo = divmod(done, BLOCK_WIDTH)
         row_hi = min(BLOCK_WIDTH, row_lo + (paths - done))
-        w = fabric.block_increments(fine_exponent, block, n, h, rows=row_hi)[row_lo:]
-        if config.payoff == "zcb":
-            y = np.full(w.shape[0], params[0].y0)
-            integral = np.zeros(w.shape[0])
-            inverse = config.models[0].lamperti.inverse
-            for i in range(n):
-                integral += inverse(y) * h
-                y = implicit_cir_step(y, params[0], h, w[:, i])
-            values = np.exp(-integral)
-        else:
-            w_perp = fabric.block_increments(fine_exponent, block, n, h,
-                                             factor=1, rows=row_hi)[row_lo:]
-            z = correlate(w, w_perp, config.correlation)
-            terminals = []
-            for p, triple, drv in zip(params, config.models, (w, z)):
-                y = np.full(drv.shape[0], p.y0)
-                for i in range(n):
-                    y = implicit_cir_step(y, p, h, drv[:, i])
-                terminals.append(triple.lamperti.inverse(y))
-            values = payoff_spread(terminals[0], terminals[1], config.strike)
+        # The drivers are a call argument only, so each block is released
+        # before the next one is drawn.
+        values = _implicit_values(
+            config, params,
+            _drivers(config, fabric, fine_exponent, block, row_lo, row_hi, n, h),
+            n, h)
         total += float(np.sum(values))
         total_sq += float(np.dot(values, values))
         done += row_hi - row_lo

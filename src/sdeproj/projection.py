@@ -319,6 +319,10 @@ def evolve_terminal(model: TransformedModel, plan: ProjectionPlan, n: int,
     inf/NaN); callers flag and cap non-finite results.  The per-step update
     is the exact expression used by `step`, so a single-path run reproduces
     `simulate_path` bit for bit.
+
+    Step i reads the column `increments[:, i]`, which is contiguous for the
+    column-major blocks of `BrownianFabric`; the array is used in whatever
+    layout it arrives in, and the result does not depend on that layout.
     """
     incs = np.asarray(increments, dtype=float)
     y = np.full(incs.shape[0], model.y0, dtype=float)

@@ -20,6 +20,7 @@ __all__ = [
     "implicit_cir_path",
     "implicit_cir_terminal",
     "ginzburg_landau_exact",
+    "running_sum",
     "cir_zcb_closed_form",
 ]
 
@@ -128,10 +129,40 @@ def ginzburg_landau_exact(lam: float, sigma: float, x0: float,
     if t.ndim != 1 or w.shape[-1] != t.shape[0]:
         raise ValueError("times and w must share the grid axis")
     growth = np.exp(2.0 * lam * t + 2.0 * sigma * w)
-    steps = np.diff(t)
-    integral = np.zeros_like(w)
-    integral[..., 1:] = np.cumsum(growth[..., :-1] * steps, axis=-1)
+    integral = running_sum(growth[..., :-1] * np.diff(t))
     return x0 * np.exp(lam * t + sigma * w) / np.sqrt(1.0 + 2.0 * x0 * x0 * integral)
+
+
+def running_sum(terms: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, preceded by a zero node.
+
+    out[..., 0] = 0 and out[..., i + 1] = out[..., i] + terms[..., i], added
+    left to right: the same bits as `np.cumsum`, for either memory layout.
+    Turns Brownian increments into Brownian values at the grid nodes.
+
+    Column-major input (the package's Brownian blocks) is summed one
+    contiguous column at a time into a column-major result, because a cumsum
+    along a strided axis is several times slower; other input takes one
+    cumsum.
+
+    Returns:
+        Array of shape (..., n + 1) for terms of shape (..., n).
+    """
+    terms = np.asarray(terms, dtype=float)
+    n = terms.shape[-1]
+    shape = terms.shape[:-1] + (n + 1,)
+    if terms.ndim > 1 and terms.strides[0] < terms.strides[-1]:
+        out = np.empty(shape, order="F")
+        out[..., 0] = 0.0
+        if n:
+            out[..., 1] = terms[..., 0]
+        for i in range(1, n):
+            np.add(out[..., i], terms[..., i], out=out[..., i + 1])
+        return out
+    out = np.empty(shape)
+    out[..., 0] = 0.0
+    np.cumsum(terms, axis=-1, out=out[..., 1:])
+    return out
 
 
 def cir_zcb_closed_form(kappa: float, theta: float, xi: float, v0: float,

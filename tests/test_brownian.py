@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from sdeproj import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
+from sdeproj.brownian import _TAG_BLOCK, _CHUNK_NORMALS
+from sdeproj.convergence import run_convergence_study
+from sdeproj.mlmc import MlmcConfig, implicit_price, mlmc_estimate
+from sdeproj.models import cir_model, ginzburg_landau_model
+from sdeproj.projection import plan_exponents
 
 
 def test_increment_moments():
@@ -137,3 +142,80 @@ def test_addressing_validation():
         couple_levels(np.zeros((2, 5)), 2)
     with pytest.raises(ValueError):
         correlate(np.zeros(3), np.zeros(3), 1.5)
+
+
+@pytest.mark.parametrize("rows, n", [
+    (BLOCK_WIDTH, 1),                                   # one column, filled in place
+    (1, 9),                                             # one row, filled in place
+    (BLOCK_WIDTH, 3 * _CHUNK_NORMALS // BLOCK_WIDTH),   # three full chunks
+    (1000, _CHUNK_NORMALS // 300),                      # partial last chunk
+    (7, 5),
+])
+def test_block_normals_column_major_single_stream(rows, n):
+    fabric = BrownianFabric(53)
+    block = fabric.block_normals(2, 3, n, factor=1, rows=rows)
+    assert block.shape == (rows, n)
+    assert block.flags.f_contiguous
+    reference = fabric._generator(_TAG_BLOCK, 2, 1, 3).standard_normal((rows, n))
+    assert np.array_equal(block, reference)
+    increments = fabric.block_increments(2, 3, n, 0.25, factor=1, rows=rows)
+    assert increments.flags.f_contiguous
+    assert np.array_equal(increments, reference * 0.5)
+
+
+def test_couple_levels_keeps_layout():
+    fine_f = BrownianFabric(59).block_increments(1, 0, 64, 0.125, rows=40)
+    fine_c = np.ascontiguousarray(fine_f)
+    for m in (1, 2, 8):
+        coarse_f = couple_levels(fine_f, m)
+        coarse_c = couple_levels(fine_c, m)
+        assert coarse_f.flags.f_contiguous
+        assert coarse_c.flags.c_contiguous
+        assert np.array_equal(coarse_f, coarse_c)
+    # A row slice of a column-major block, as the multilevel pricer takes.
+    tail = couple_levels(fine_f[10:], 4)
+    assert tail.flags.f_contiguous
+    assert np.array_equal(tail, couple_levels(fine_c[10:], 4))
+
+
+def _cir_study(reference, variant):
+    cir = cir_model(0.5, 1.0, 0.5, 1.0)
+    return run_convergence_study(cir.transformed, cir.lamperti,
+                                 plan_exponents(cir.transformed), [2, 3, 4],
+                                 BLOCK_WIDTH + 100, reference, BrownianFabric(7),
+                                 fine_exponent=6, variant=variant)
+
+
+def _gl_study():
+    gl = ginzburg_landau_model(0.5, 1.0, 1.0)
+    return run_convergence_study(gl.transformed, gl.lamperti,
+                                 plan_exponents(gl.transformed), [2, 3, 4],
+                                 BLOCK_WIDTH + 100, "closed-form",
+                                 BrownianFabric(7), fine_exponent=6)
+
+
+_SPREAD = MlmcConfig(models=(cir_model(1.0, 0.06, 0.04, 0.05),
+                             cir_model(0.8, 0.05, 0.016, 0.06)),
+                     payoff="spread", horizon=1.0, epsilon=1e-4, strike=0.001,
+                     correlation=-0.7, max_level=3, pilot_paths=500)
+
+
+@pytest.mark.parametrize("engine", [
+    lambda: _cir_study("modified-scheme-fine-grid", "modified"),
+    lambda: _cir_study("implicit-fine-grid", "implicit-reference"),
+    _gl_study,
+    lambda: mlmc_estimate(_SPREAD, BrownianFabric(13)),
+    lambda: implicit_price(_SPREAD, BrownianFabric(13), paths=BLOCK_WIDTH + 100,
+                           fine_exponent=5),
+], ids=["modified-reference", "implicit-reference", "closed-form",
+        "mlmc-spread", "implicit-price"])
+def test_engines_do_not_depend_on_block_layout(engine, monkeypatch):
+    shipped = engine()
+    column_major = BrownianFabric.block_normals
+
+    def row_major(self, *args, **kwargs):
+        return np.ascontiguousarray(column_major(self, *args, **kwargs))
+
+    monkeypatch.setattr(BrownianFabric, "block_normals", row_major)
+    assert BrownianFabric(1).block_normals(0, 0, 8, rows=4).flags.c_contiguous
+    assert engine() == shipped

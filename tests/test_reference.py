@@ -9,7 +9,8 @@ from sdeproj.brownian import BrownianFabric
 from sdeproj.errors import DomainError
 from sdeproj.reference import (ImplicitCirParams, cir_zcb_closed_form,
                                ginzburg_landau_exact, implicit_cir_path,
-                               implicit_cir_step, implicit_cir_terminal)
+                               implicit_cir_step, implicit_cir_terminal,
+                               running_sum)
 
 
 def test_params_validation():
@@ -165,3 +166,22 @@ def test_zcb_monotonicity():
     assert cir_zcb_closed_form(2.0, 1.0, 0.5, 1.5, 1.0) < base
     assert cir_zcb_closed_form(2.0, 1.0, 0.5, 1.0, 2.0) < base
     assert cir_zcb_closed_form(2.0, 1.5, 0.5, 1.0, 1.0) < base
+
+
+def test_running_sum_matches_cumsum_in_every_layout():
+    incs = BrownianFabric(61).block_increments(3, 0, 33, 0.125, rows=50)
+    assert incs.flags.f_contiguous
+    for terms in (incs, np.ascontiguousarray(incs), incs[7:], incs[0], incs[:1]):
+        reference = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
+        np.cumsum(terms, axis=-1, out=reference[..., 1:])
+        assert np.array_equal(running_sum(terms), reference)
+    assert running_sum(incs).flags.f_contiguous
+
+
+def test_gl_exact_layout_independent():
+    times = np.linspace(0.0, 1.0, 65)
+    w = running_sum(BrownianFabric(67).block_increments(4, 0, 64, 1.0 / 64, rows=40))
+    column_major = ginzburg_landau_exact(0.5, 1.0, 1.0, times, w)
+    assert np.array_equal(column_major,
+                          ginzburg_landau_exact(0.5, 1.0, 1.0, times,
+                                                np.ascontiguousarray(w)))

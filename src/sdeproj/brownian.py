@@ -35,6 +35,9 @@ BLOCK_WIDTH = 4096
 # than rows keeps short blocks at a single call.
 _CHUNK_NORMALS = 1 << 17
 
+# Elements per column chunk of an in-place `correlate` (a 256 KiB scratch).
+_MIX_NORMALS = 1 << 15
+
 
 def _splitmix64(x: int) -> int:
     """Finalize a seed with the splitmix64 avalanche function."""
@@ -171,11 +174,20 @@ def couple_levels(fine: np.ndarray, m: int) -> np.ndarray:
     return coarse
 
 
-def correlate(w: np.ndarray, w_perp: np.ndarray, rho: float) -> np.ndarray:
+def correlate(w: np.ndarray, w_perp: np.ndarray, rho: float, *,
+              out: np.ndarray | None = None, team=None) -> np.ndarray:
     """Mix two independent increment streams into a rho-correlated one.
 
     Returns rho * w + sqrt(1 - rho**2) * w_perp, which is again a Brownian
     increment stream with the same step variance.
+
+    With `out` (which may be `w_perp` or `w` itself) the mix is written
+    there instead of into a new array.  It runs over column chunks of about
+    2^15 elements through one chunk-sized scratch buffer, so it allocates no
+    block-sized temporary.  A `workers.Team` splits the chunks over its
+    threads.  Each element is computed by the same two products and one sum
+    either way, so the result has the same bits for every layout, chunking
+    and thread count.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
@@ -183,4 +195,27 @@ def correlate(w: np.ndarray, w_perp: np.ndarray, rho: float) -> np.ndarray:
     w_perp = np.asarray(w_perp)
     if w.shape != w_perp.shape:
         raise ValueError(f"shape mismatch: {w.shape} vs {w_perp.shape}")
-    return rho * w + math.sqrt(1.0 - rho * rho) * w_perp
+    scale = math.sqrt(1.0 - rho * rho)
+    if out is None:
+        return rho * w + scale * w_perp
+    if out.shape != w.shape:
+        raise ValueError(f"out has shape {out.shape}, expected {w.shape}")
+    cols = w.shape[-1]
+    width = max(1, _MIX_NORMALS * cols // max(1, w.size))
+    chunks = -(-cols // width)
+
+    def mix(first: int, last: int) -> None:
+        scratch = np.empty(w.shape[:-1] + (min(width, cols),), order="F")
+        for lo in range(first * width, min(last * width, cols), width):
+            hi = min(lo + width, cols)
+            part = scratch[..., :hi - lo]
+            target = out[..., lo:hi]
+            np.multiply(rho, w[..., lo:hi], out=part)
+            np.multiply(scale, w_perp[..., lo:hi], out=target)
+            np.add(part, target, out=target)
+
+    if team is None or chunks < 2:
+        mix(0, chunks)
+    else:
+        team.run_split(mix, chunks)
+    return out

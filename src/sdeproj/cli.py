@@ -77,7 +77,10 @@ def _run(body) -> None:
 
 def _options(fn):
     fn = click.option("--threads", type=click.IntRange(0), default=None,
-                      help="Worker cap, 0 = all cores; never affects results.")(fn)
+                      help="Worker threads for two-factor pricing (mlmc spread, "
+                           "price spread-mc); 0 = all cores, larger values are "
+                           "clamped to the cores available. Never affects "
+                           "results.")(fn)
     fn = click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=None,
                       help="Master seed, overrides the config value.")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=None,
@@ -161,7 +164,7 @@ def mlmc(config, out, seed, threads):
                 pilot_paths=sec.pilot_paths, path_ceiling=sec.path_ceiling,
                 strike=sec.strike, correlation=sec.correlation, k=k,
                 scale_lo=scale_lo)
-            report = mlmc_estimate(run_config, fabric)
+            report = mlmc_estimate(run_config, fabric, threads=cfg.threads)
             tag = format(eps, "g")
             _write_rows(os.path.join(cfg.out, f"mlmc_{tag}.csv"),
                         ("l", "h_l", "N_l", "mean_diff", "V_l", "cost"),
@@ -250,7 +253,8 @@ def price(config, out, seed, threads):
                 correlation=pr.correlation)
             value, se = implicit_price(run_config, BrownianFabric(cfg.seed),
                                        paths=pr.paths,
-                                       fine_exponent=pr.fine_exponent)
+                                       fine_exponent=pr.fine_exponent,
+                                       threads=cfg.threads)
             half = _Z95 * se
         os.makedirs(cfg.out, exist_ok=True)
         _write_json(os.path.join(cfg.out, "price.json"), {

@@ -24,8 +24,8 @@ from .brownian import BLOCK_WIDTH, BrownianFabric, couple_levels
 from .errors import DomainError
 from .models import LampertiMap, TransformedModel
 from .projection import ProjectionPlan, clamp_variant, evolve_terminal
-from .reference import (ImplicitCirParams, ginzburg_landau_exact, implicit_cir_step,
-                        running_sum)
+from .reference import (ImplicitCirParams, ginzburg_landau_terminal,
+                        implicit_cir_step)
 
 VALUE_CAP = 2.0 ** 20
 
@@ -195,9 +195,8 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             ref_vals, ref_bad = _sanitize(ref_vals)
         elif reference == "closed-form":
             times = np.linspace(0.0, horizon, n_fine + 1)
-            exact = ginzburg_landau_exact(model.meta["lam"], model.meta["sigma"],
-                                          model.meta["x0"], times,
-                                          running_sum(fine))[:, -1]
+            exact = ginzburg_landau_terminal(model.meta["lam"], model.meta["sigma"],
+                                             model.meta["x0"], times, fine)
             if space == "y":
                 exact = lamperti.forward(exact)
             ref_vals, ref_bad = _sanitize(exact)

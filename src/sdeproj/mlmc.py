@@ -14,16 +14,23 @@ implied by the payoff variance at the same accuracy split.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import workers
 from .brownian import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
 from .errors import BudgetExceeded, DomainError, NonFinite
 from .models import ModelTriple
 from .projection import ProjectionPlan, diffusion_bar, manual_plan, project
+
+# A factor's block is drawn on a pool thread only from this many normals up:
+# building its Philox generator costs 17-19 us with the interpreter lock
+# held, which swamps the fill of a smaller block.
+_INLINE_NORMALS = 1 << 14
 
 _PAYOFFS = ("zcb", "spread")
 
@@ -165,14 +172,25 @@ def _plans(config: MlmcConfig) -> tuple[ProjectionPlan, ...]:
 
 
 def _drivers(config: MlmcConfig, fabric: BrownianFabric, level: int, block: int,
-             row_lo: int, row_hi: int, n: int, h: float) -> tuple[np.ndarray, ...]:
-    """Brownian increments for each factor, rows [row_lo, row_hi) of a block."""
-    w = fabric.block_increments(level, block, n, h, rows=row_hi)[row_lo:]
+             row_lo: int, row_hi: int, n: int, h: float,
+             team: workers.Team | None = None) -> tuple[np.ndarray, ...]:
+    """Brownian increments for each factor, rows [row_lo, row_hi) of a block.
+
+    With a `team`, factor 1's block is drawn on a pool thread while this
+    thread draws factor 0's, and the correlation mix is split over the team.
+    Each factor's block comes whole from its own stream either way.
+    """
+    draw = functools.partial(fabric.block_increments, level, block, n, h,
+                             rows=row_hi)
     if config.payoff == "zcb":
-        return (w,)
-    w_perp = fabric.block_increments(level, block, n, h, factor=1,
-                                     rows=row_hi)[row_lo:]
-    return (w, correlate(w, w_perp, config.correlation))
+        return (draw()[row_lo:],)
+    pending = None
+    if team is not None and row_hi * n >= _INLINE_NORMALS:
+        pending = team.submit(draw, factor=1)
+    w = draw()[row_lo:]
+    w_perp = (draw(factor=1) if pending is None else pending.result())[row_lo:]
+    # Mixed into w_perp's own storage: no third block-sized array.
+    return (w, correlate(w, w_perp, config.correlation, out=w_perp, team=team))
 
 
 def _payoff_values(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
@@ -203,7 +221,8 @@ def _payoff_values(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
 
 def _pair_block(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
                 fabric: BrownianFabric, level: int, block: int,
-                row_lo: int, row_hi: int) -> tuple[np.ndarray, np.ndarray]:
+                row_lo: int, row_hi: int,
+                team: workers.Team | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(fine payoff, coarse payoff) for rows of one block at one level.
 
     The coarse payoff reruns the scheme on the summed increments of the same
@@ -212,7 +231,8 @@ def _pair_block(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
     m = config.refinement
     n_fine = m ** level
     h_fine = config.horizon / n_fine
-    drivers = _drivers(config, fabric, level, block, row_lo, row_hi, n_fine, h_fine)
+    drivers = _drivers(config, fabric, level, block, row_lo, row_hi, n_fine,
+                       h_fine, team)
     fine = _payoff_values(config, plans, drivers, n_fine, h_fine)
     if level == 0:
         coarse = np.zeros_like(fine)
@@ -255,12 +275,12 @@ class _LevelAccumulator:
         self.sum_fine = 0.0
         self.sumsq_fine = 0.0
 
-    def extend(self, config, plans, fabric, level, target):
+    def extend(self, config, plans, fabric, level, target, team=None):
         while self.count < target:
             block, row_lo = divmod(self.count, BLOCK_WIDTH)
             row_hi = min(BLOCK_WIDTH, row_lo + (target - self.count))
             fine, coarse = _pair_block(config, plans, fabric, level, block,
-                                       row_lo, row_hi)
+                                       row_lo, row_hi, team)
             diff = fine - coarse
             self.sum_diff += float(np.sum(diff))
             self.sumsq_diff += float(np.dot(diff, diff))
@@ -277,8 +297,15 @@ class _LevelAccumulator:
         return mean, max(self.sumsq_fine / self.count - mean * mean, 0.0)
 
 
-def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric) -> MlmcReport:
+def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
+                  threads: int = 1) -> MlmcReport:
     """Run the pilot, allocate paths, and estimate the payoff expectation.
+
+    `threads` caps the workers of a two-factor payoff (0 means all cores;
+    larger values are clamped to the cores available).  Workers draw the
+    two factors' blocks at the same time and split the correlation mix;
+    the report is the same for every value.  Single-factor payoffs always
+    run on the calling thread.
 
     Raises:
         BudgetExceeded: the allocation asks for more total paths than
@@ -290,17 +317,18 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric) -> MlmcReport:
     plans = _plans(config)
     accs = [_LevelAccumulator() for _ in levels]
 
-    for l in levels:
-        accs[l].extend(config, plans, fabric, l, config.pilot_paths)
-    pilot_vars = [accs[l].mean_var_diff()[1] for l in levels]
-    allocation = allocate_paths(pilot_vars, step_sizes, config.epsilon,
-                                floor=config.pilot_paths)
-    total = int(allocation.sum())
-    if total > config.path_ceiling:
-        raise BudgetExceeded(
-            f"allocation of {total} paths exceeds ceiling {config.path_ceiling}")
-    for l in levels:
-        accs[l].extend(config, plans, fabric, l, int(allocation[l]))
+    with workers.team(threads if len(config.models) > 1 else 1) as team:
+        for l in levels:
+            accs[l].extend(config, plans, fabric, l, config.pilot_paths, team)
+        pilot_vars = [accs[l].mean_var_diff()[1] for l in levels]
+        allocation = allocate_paths(pilot_vars, step_sizes, config.epsilon,
+                                    floor=config.pilot_paths)
+        total = int(allocation.sum())
+        if total > config.path_ceiling:
+            raise BudgetExceeded(
+                f"allocation of {total} paths exceeds ceiling {config.path_ceiling}")
+        for l in levels:
+            accs[l].extend(config, plans, fabric, l, int(allocation[l]), team)
 
     level_rows = []
     estimator = 0.0
@@ -379,12 +407,17 @@ def _implicit_values(config: MlmcConfig, params: list,
 
 
 def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
-                   fine_exponent: int = 12) -> tuple[float, float]:
+                   fine_exponent: int = 12, threads: int = 1) -> tuple[float, float]:
     """High-resolution benchmark price from the drift-implicit stepper.
 
     Prices the configured payoff with 2**fine_exponent implicit steps per
     path, using addresses disjoint from the multilevel levels (the grid
     exponent is the stream level tag).  Returns (price, standard error).
+
+    `threads` works as in `mlmc_estimate`: for two factors, workers draw
+    both factors' blocks at the same time and split the correlation mix,
+    while the implicit steps and the sums stay on the calling thread, so
+    the result is the same for every value.
     """
     from .reference import ImplicitCirParams
 
@@ -405,18 +438,20 @@ def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
     total = 0.0
     total_sq = 0.0
     done = 0
-    while done < paths:
-        block, row_lo = divmod(done, BLOCK_WIDTH)
-        row_hi = min(BLOCK_WIDTH, row_lo + (paths - done))
-        # The drivers are a call argument only, so each block is released
-        # before the next one is drawn.
-        values = _implicit_values(
-            config, params,
-            _drivers(config, fabric, fine_exponent, block, row_lo, row_hi, n, h),
-            n, h)
-        total += float(np.sum(values))
-        total_sq += float(np.dot(values, values))
-        done += row_hi - row_lo
+    with workers.team(threads if len(config.models) > 1 else 1) as team:
+        while done < paths:
+            block, row_lo = divmod(done, BLOCK_WIDTH)
+            row_hi = min(BLOCK_WIDTH, row_lo + (paths - done))
+            # The drivers are a call argument only, so each block is released
+            # before the next one is drawn.
+            values = _implicit_values(
+                config, params,
+                _drivers(config, fabric, fine_exponent, block, row_lo, row_hi,
+                         n, h, team),
+                n, h)
+            total += float(np.sum(values))
+            total_sq += float(np.dot(values, values))
+            done += row_hi - row_lo
 
     mean = total / paths
     var = max(total_sq / paths - mean * mean, 0.0)

@@ -20,6 +20,7 @@ __all__ = [
     "implicit_cir_path",
     "implicit_cir_terminal",
     "ginzburg_landau_exact",
+    "ginzburg_landau_terminal",
     "running_sum",
     "cir_zcb_closed_form",
 ]
@@ -131,6 +132,43 @@ def ginzburg_landau_exact(lam: float, sigma: float, x0: float,
     growth = np.exp(2.0 * lam * t + 2.0 * sigma * w)
     integral = running_sum(growth[..., :-1] * np.diff(t))
     return x0 * np.exp(lam * t + sigma * w) / np.sqrt(1.0 + 2.0 * x0 * x0 * integral)
+
+
+def ginzburg_landau_terminal(lam: float, sigma: float, x0: float,
+                             times: np.ndarray,
+                             increments: np.ndarray) -> np.ndarray:
+    """Terminal values of `ginzburg_landau_exact` from Brownian increments.
+
+    Equals `ginzburg_landau_exact(lam, sigma, x0, times,
+    running_sum(increments))[..., -1]` bit for bit, but walks the grid one
+    time step at a time and keeps only W and the integral at the current
+    node, so it needs two row-sized vectors instead of several full
+    (..., n + 1) arrays.
+
+    Args:
+        times: grid nodes, shape (n + 1,), starting at 0.
+        increments: Brownian increments, shape (..., n).
+
+    Returns:
+        Solution values at times[-1], shape increments.shape[:-1].
+    """
+    if x0 <= 0:
+        raise DomainError("x0 must be positive")
+    t = np.asarray(times, dtype=float)
+    dw = np.asarray(increments, dtype=float)
+    if t.ndim != 1 or dw.shape[-1] + 1 != t.shape[0]:
+        raise ValueError("times must have one node more than the increments")
+    # The same scalar factors, in the same order, as ginzburg_landau_exact.
+    drift = 2.0 * lam * t
+    dt = np.diff(t)
+    two_sigma = 2.0 * sigma
+    w = np.zeros(dw.shape[:-1])
+    integral = np.zeros(dw.shape[:-1])
+    for i in range(dw.shape[-1]):
+        integral += np.exp(drift[i] + two_sigma * w) * dt[i]
+        w += dw[..., i]
+    return x0 * np.exp(lam * t[-1] + sigma * w) \
+        / np.sqrt(1.0 + 2.0 * x0 * x0 * integral)
 
 
 def running_sum(terms: np.ndarray) -> np.ndarray:

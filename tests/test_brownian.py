@@ -219,3 +219,37 @@ def test_engines_do_not_depend_on_block_layout(engine, monkeypatch):
     monkeypatch.setattr(BrownianFabric, "block_normals", row_major)
     assert BrownianFabric(1).block_normals(0, 0, 8, rows=4).flags.c_contiguous
     assert engine() == shipped
+
+
+@pytest.mark.parametrize("rows, n", [
+    (300, 200),                              # many column chunks
+    (BLOCK_WIDTH, 3),                        # one chunk, narrower than it
+    (5, 1),                                  # one column
+])
+def test_correlate_in_place_matches_allocating_form(rows, n):
+    fabric = BrownianFabric(71)
+    w = fabric.block_increments(2, 0, n, 0.5, rows=rows)
+    w_perp = fabric.block_increments(2, 0, n, 0.5, factor=1, rows=rows)
+    kept = (w.copy(), w_perp.copy())
+    for rho in (-0.7, 0.0, 1.0, 0.3):
+        expected = correlate(w, w_perp, rho)
+        # The allocating form leaves its inputs untouched.
+        assert np.array_equal(w, kept[0]) and np.array_equal(w_perp, kept[1])
+        for order in ("F", "C"):
+            for row_lo in (0, rows // 3):
+                a = np.array(w, order=order)[row_lo:]
+                b = np.array(w_perp, order=order)[row_lo:]
+                mixed = correlate(a, b, rho, out=b)
+                assert mixed is b
+                assert np.array_equal(mixed, expected[row_lo:])
+                assert np.array_equal(a, kept[0][row_lo:])
+
+
+def test_correlate_out_into_first_operand_and_validation():
+    fabric = BrownianFabric(73)
+    w = fabric.increments(0, 0, 100_000, 1.0)
+    w_perp = fabric.increments(0, 0, 100_000, 1.0, factor=1)
+    expected = correlate(w, w_perp, -0.7)
+    assert np.array_equal(correlate(w, w_perp, -0.7, out=w), expected)
+    with pytest.raises(ValueError):
+        correlate(w, w_perp, -0.7, out=np.empty(3))

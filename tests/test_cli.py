@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import pytest
 import yaml
@@ -239,3 +240,44 @@ def test_price_spread_mc(tmp_path):
     doc = json.loads((out / "price.json").read_text())
     assert doc["half_width"] > 0.0
     assert abs(doc["price"] - REFERENCE_SPREAD) <= 3.0 * doc["half_width"]
+
+
+def _outputs(out):
+    return {path.name: path.read_text() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command, section", [
+    ("price", {"price": {"mode": "spread-mc", "strike": 0.001,
+                         "correlation": -0.7, "paths": 4196,
+                         "fine_exponent": 6}}),
+    ("mlmc", {"mlmc": {"payoff": "spread", "epsilons": ["1e-4"],
+                       "strike": 0.001, "correlation": -0.7, "max_level": 3,
+                       "pilot_paths": 4096}}),
+])
+def test_threads_change_only_the_echoed_setting(tmp_path, monkeypatch, command,
+                                                section):
+    from sdeproj import workers
+
+    # Two usable cores on any machine, so that --threads 2 runs a pool.
+    monkeypatch.setattr(workers, "available_cores", lambda: 2)
+    mapping = spread_models()
+    mapping.update(section, seed=9)
+    cfg = write_config(tmp_path, "exp.yaml", mapping)
+    out = tmp_path / "run"
+    runs = {}
+    for threads in (1, 2):
+        result = invoke(command, cfg, "--out", str(out), "--threads", str(threads))
+        assert result.exit_code == 0, result.output
+        runs[threads] = (_outputs(out), result.output)
+        shutil.rmtree(out)
+    (files_1, echo_1), (files_2, echo_2) = runs[1], runs[2]
+    assert echo_1 == echo_2
+    assert files_1.keys() == files_2.keys()
+    for name, text in files_1.items():
+        if name.endswith(".json"):
+            doc_1, doc_2 = json.loads(text), json.loads(files_2[name])
+            assert (doc_1["config"].pop("threads"), doc_2["config"].pop("threads")) \
+                == (1, 2)
+            assert doc_1 == doc_2
+        else:
+            assert text == files_2[name]

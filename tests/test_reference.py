@@ -8,7 +8,8 @@ import pytest
 from sdeproj.brownian import BrownianFabric
 from sdeproj.errors import DomainError
 from sdeproj.reference import (ImplicitCirParams, cir_zcb_closed_form,
-                               ginzburg_landau_exact, implicit_cir_path,
+                               ginzburg_landau_exact, ginzburg_landau_terminal,
+                               implicit_cir_path,
                                implicit_cir_step, implicit_cir_terminal,
                                running_sum)
 
@@ -185,3 +186,26 @@ def test_gl_exact_layout_independent():
     assert np.array_equal(column_major,
                           ginzburg_landau_exact(0.5, 1.0, 1.0, times,
                                                 np.ascontiguousarray(w)))
+
+
+@pytest.mark.parametrize("lam, sigma, x0, horizon", [
+    (0.5, 1.0, 1.0, 1.0),
+    (0.0, 7.0, 1.0, 3.0),     # criterion 3's explosive parameters
+    (-0.3, 0.2, 2.0, 1.5),
+])
+def test_gl_terminal_matches_full_solution(lam, sigma, x0, horizon):
+    n = 256
+    incs = BrownianFabric(79).block_increments(8, 0, n, horizon / n, rows=300)
+    times = np.linspace(0.0, horizon, n + 1)
+    for terms in (incs, np.ascontiguousarray(incs), incs[37:], incs[5]):
+        full = ginzburg_landau_exact(lam, sigma, x0, times, running_sum(terms))
+        assert np.array_equal(ginzburg_landau_terminal(lam, sigma, x0, times, terms),
+                              full[..., -1])
+
+
+def test_gl_terminal_validation():
+    times = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(DomainError):
+        ginzburg_landau_terminal(0.5, 1.0, 0.0, times, np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        ginzburg_landau_terminal(0.5, 1.0, 1.0, times, np.zeros((2, 5)))

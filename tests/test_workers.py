@@ -1,0 +1,124 @@
+from __future__ import annotations
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from sdeproj import BLOCK_WIDTH, BrownianFabric, correlate
+from sdeproj import workers
+from sdeproj.mlmc import MlmcConfig, implicit_price, mlmc_estimate
+from sdeproj.models import cir_model
+from sdeproj.workers import Team, resolve_threads, split
+
+SPREAD = MlmcConfig(models=(cir_model(1.0, 0.06, 0.04, 0.05),
+                            cir_model(0.8, 0.05, 0.016, 0.06)),
+                    payoff="spread", horizon=1.0, epsilon=1e-4, strike=0.001,
+                    correlation=-0.7, max_level=3, pilot_paths=500)
+
+
+def test_resolve_threads_clamps_to_the_cores():
+    assert resolve_threads(10 ** 6, 1) == 1
+    assert resolve_threads(0, 1) == 1
+    assert resolve_threads(10 ** 6, 2) == 2
+    assert resolve_threads(0, 8) == 8
+    assert resolve_threads(3, 8) == 3
+    assert resolve_threads(1, 8) == 1
+    assert resolve_threads(5, 0) == 1
+    with pytest.raises(ValueError):
+        resolve_threads(-1, 4)
+
+
+def test_split_never_makes_more_spans_than_items():
+    assert split(3, 10 ** 6) == [(0, 1), (1, 2), (2, 3)]
+    assert split(10, 3) == [(0, 4), (4, 7), (7, 10)]
+    assert split(1, 2) == [(0, 1)]
+    for count in range(1, 40):
+        for pieces in (1, 2, 3, 7, 100):
+            spans = split(count, pieces)
+            assert len(spans) == min(count, pieces)
+            assert spans[0][0] == 0 and spans[-1][1] == count
+            assert all(lo < hi for lo, hi in spans)
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+def test_team_starts_no_thread_until_asked():
+    before = threading.active_count()
+    crew = Team(10 ** 6)
+    assert threading.active_count() == before
+    crew.close()
+    with pytest.raises(ValueError):
+        Team(1)
+
+
+def _forbid_pools(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+
+
+def test_one_core_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(workers, "available_cores", lambda: 1)
+    _forbid_pools(monkeypatch)
+    implicit_price(SPREAD, BrownianFabric(5), paths=BLOCK_WIDTH + 10,
+                   fine_exponent=4, threads=10 ** 6)
+    mlmc_estimate(SPREAD, BrownianFabric(5), threads=0)
+
+
+def test_single_factor_payoffs_start_no_thread(monkeypatch):
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    _forbid_pools(monkeypatch)
+    zcb = MlmcConfig(models=(cir_model(2.0, 1.0, 0.5, 1.0),), payoff="zcb",
+                     horizon=1.0, epsilon=1e-3, max_level=3, pilot_paths=500)
+    implicit_price(zcb, BrownianFabric(5), paths=BLOCK_WIDTH, fine_exponent=4,
+                   threads=4)
+    mlmc_estimate(zcb, BrownianFabric(5), threads=4)
+
+
+def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):
+    # Four usable cores, so that threads = 3 builds a real three-worker team
+    # on any machine.  Blocks of BLOCK_WIDTH x 16 and up exceed the inline
+    # threshold, so factor 1 is drawn on the pool.
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    submitted = []
+    real_submit = Team.submit
+
+    def counting_submit(self, fn, *args, **kwargs):
+        submitted.append(fn)
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(Team, "submit", counting_submit)
+    prices = [implicit_price(SPREAD, BrownianFabric(13), paths=BLOCK_WIDTH + 100,
+                             fine_exponent=6, threads=t) for t in (1, 2, 3)]
+    assert prices[0] == prices[1] == prices[2]
+    reports = [mlmc_estimate(SPREAD, BrownianFabric(13), threads=t)
+               for t in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+    # Factor 1's blocks went to the pool, and so did pieces of the mix.
+    names = {getattr(fn, "func", fn).__name__ for fn in submitted}
+    assert names == {"block_increments", "mix"}
+
+
+def test_split_mix_under_thread_switching():
+    # More workers than cores and a short switch interval: an overlap or a
+    # lost chunk between the threads' column ranges would change the bits.
+    fabric = BrownianFabric(83)
+    w = fabric.block_increments(6, 0, 256, 1.0 / 256, rows=BLOCK_WIDTH)
+    w_perp = fabric.block_increments(6, 0, 256, 1.0 / 256, factor=1,
+                                     rows=BLOCK_WIDTH)
+    expected = correlate(w, w_perp, -0.7)
+    interval = sys.getswitchinterval()
+    crew = Team(8)
+    try:
+        sys.setswitchinterval(1e-6)
+        for row_lo in (0, 1000):
+            out = w_perp[row_lo:].copy(order="F")
+            correlate(w[row_lo:], out, -0.7, out=out, team=crew)
+            assert np.array_equal(out, expected[row_lo:])
+    finally:
+        sys.setswitchinterval(interval)
+        crew.close()

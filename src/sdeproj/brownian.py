@@ -9,7 +9,9 @@ level-by-level.
 """
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,11 @@ _CHUNK_NORMALS = 1 << 17
 
 # Elements per column chunk of an in-place `correlate` (a 256 KiB scratch).
 _MIX_NORMALS = 1 << 15
+
+# One Philox generator per thread, re-keyed for every stream.  Building a
+# generator seeds a throwaway SeedSequence from OS entropy (17-19 us with the
+# interpreter lock held); resetting the state of an existing one takes 4-6 us.
+_THREAD = threading.local()
 
 
 def _splitmix64(x: int) -> int:
@@ -72,13 +79,34 @@ class BrownianFabric:
         if not 0 <= self.master_seed <= _MASK64:
             raise ValueError("master_seed must fit in an unsigned 64-bit int")
 
+    @functools.cached_property
+    def _seed_word(self) -> int:
+        return _splitmix64(self.master_seed)
+
     def _generator(self, tag: int, level: int, factor: int, index: int) -> np.random.Generator:
+        """This thread's generator, set to the start of the address's stream.
+
+        Every call on one thread returns the same generator re-keyed, so a
+        stream must be drawn before the thread asks for the next one.  The
+        draws equal those of `Generator(Philox(key=key))`.
+        """
         # The key must be a uint64 array: a plain list of ints above 2**63
         # would be coerced through float64, rounding away the low bits that
         # distinguish neighbouring addresses.
-        key = np.array([_splitmix64(self.master_seed), _pack(tag, level, factor, index)],
+        key = np.array([self._seed_word, _pack(tag, level, factor, index)],
                        dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        rng = getattr(_THREAD, "rng", None)
+        if rng is None:
+            rng = _THREAD.rng = np.random.Generator(np.random.Philox(key=key))
+            return rng
+        # Counter 0, an empty output buffer and no cached 32-bit half: the
+        # state of a freshly built generator with this key.
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return rng
 
     def increments(self, path: int, level: int, n: int, h: float, *, factor: int = 0) -> np.ndarray:
         """Brownian increments for one path.

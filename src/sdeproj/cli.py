@@ -77,10 +77,11 @@ def _run(body) -> None:
 
 def _options(fn):
     fn = click.option("--threads", type=click.IntRange(0), default=None,
-                      help="Worker threads for two-factor pricing (mlmc spread, "
-                           "price spread-mc); 0 = all cores, larger values are "
-                           "clamped to the cores available. Never affects "
-                           "results.")(fn)
+                      help="Worker threads for two-factor pricing (mlmc spread "
+                           "steps batches of small blocks on them; price "
+                           "spread-mc draws on them); 0 = all cores, larger "
+                           "values are clamped to the cores available. Sums "
+                           "stay in block order: never affects results.")(fn)
     fn = click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=None,
                       help="Master seed, overrides the config value.")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=None,

@@ -28,9 +28,13 @@ from .models import ModelTriple
 from .projection import ProjectionPlan, diffusion_bar, manual_plan, project
 
 # A factor's block is drawn on a pool thread only from this many normals up:
-# building its Philox generator costs 17-19 us with the interpreter lock
-# held, which swamps the fill of a smaller block.
+# handing a smaller block to another thread costs more than its fill saves.
 _INLINE_NORMALS = 1 << 14
+
+# Normals per factor in one batch of whole blocks, the unit of work a worker
+# draws and steps.  A block bigger than this is a batch of its own, stepped on
+# the calling thread with its factors' draws and the mix split over the team.
+_BATCH_NORMALS = 1 << 17
 
 _PAYOFFS = ("zcb", "spread")
 
@@ -171,24 +175,54 @@ def _plans(config: MlmcConfig) -> tuple[ProjectionPlan, ...]:
                  for t in config.models)
 
 
-def _drivers(config: MlmcConfig, fabric: BrownianFabric, level: int, block: int,
-             row_lo: int, row_hi: int, n: int, h: float,
-             team: workers.Team | None = None) -> tuple[np.ndarray, ...]:
-    """Brownian increments for each factor, rows [row_lo, row_hi) of a block.
+def _chunks(start: int, stop: int):
+    """Yield (block, row_lo, row_hi) for paths [start, stop), block by block."""
+    while start < stop:
+        block, row_lo = divmod(start, BLOCK_WIDTH)
+        row_hi = min(BLOCK_WIDTH, row_lo + (stop - start))
+        yield block, row_lo, row_hi
+        start += row_hi - row_lo
 
-    With a `team`, factor 1's block is drawn on a pool thread while this
-    thread draws factor 0's, and the correlation mix is split over the team.
-    Each factor's block comes whole from its own stream either way.
+
+def _increments(fabric: BrownianFabric, level: int,
+                chunks: Sequence[tuple[int, int, int]], n: int, h: float, *,
+                factor: int = 0) -> np.ndarray:
+    """Brownian increments of the chunks' rows, stacked in chunk order.
+
+    A chunk (block, row_lo, row_hi) is rows [row_lo, row_hi) of a block, and
+    each block is drawn whole from its own stream.  One chunk is returned as
+    a row slice of its block; several are copied into one column-major
+    array, so every value is the one its block gives.
     """
-    draw = functools.partial(fabric.block_increments, level, block, n, h,
-                             rows=row_hi)
+    parts = (fabric.block_increments(level, block, n, h, factor=factor,
+                                     rows=row_hi)[row_lo:]
+             for block, row_lo, row_hi in chunks)
+    if len(chunks) == 1:
+        return next(parts)
+    out = np.empty((sum(hi - lo for _, lo, hi in chunks), n), order="F")
+    at = 0
+    for part in parts:
+        out[at:at + len(part)] = part
+        at += len(part)
+    return out
+
+
+def _drivers(config: MlmcConfig, fabric: BrownianFabric, level: int,
+             chunks: Sequence[tuple[int, int, int]], n: int, h: float,
+             team: workers.Team | None = None) -> tuple[np.ndarray, ...]:
+    """Brownian increments for each factor over the rows of `chunks`.
+
+    With a `team`, factor 1's blocks are drawn on a pool thread while this
+    thread draws factor 0's, and the correlation mix is split over the team.
+    """
+    draw = functools.partial(_increments, fabric, level, chunks, n, h)
     if config.payoff == "zcb":
-        return (draw()[row_lo:],)
+        return (draw(),)
     pending = None
-    if team is not None and row_hi * n >= _INLINE_NORMALS:
+    if team is not None and sum(hi for _, _, hi in chunks) * n >= _INLINE_NORMALS:
         pending = team.submit(draw, factor=1)
-    w = draw()[row_lo:]
-    w_perp = (draw(factor=1) if pending is None else pending.result())[row_lo:]
+    w = draw()
+    w_perp = draw(factor=1) if pending is None else pending.result()
     # Mixed into w_perp's own storage: no third block-sized array.
     return (w, correlate(w, w_perp, config.correlation, out=w_perp, team=team))
 
@@ -219,20 +253,25 @@ def _payoff_values(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
     return payoff_spread(terminals[0], terminals[1], config.strike)
 
 
-def _pair_block(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
-                fabric: BrownianFabric, level: int, block: int,
-                row_lo: int, row_hi: int,
+def _pair_batch(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
+                fabric: BrownianFabric, level: int,
+                chunks: Sequence[tuple[int, int, int]],
                 team: workers.Team | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(fine payoff, coarse payoff) for rows of one block at one level.
+    """(fine payoff, coarse payoff) for the rows of `chunks` at one level.
 
     The coarse payoff reruns the scheme on the summed increments of the same
-    Brownian path; level 0 has no coarse half and returns zeros there.
+    Brownian path; level 0 has no coarse half and returns zeros there.  Each
+    path's payoffs are elementwise in its own increments, so they do not
+    depend on which rows share the batch.
+
+    Raises:
+        NonFinite: naming the level, block and row of the first path whose
+            fine or coarse payoff is not finite.
     """
     m = config.refinement
     n_fine = m ** level
     h_fine = config.horizon / n_fine
-    drivers = _drivers(config, fabric, level, block, row_lo, row_hi, n_fine,
-                       h_fine, team)
+    drivers = _drivers(config, fabric, level, chunks, n_fine, h_fine, team)
     fine = _payoff_values(config, plans, drivers, n_fine, h_fine)
     if level == 0:
         coarse = np.zeros_like(fine)
@@ -240,8 +279,15 @@ def _pair_block(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
         coarse_drivers = tuple(couple_levels(d, m) for d in drivers)
         coarse = _payoff_values(config, plans, coarse_drivers,
                                 n_fine // m, h_fine * m)
-    if not (np.isfinite(fine).all() and np.isfinite(coarse).all()):
-        raise NonFinite(f"non-finite payoff at level {level}")
+    finite = np.isfinite(fine) & np.isfinite(coarse)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        for block, row_lo, row_hi in chunks:
+            if at < row_hi - row_lo:
+                break
+            at -= row_hi - row_lo
+        raise NonFinite(f"non-finite payoff at level {level}, block {block}, "
+                        f"row {row_lo + at}")
     return fine, coarse
 
 
@@ -260,8 +306,8 @@ def level_sample(config: MlmcConfig, fabric: BrownianFabric, level: int,
     if path < 0:
         raise DomainError("path must be nonnegative")
     block, row = divmod(path, BLOCK_WIDTH)
-    fine, coarse = _pair_block(config, _plans(config), fabric, level, block,
-                               row, row + 1)
+    fine, coarse = _pair_batch(config, _plans(config), fabric, level,
+                               [(block, row, row + 1)])
     return float(fine[0]), float(coarse[0])
 
 
@@ -276,17 +322,35 @@ class _LevelAccumulator:
         self.sumsq_fine = 0.0
 
     def extend(self, config, plans, fabric, level, target, team=None):
-        while self.count < target:
-            block, row_lo = divmod(self.count, BLOCK_WIDTH)
-            row_hi = min(BLOCK_WIDTH, row_lo + (target - self.count))
-            fine, coarse = _pair_block(config, plans, fabric, level, block,
-                                       row_lo, row_hi, team)
-            diff = fine - coarse
-            self.sum_diff += float(np.sum(diff))
-            self.sumsq_diff += float(np.dot(diff, diff))
-            self.sum_fine += float(np.sum(fine))
-            self.sumsq_fine += float(np.dot(fine, fine))
-            self.count += row_hi - row_lo
+        """Add paths [count, target) of `level`, block by block.
+
+        Blocks are cut into batches of at most `_BATCH_NORMALS` normals per
+        factor (at least one block each).  With a team, up to `team.size`
+        batches are drawn and stepped at once; a block bigger than the cap
+        is a batch of its own and splits its draws over the team instead.
+        The sums are folded here, one block's rows at a time in block order,
+        so they are the same for every batch size and thread count.
+        """
+        chunks = list(_chunks(self.count, target))
+        per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * config.refinement ** level)
+        size = max(1, per_batch)
+        batches = [chunks[i:i + size] for i in range(0, len(chunks), size)]
+        pair = functools.partial(_pair_batch, config, plans, fabric, level)
+        if team is None or per_batch == 0:
+            results = (pair(batch, team) for batch in batches)
+        else:
+            results = team.imap(pair, batches)
+        for batch, (fine, coarse) in zip(batches, results):
+            at = 0
+            for _, row_lo, row_hi in batch:
+                rows = slice(at, at + row_hi - row_lo)
+                diff = fine[rows] - coarse[rows]
+                self.sum_diff += float(np.sum(diff))
+                self.sumsq_diff += float(np.dot(diff, diff))
+                self.sum_fine += float(np.sum(fine[rows]))
+                self.sumsq_fine += float(np.dot(fine[rows], fine[rows]))
+                self.count += row_hi - row_lo
+                at = rows.stop
 
     def mean_var_diff(self) -> tuple[float, float]:
         mean = self.sum_diff / self.count
@@ -302,10 +366,12 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
     """Run the pilot, allocate paths, and estimate the payoff expectation.
 
     `threads` caps the workers of a two-factor payoff (0 means all cores;
-    larger values are clamped to the cores available).  Workers draw the
-    two factors' blocks at the same time and split the correlation mix;
-    the report is the same for every value.  Single-factor payoffs always
-    run on the calling thread.
+    larger values are clamped to the cores available).  On levels whose
+    blocks are small, workers draw and step whole batches of blocks at
+    once; on the others they draw the two factors' blocks at the same time
+    and split the correlation mix.  Sums stay on the calling thread in
+    block order, so the report is the same for every value.  Single-factor
+    payoffs always run on the calling thread.
 
     Raises:
         BudgetExceeded: the allocation asks for more total paths than
@@ -317,8 +383,11 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
     plans = _plans(config)
     accs = [_LevelAccumulator() for _ in levels]
 
+    # Finest level first: its big blocks are drawn before the small batches'
+    # freed temporaries are scattered over the heap, which keeps peak memory
+    # down.  The levels' sums are independent, so the order changes no value.
     with workers.team(threads if len(config.models) > 1 else 1) as team:
-        for l in levels:
+        for l in reversed(levels):
             accs[l].extend(config, plans, fabric, l, config.pilot_paths, team)
         pilot_vars = [accs[l].mean_var_diff()[1] for l in levels]
         allocation = allocate_paths(pilot_vars, step_sizes, config.epsilon,
@@ -327,7 +396,7 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
         if total > config.path_ceiling:
             raise BudgetExceeded(
                 f"allocation of {total} paths exceeds ceiling {config.path_ceiling}")
-        for l in levels:
+        for l in reversed(levels):
             accs[l].extend(config, plans, fabric, l, int(allocation[l]), team)
 
     level_rows = []
@@ -437,21 +506,16 @@ def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
     h = config.horizon / n
     total = 0.0
     total_sq = 0.0
-    done = 0
     with workers.team(threads if len(config.models) > 1 else 1) as team:
-        while done < paths:
-            block, row_lo = divmod(done, BLOCK_WIDTH)
-            row_hi = min(BLOCK_WIDTH, row_lo + (paths - done))
+        for chunk in _chunks(0, paths):
             # The drivers are a call argument only, so each block is released
             # before the next one is drawn.
             values = _implicit_values(
                 config, params,
-                _drivers(config, fabric, fine_exponent, block, row_lo, row_hi,
-                         n, h, team),
+                _drivers(config, fabric, fine_exponent, [chunk], n, h, team),
                 n, h)
             total += float(np.sum(values))
             total_sq += float(np.dot(values, values))
-            done += row_hi - row_lo
 
     mean = total / paths
     var = max(total_sq / paths - mean * mean, 0.0)

@@ -1,15 +1,20 @@
 """Worker threads for the two-factor engines.
 
-A worker count never changes a result.  Threads only fill arrays whose every
-element is fixed in advance: a factor's block is drawn whole from its own
-Philox stream on one thread, and the correlation mix is elementwise over
-disjoint column ranges.  Every time-step loop and every sum stays on the
-calling thread, in block order.
+A worker count never changes a result.  Threads only compute arrays whose
+every element is fixed in advance: a factor's block is drawn whole from its
+own Philox stream on one thread, the correlation mix is elementwise over
+disjoint column ranges, and a multilevel batch of whole blocks steps each
+path on its own increments.  Whole batches step on workers (`Team.imap`),
+but every sum stays on the calling thread, one block at a time in block
+order.
 
 NumPy releases the interpreter lock while it fills normals and runs
-elementwise loops on large arrays, so two threads fill two factors' blocks at
-the same time.  Stepping does not parallelise this way: each step is many
-short ufunc calls that hold the lock.
+elementwise loops on large arrays, so threads fill blocks at the same time.
+Stepping overlaps only where the arrays are long: each step is several
+ufunc calls whose set-up holds the lock.  A batch of many small blocks
+gives long arrays and lets one thread step while another draws; a single
+long-row block does not (stepping its two factors on two threads was slower
+than stepping both on one).
 """
 from __future__ import annotations
 
@@ -84,6 +89,26 @@ class Team:
         fn(*spans[0])
         for future in pending:
             future.result()
+
+    def imap(self, fn, items):
+        """Yield fn(item) for each of `items`, in order.
+
+        The items run in rounds of `size`: the first of a round on the
+        calling thread, the rest on the pool.  A round's results are all
+        yielded before the next round starts, so no more than `size` calls
+        are ever in flight.  An error is raised when its result is due,
+        after the round's other calls have finished.
+        """
+        from concurrent.futures import wait
+
+        for lo in range(0, len(items), self.size):
+            pending = [self.submit(fn, item) for item in items[lo + 1:lo + self.size]]
+            try:
+                yield fn(items[lo])
+                for future in pending:
+                    yield future.result()
+            finally:
+                wait(pending)
 
     def close(self) -> None:
         if self._pool is not None:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from sdeproj import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
-from sdeproj.brownian import _TAG_BLOCK, _CHUNK_NORMALS
+from sdeproj.brownian import (_CHUNK_NORMALS, _TAG_BLOCK, _TAG_PATH, _pack,
+                              _splitmix64)
 from sdeproj.convergence import run_convergence_study
 from sdeproj.mlmc import MlmcConfig, implicit_price, mlmc_estimate
 from sdeproj.models import cir_model, ginzburg_landau_model
@@ -161,6 +165,55 @@ def test_block_normals_column_major_single_stream(rows, n):
     increments = fabric.block_increments(2, 3, n, 0.25, factor=1, rows=rows)
     assert increments.flags.f_contiguous
     assert np.array_equal(increments, reference * 0.5)
+
+
+def _fresh_block(fabric, level, block, n, factor, rows):
+    key = np.array([_splitmix64(fabric.master_seed),
+                    _pack(_TAG_BLOCK, level, factor, block)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, n))
+
+
+def test_rekeyed_generator_matches_a_fresh_one():
+    fabric = BrownianFabric(2 ** 64 - 3)
+    for level, block, n, factor, rows in [(0, 0, 1, 0, BLOCK_WIDTH), (3, 7, 9, 1, 33),
+                                          (5, 2 ** 40, 300, 0, 1000)]:
+        # Leave this thread's generator mid-buffer with a cached 32-bit half.
+        rng = fabric._generator(_TAG_PATH, 1, 0, 9)
+        rng.standard_normal(3)
+        rng.random(5)
+        rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] != 4
+        got = fabric.block_normals(level, block, n, factor=factor, rows=rows)
+        assert np.array_equal(got, _fresh_block(fabric, level, block, n, factor, rows))
+
+
+def test_rekeyed_generators_on_two_threads_at_once():
+    # Each thread re-keys its own generator; a shared one would be re-keyed
+    # by the other thread in the middle of a block.
+    fabric = BrownianFabric(61)
+    blocks = 100
+    expected = [_fresh_block(fabric, 1, block, 40, 0, 1000) for block in range(blocks)]
+    mismatches = []
+
+    def draw(first):
+        for block in range(first, blocks, 2):
+            if not np.array_equal(fabric.block_normals(1, block, 40, rows=1000),
+                                  expected[block]):
+                mismatches.append(block)
+
+    interval = sys.getswitchinterval()
+    threads = [threading.Thread(target=draw, args=(i,)) for i in (0, 1)]
+    try:
+        sys.setswitchinterval(1e-6)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 def test_couple_levels_keeps_layout():

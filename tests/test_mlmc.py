@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sdeproj.brownian import BrownianFabric
-from sdeproj.errors import BudgetExceeded, DomainError
+from sdeproj import mlmc, workers
+from sdeproj.brownian import BLOCK_WIDTH, BrownianFabric
+from sdeproj.errors import BudgetExceeded, DomainError, NonFinite
 from sdeproj.mlmc import (MlmcConfig, allocate_paths, implicit_price,
                           level_sample, mlmc_estimate, payoff_spread,
                           payoff_zcb)
@@ -220,3 +221,52 @@ def test_implicit_price_validation():
                     payoff="zcb", horizon=1.0, epsilon=1e-3)
     with pytest.raises(DomainError):
         implicit_price(gl, BrownianFabric(11), paths=16)
+
+
+def _poison(monkeypatch, steps, rows, at):
+    """Make `_payoff_values` return NaN at row `at` of every batch of `rows`
+    paths stepped `steps` times."""
+    real = mlmc._payoff_values
+
+    def poisoned(config, plans, drivers, n, h):
+        values = real(config, plans, drivers, n, h)
+        if n == steps and len(values) == rows:
+            values[at] = np.nan
+        return values
+
+    monkeypatch.setattr(mlmc, "_payoff_values", poisoned)
+
+
+def _spread(**overrides):
+    base = dict(models=(cir_model(1.0, 0.06, 0.04, 0.05),
+                        cir_model(0.8, 0.05, 0.016, 0.06)),
+                payoff="spread", horizon=1.0, epsilon=1e-4, strike=0.001,
+                correlation=-0.7)
+    base.update(overrides)
+    return MlmcConfig(**base)
+
+
+def test_non_finite_payoff_names_its_block_and_row(monkeypatch):
+    # One batch of three chunks: the tail of block 0, all of block 1 and the
+    # head of block 2.  Batch row BLOCK_WIDTH - 100 + 3 is block 1's row 3.
+    config = _spread()
+    chunks = [(0, 100, BLOCK_WIDTH), (1, 0, BLOCK_WIDTH), (2, 0, 50)]
+    _poison(monkeypatch, 1, 2 * BLOCK_WIDTH - 50, BLOCK_WIDTH - 100 + 3)
+    with pytest.raises(NonFinite, match=r"^non-finite payoff at level 0, "
+                                        r"block 1, row 3$"):
+        mlmc._pair_batch(config, mlmc._plans(config), BrownianFabric(3), 0, chunks)
+
+
+@pytest.mark.parametrize("rows, at, block, row", [
+    (2 * BLOCK_WIDTH, BLOCK_WIDTH + 7, 1, 7),   # first batch: the calling thread
+    (300, 3, 2, 3),                             # second batch: a pool thread
+])
+def test_non_finite_payoff_address_reaches_the_caller(rows, at, block, row,
+                                                      monkeypatch):
+    # Level 2 (16 steps, the finest, so walked first) takes two blocks a
+    # batch; a 2 x BLOCK_WIDTH + 300 pilot is two batches in one round.
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    _poison(monkeypatch, 16, rows, at)
+    config = _spread(max_level=2, pilot_paths=2 * BLOCK_WIDTH + 300)
+    with pytest.raises(NonFinite, match=rf"level 2, block {block}, row {row}$"):
+        mlmc_estimate(config, BrownianFabric(3), threads=2)

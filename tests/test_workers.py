@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from sdeproj import BLOCK_WIDTH, BrownianFabric, correlate
-from sdeproj import workers
+from sdeproj import mlmc, workers
 from sdeproj.mlmc import MlmcConfig, implicit_price, mlmc_estimate
 from sdeproj.models import cir_model
 from sdeproj.workers import Team, resolve_threads, split
@@ -16,6 +17,10 @@ SPREAD = MlmcConfig(models=(cir_model(1.0, 0.06, 0.04, 0.05),
                             cir_model(0.8, 0.05, 0.016, 0.06)),
                     payoff="spread", horizon=1.0, epsilon=1e-4, strike=0.001,
                     correlation=-0.7, max_level=3, pilot_paths=500)
+# Pilot and final targets end mid-block; levels 0 and 1 end with 47 and 12
+# blocks, so the default batch cap gives level 0 two batches.
+MANY_BLOCKS = dataclasses.replace(SPREAD, epsilon=5e-5,
+                                  pilot_paths=2 * BLOCK_WIDTH + 300)
 
 
 def test_resolve_threads_clamps_to_the_cores():
@@ -95,12 +100,56 @@ def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):
     prices = [implicit_price(SPREAD, BrownianFabric(13), paths=BLOCK_WIDTH + 100,
                              fine_exponent=6, threads=t) for t in (1, 2, 3)]
     assert prices[0] == prices[1] == prices[2]
-    reports = [mlmc_estimate(SPREAD, BrownianFabric(13), threads=t)
+    reports = [mlmc_estimate(MANY_BLOCKS, BrownianFabric(13), threads=t)
                for t in (1, 2, 3)]
     assert reports[0] == reports[1] == reports[2]
-    # Factor 1's blocks went to the pool, and so did pieces of the mix.
+    # Factor 1's blocks went to the pool, and so did pieces of the mix and
+    # whole batches of small blocks.
     names = {getattr(fn, "func", fn).__name__ for fn in submitted}
-    assert names == {"block_increments", "mix"}
+    assert names == {"_increments", "mix", "_pair_batch"}
+
+
+@pytest.mark.parametrize("cap", [BLOCK_WIDTH, 3 * BLOCK_WIDTH, 4 * BLOCK_WIDTH,
+                                 mlmc._BATCH_NORMALS])
+def test_batches_give_the_same_report_for_every_cap_and_thread_count(cap, monkeypatch):
+    # The reference walks one block at a time on the calling thread (a cap
+    # below one block).  With a small cap, level 0 runs one block per batch
+    # and many batches are in flight; a short switch interval interleaves the
+    # workers as often as the interpreter allows.  No cap and no thread count
+    # may change a bit.
+    monkeypatch.setattr(mlmc, "_BATCH_NORMALS", 1)
+    expected = mlmc_estimate(MANY_BLOCKS, BrownianFabric(17), threads=1)
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    monkeypatch.setattr(mlmc, "_BATCH_NORMALS", cap)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in (1, 2, 3):
+            assert mlmc_estimate(MANY_BLOCKS, BrownianFabric(17),
+                                 threads=threads) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_imap_yields_in_order_and_raises_at_the_failing_item():
+    crew = Team(3)
+    try:
+        assert list(crew.imap(lambda x: x * x, list(range(10)))) == \
+            [x * x for x in range(10)]
+        assert list(crew.imap(abs, [])) == []
+
+        def fail_at_four(x):
+            if x == 4:
+                raise KeyError(x)
+            return x
+
+        seen = []
+        with pytest.raises(KeyError):
+            for value in crew.imap(fail_at_four, list(range(10))):
+                seen.append(value)
+        assert seen == [0, 1, 2, 3]
+    finally:
+        crew.close()
 
 
 def test_split_mix_under_thread_switching():

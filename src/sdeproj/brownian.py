@@ -194,10 +194,36 @@ def couple_levels(fine: np.ndarray, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("refinement factor must be >= 1")
     fine = np.asarray(fine)
+    return extend_coupling(fine, fine, 1, m)
+
+
+def extend_coupling(prev: np.ndarray, fine: np.ndarray, m_prev: int,
+                    m: int) -> np.ndarray:
+    """`couple_levels(fine, m)` computed from `prev = couple_levels(fine, m_prev)`.
+
+    A left-to-right sum of m fine increments begins with the left-to-right
+    sum of the first m_prev of them, so each coarse increment is the `prev`
+    increment that starts its group plus the group's remaining m - m_prev
+    fine increments, added in order.  The result has the same bits and the
+    same memory layout as `couple_levels(fine, m)` but reads only
+    (m - m_prev) / m of `fine`.  `prev` may itself come from this function.
+
+    Args:
+        prev: `fine` coupled at ratio m_prev.
+        fine: increments with last axis length divisible by m.
+        m_prev: ratio of `prev`, >= 1.
+        m: new ratio, a multiple of m_prev (m_prev itself gives a copy).
+    """
+    if not 1 <= m_prev <= m or m % m_prev:
+        raise ValueError(f"m ({m}) must be a multiple of m_prev ({m_prev}) >= 1")
+    fine = np.asarray(fine)
     if fine.shape[-1] % m:
         raise ValueError(f"last axis ({fine.shape[-1]}) not divisible by m ({m})")
-    coarse = fine[..., 0::m].copy(order="K")
-    for j in range(1, m):
+    if prev.shape != fine.shape[:-1] + (fine.shape[-1] // m_prev,):
+        raise ValueError(f"prev has shape {prev.shape}, not that of "
+                         f"fine ({fine.shape}) coupled at ratio {m_prev}")
+    coarse = prev[..., 0::m // m_prev].copy(order="K")
+    for j in range(m_prev, m):
         coarse += fine[..., j::m]
     return coarse
 

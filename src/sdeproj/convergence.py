@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import BLOCK_WIDTH, BrownianFabric, couple_levels
+from .brownian import (BLOCK_WIDTH, BrownianFabric, couple_levels,
+                       extend_coupling)
 from .errors import DomainError
 from .models import LampertiMap, TransformedModel
 from .projection import ProjectionPlan, clamp_variant, evolve_terminal
@@ -201,10 +202,16 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
                 exact = lamperti.forward(exact)
             ref_vals, ref_bad = _sanitize(exact)
 
-        for n_exp in exps:
+        # Finest resolution first: each coarser grid extends the previous
+        # one's sums (`extend_coupling`) instead of re-reading all of `fine`.
+        coarse = ratio = None
+        for n_exp in reversed(exps):
             n = 1 << n_exp
             h = horizon / n
-            coarse = couple_levels(fine, n_fine // n)
+            m = n_fine // n
+            coarse = (couple_levels(fine, m) if coarse is None
+                      else extend_coupling(coarse, fine, ratio, m))
+            ratio = m
             if variant == "implicit-reference":
                 y = np.full(rows, implicit_params.y0)
                 for i in range(n):

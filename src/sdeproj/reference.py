@@ -61,9 +61,13 @@ def implicit_cir_step(y: np.ndarray | float, params: ImplicitCirParams,
     """One drift-implicit step: solves y' = y + (a/y' + b y') h + c dw, y' > 0.
 
     The positive quadratic root is s + sqrt(s^2 + t) with
-    s = (y + c dw) / (2 (1 - b h)) and t = a h / (1 - b h); for s < 0 it is
-    evaluated as t / (sqrt(s^2 + t) - s) to avoid cancellation.  With a > 0
-    the result is strictly positive for every input.
+    s = (y + c dw) / (2 (1 - b h)) and t = a h / (1 - b h).  Only the rows
+    with s < 0, and only in a step that has any, are evaluated in the
+    cancellation-safe form t / (sqrt(s^2 + t) - s); the others pay for one
+    sum.  With a > 0 the result is strictly positive for every input.
+
+    Returns an array for array inputs and a numpy scalar for scalar or 0-d
+    inputs.
     """
     if h <= 0:
         raise DomainError("h must be positive")
@@ -71,9 +75,17 @@ def implicit_cir_step(y: np.ndarray | float, params: ImplicitCirParams,
     s = (y + params.c * dw) / (2.0 * denom)
     t = params.a * h / denom
     root = np.sqrt(s * s + t)
-    # np.where evaluates both branches; at a = 0 the rejected one is 0/0.
+    neg = np.less(s, 0.0)
+    if not neg.any():
+        return s + root
+    # The sum is overwritten on the s < 0 rows; at s = -inf it is inf - inf.
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(s >= 0.0, s + root, t / (root - s))
+        if neg.ndim == 0:
+            return t / (root - s)
+        rows = np.nonzero(neg)
+        out = s + root
+        out[rows] = t / (root[rows] - s[rows])
+    return out
 
 
 def implicit_cir_path(params: ImplicitCirParams, h: float,

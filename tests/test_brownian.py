@@ -8,7 +8,7 @@ import pytest
 
 from sdeproj import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
 from sdeproj.brownian import (_CHUNK_NORMALS, _TAG_BLOCK, _TAG_PATH, _pack,
-                              _splitmix64)
+                              _splitmix64, extend_coupling)
 from sdeproj.convergence import run_convergence_study
 from sdeproj.mlmc import MlmcConfig, implicit_price, mlmc_estimate
 from sdeproj.models import cir_model, ginzburg_landau_model
@@ -229,6 +229,33 @@ def test_couple_levels_keeps_layout():
     tail = couple_levels(fine_f[10:], 4)
     assert tail.flags.f_contiguous
     assert np.array_equal(tail, couple_levels(fine_c[10:], 4))
+
+
+
+def test_extend_coupling_has_the_bits_and_layout_of_couple_levels():
+    fine_f = BrownianFabric(83).block_increments(10, 0, 1 << 10, 2.0 ** -10,
+                                                 rows=7)
+    for fine in (fine_f, np.ascontiguousarray(fine_f), fine_f[2:]):
+        coupled = {m: couple_levels(fine, m) for m in (1 << e for e in range(11))}
+        for m_prev in coupled:
+            for m in (r for r in coupled if r >= m_prev):
+                chained = extend_coupling(coupled[m_prev], fine, m_prev, m)
+                assert chained.tobytes(order="A") == coupled[m].tobytes(order="A")
+                assert chained.flags.f_contiguous == coupled[m].flags.f_contiguous
+                assert chained.flags.c_contiguous == coupled[m].flags.c_contiguous
+        # A chain through every ratio, each step built on the last.
+        grid = coupled[1]
+        for e in range(1, 11):
+            grid = extend_coupling(grid, fine, 1 << (e - 1), 1 << e)
+            assert np.array_equal(grid, coupled[1 << e])
+    with pytest.raises(ValueError):
+        extend_coupling(couple_levels(fine_f, 4), fine_f, 4, 6)
+    with pytest.raises(ValueError):
+        extend_coupling(couple_levels(fine_f, 4), fine_f, 2, 8)
+    with pytest.raises(ValueError):
+        extend_coupling(couple_levels(fine_f, 4), fine_f, 4, 2)
+    with pytest.raises(ValueError):
+        extend_coupling(couple_levels(fine_f, 4), fine_f[:, :-4], 4, 8)
 
 
 def _cir_study(reference, variant):

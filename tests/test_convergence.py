@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sdeproj.brownian import BrownianFabric
+from sdeproj import convergence
+from sdeproj.brownian import BLOCK_WIDTH, BrownianFabric
 from sdeproj.convergence import (VALUE_CAP, fit_rate, run_convergence_study,
                                  strong_error)
 from sdeproj.errors import DomainError
@@ -130,6 +131,35 @@ def test_implicit_reference_variant():
     errors = [r.error for r in report.records]
     assert all(a > b for a, b in zip(errors, errors[1:]))
     assert report.rate > 0.7
+
+
+
+@pytest.mark.parametrize("variant", ["modified", "implicit-reference"])
+def test_chained_coupling_gives_the_report_of_one_coupling_per_resolution(
+        variant, monkeypatch):
+    cir = cir_model(0.5, 1.0, 0.5, 1.0)
+    plan = plan_exponents(cir.transformed)
+    calls = []
+    couple_levels = convergence.couple_levels
+
+    def counted(fine, m):
+        calls.append(m)
+        return couple_levels(fine, m)
+
+    def study():
+        return run_convergence_study(cir.transformed, cir.lamperti, plan,
+                                     [3, 5, 9], BLOCK_WIDTH + 100,
+                                     "implicit-fine-grid", BrownianFabric(17),
+                                     fine_exponent=10, variant=variant)
+
+    monkeypatch.setattr(convergence, "couple_levels", counted)
+    chained = study()
+    assert calls == [2, 2]   # the finest grid only, once per block
+    monkeypatch.setattr(convergence, "extend_coupling",
+                        lambda prev, fine, m_prev, m: counted(fine, m))
+    calls.clear()
+    assert study() == chained
+    assert calls == [2, 32, 128] * 2
 
 
 def test_spaces_give_distinct_errors():

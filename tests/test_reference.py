@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from sdeproj.brownian import BrownianFabric
+from sdeproj import convergence, reference
+from sdeproj.brownian import BLOCK_WIDTH, BrownianFabric
 from sdeproj.errors import DomainError
+from sdeproj.mlmc import MlmcConfig, implicit_price
+from sdeproj.models import cir_model
+from sdeproj.projection import plan_exponents
 from sdeproj.reference import (ImplicitCirParams, cir_zcb_closed_form,
                                ginzburg_landau_exact, ginzburg_landau_terminal,
                                implicit_cir_path,
@@ -70,6 +76,108 @@ def test_step_residual_and_positivity():
     assert np.all(np.isfinite(out))
     residual = out - y - (p.a / out + p.b * out) * h - p.c * dw
     assert np.max(np.abs(residual) / (1.0 + np.abs(out))) <= 1e-10
+
+
+
+def _where_step(y, params, h, dw):
+    """The step as it was written before: both branches of an np.where."""
+    if h <= 0:
+        raise DomainError("h must be positive")
+    denom = 1.0 - params.b * h
+    s = (y + params.c * dw) / (2.0 * denom)
+    t = params.a * h / denom
+    root = np.sqrt(s * s + t)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(s >= 0.0, s + root, t / (root - s))
+
+
+def _outcome(step, *args):
+    """(shape, bytes, warnings) of one call, for a bit-level comparison."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = np.asarray(step(*args))
+    return out.shape, out.tobytes(), [(w.category, str(w.message)) for w in caught]
+
+
+# s > 0, s = 0 (0.5 + 0.25 * -2.0 and 0.5 + 0.5 * -1.0, also -0.0 + -0.0),
+# s < 0, subnormal and huge values, NaN and +-inf in both inputs.
+_YS = [0.3, 1.0, 0.5, 0.0, -0.0, -0.2, 5e-324, -5e-324, 1e300, -1e300,
+       math.nan, math.inf, -math.inf]
+_DWS = [0.2, -0.5, -2.0, -1.0, 0.0, -0.0, -40.0, math.nan, math.inf, -math.inf]
+_PARAMS = [ImplicitCirParams.from_cir(0.5, 1.0, 0.5, 1.0),
+           ImplicitCirParams(a=0.0, b=-0.25, c=0.5, y0=1.0),   # t = 0
+           ImplicitCirParams(a=0.0, b=0.0, c=0.25, y0=1.0)]
+
+
+@pytest.mark.parametrize("params", _PARAMS)
+def test_step_has_the_bits_of_the_where_formula(params):
+    h = 0.125
+    y, dw = (np.array(v) for v in zip(*itertools.product(_YS, _DWS)))
+    assert _outcome(implicit_cir_step, y, params, h, dw) \
+        == _outcome(_where_step, y, params, h, dw)
+    # Only rows with s >= 0, so the step never reaches the safe form.
+    with np.errstate(invalid="ignore"):
+        pos = (y + params.c * dw) / (2.0 * (1.0 - params.b * h)) >= 0.0
+    assert _outcome(implicit_cir_step, y[pos], params, h, dw[pos]) \
+        == _outcome(_where_step, y[pos], params, h, dw[pos])
+    # Scalars and 0-d arrays, as implicit_cir_path passes them.
+    for yi, dwi in itertools.product(_YS, _DWS):
+        for args in ((yi, dwi), (np.float64(yi), np.float64(dwi)),
+                     (np.array(yi), np.array(dwi))):
+            assert _outcome(implicit_cir_step, args[0], params, h, args[1]) \
+                == _outcome(_where_step, args[0], params, h, args[1])
+
+
+def test_step_bits_on_strided_and_contiguous_columns():
+    params = ImplicitCirParams.from_cir(0.5, 1.0, 0.5, 1.0)
+    h = 1.0 / 8.0
+    # Coarse steps from a low start, so some rows go below s = 0 on the way.
+    dw = BrownianFabric(23).block_increments(3, 0, 8, h, rows=500) * 6.0
+    for block in (dw, np.ascontiguousarray(dw)):
+        new = old = np.full(block.shape[0], 0.05)
+        for i in range(block.shape[1]):
+            column = block[:, i]
+            assert column.flags.c_contiguous == block.flags.f_contiguous
+            assert np.any((old + params.c * column) < 0.0)
+            new = implicit_cir_step(new, params, h, column)
+            old = _where_step(old, params, h, column)
+            assert new.tobytes() == old.tobytes()
+        whole = np.full(block.shape, 0.05)
+        assert _outcome(implicit_cir_step, whole, params, h, block) \
+            == _outcome(_where_step, whole, params, h, block)
+    path = implicit_cir_path(params, h, dw[7])
+    reference_path = np.array([params.y0] + [0.0] * dw.shape[1])
+    y = params.y0
+    for i in range(dw.shape[1]):
+        y = _where_step(y, params, h, dw[7, i])
+        reference_path[i + 1] = y
+    assert path.tobytes() == reference_path.tobytes()
+
+
+def test_implicit_users_give_the_where_formula_reports(monkeypatch):
+    spread = MlmcConfig(models=(cir_model(1.0, 0.06, 0.04, 0.05),
+                                cir_model(0.8, 0.05, 0.016, 0.06)),
+                        payoff="spread", horizon=1.0, epsilon=1e-4,
+                        strike=0.001, correlation=-0.7)
+    zcb = MlmcConfig(models=(cir_model(2.0, 1.0, 0.5, 1.0),), payoff="zcb",
+                     horizon=1.0, epsilon=1e-3)
+    cir = cir_model(0.5, 1.0, 0.5, 1.0)
+    plan = plan_exponents(cir.transformed)
+
+    def run():
+        return (
+            implicit_price(spread, BrownianFabric(3), paths=BLOCK_WIDTH + 50,
+                           fine_exponent=6, threads=2),
+            implicit_price(zcb, BrownianFabric(3), paths=600, fine_exponent=6),
+            convergence.run_convergence_study(
+                cir.transformed, cir.lamperti, plan, [2, 4], 700,
+                "implicit-fine-grid", BrownianFabric(3), fine_exponent=7,
+                variant="implicit-reference"))
+
+    lean = run()
+    monkeypatch.setattr(reference, "implicit_cir_step", _where_step)
+    monkeypatch.setattr(convergence, "implicit_cir_step", _where_step)
+    assert run() == lean
 
 
 def test_path_and_terminal_agree():

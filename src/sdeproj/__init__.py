@@ -25,7 +25,7 @@ from .models import (LampertiMap, ModelTriple, RateTable, RawModel,
 from .projection import (ProjectionPlan, SchemeGrid, clamp_variant,
                          classical_plan, diffusion_bar, evolve_terminal,
                          lipschitz_bound, manual_plan, plan_exponents, project,
-                         projected_drift, simulate_path, step)
+                         simulate_path, step)
 from .reference import (ImplicitCirParams, cir_zcb_closed_form,
                         ginzburg_landau_exact, implicit_cir_path,
                         implicit_cir_step, implicit_cir_terminal)
@@ -53,7 +53,7 @@ __all__ = [
     "three_halves_model",
     "ProjectionPlan", "SchemeGrid", "clamp_variant", "classical_plan",
     "diffusion_bar", "evolve_terminal", "lipschitz_bound", "manual_plan",
-    "plan_exponents", "project", "projected_drift", "simulate_path", "step",
+    "plan_exponents", "project", "simulate_path", "step",
     "ImplicitCirParams", "cir_zcb_closed_form", "ginzburg_landau_exact",
     "implicit_cir_path", "implicit_cir_step", "implicit_cir_terminal",
     "SPEC_VERSION", "__version__",

@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 
 import click
-import numpy as np
 
 from . import SPEC_VERSION
-from .brownian import BLOCK_WIDTH, BrownianFabric
+from .brownian import BrownianFabric
 from .config import ExperimentConfig, load_config
 from .convergence import run_convergence_study
 from .errors import BudgetExceeded, ConfigError, SdeProjError
-from .mlmc import MlmcConfig, implicit_price, mlmc_estimate
-from .reference import cir_zcb_closed_form, ginzburg_landau_exact
+from .mlmc import MlmcConfig, gl_exact_price, implicit_price, mlmc_estimate
+from .reference import cir_zcb_closed_form
 
 _Z95 = 1.959963984540054
 
@@ -80,8 +78,8 @@ def _options(fn):
                       help="Worker threads for two-factor pricing (mlmc spread "
                            "steps batches of small blocks on them; price "
                            "spread-mc draws on them); 0 = all cores, larger "
-                           "values are clamped to the cores available. Sums "
-                           "stay in block order: never affects results.")(fn)
+                           "values are clamped to the cores available. Moments "
+                           "fold in block order: never affects results.")(fn)
     fn = click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=None,
                       help="Master seed, overrides the config value.")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=None,
@@ -172,62 +170,13 @@ def mlmc(config, out, seed, threads):
                         [(lv.level, lv.h, lv.paths, lv.mean_diff, lv.var_diff,
                           lv.cost) for lv in report.levels])
             _write_json(os.path.join(cfg.out, f"mlmc_{tag}.json"), {
-                "spec_version": SPEC_VERSION,
-                "epsilon": report.epsilon,
-                "estimator": report.estimator,
-                "std_error": report.std_error,
-                "bias_proxy": report.bias_proxy,
-                "rmse_estimate": report.rmse_estimate,
-                "cost_mlmc": report.cost_mlmc,
-                "cost_std": report.cost_std,
-                "savings": report.savings,
-                "seed": report.seed,
-                "levels": [dataclasses.asdict(lv) for lv in report.levels],
-                "metadata": report.metadata,
-                "config": cfg.to_mapping(),
-            })
+                "spec_version": SPEC_VERSION, **dataclasses.asdict(report),
+                "config": cfg.to_mapping()})
             click.echo(f"{tag} {report.estimator!r} {report.std_error!r} "
                        f"{report.rmse_estimate!r} {report.savings!r}")
         return 0
 
     _run(body)
-
-
-def _gl_exact_price(cfg: ExperimentConfig) -> tuple[float, float]:
-    triple = cfg.model.build()
-    meta = triple.transformed.meta
-    lam, sigma, x0 = meta["lam"], meta["sigma"], meta["x0"]
-    pr = cfg.price
-    n = 1 << pr.fine_exponent
-    h = pr.horizon / n
-    times = np.linspace(0.0, pr.horizon, n + 1)
-    if sigma == 0.0:
-        value = ginzburg_landau_exact(lam, 0.0, x0, times,
-                                      np.zeros((1, n + 1)))[0, -1]
-        return float(value), 0.0
-    fabric = BrownianFabric(cfg.seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < pr.paths:
-        block, row_lo = divmod(done, BLOCK_WIDTH)
-        row_hi = min(BLOCK_WIDTH, row_lo + (pr.paths - done))
-        # w stays row-major: np.dot below then reads a strided terminal
-        # column, and BLAS sums strided and contiguous vectors in different
-        # orders, so a column-major w would move half_width's last bits.
-        w = np.zeros((row_hi - row_lo, n + 1))
-        np.cumsum(fabric.block_increments(pr.fine_exponent, block, n, h,
-                                          rows=row_hi)[row_lo:],
-                  axis=1, out=w[:, 1:])
-        values = ginzburg_landau_exact(lam, sigma, x0, times, w)[:, -1]
-        # Release this block before the next one is drawn.
-        del w
-        total += float(np.sum(values))
-        total_sq += float(np.dot(values, values))
-        done += row_hi - row_lo
-    mean = total / pr.paths
-    var = max(total_sq / pr.paths - mean * mean, 0.0)
-    return mean, _Z95 * math.sqrt(var / pr.paths)
 
 
 @main.command()
@@ -246,7 +195,10 @@ def price(config, out, seed, threads):
                                         p["x0"], pr.horizon)
             half = None
         elif pr.mode == "gl-exact":
-            value, half = _gl_exact_price(cfg)
+            value, se = gl_exact_price(cfg.model.build(), BrownianFabric(cfg.seed),
+                                       paths=pr.paths, horizon=pr.horizon,
+                                       fine_exponent=pr.fine_exponent)
+            half = _Z95 * se
         else:
             run_config = MlmcConfig(
                 models=(cfg.model.build(), cfg.model2.build()), payoff="spread",

@@ -10,22 +10,21 @@ validity is the constructors' business (exit 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 import yaml
 
+from .convergence import REFERENCES, VARIANTS
 from .errors import ConfigError
+from .mlmc import PAYOFFS
 from .models import (ModelTriple, ait_sahalia_model, cir_model,
                      ginzburg_landau_model, three_halves_model)
 from .projection import ProjectionPlan, classical_plan, manual_plan, plan_exponents
 
 FAMILIES = ("cir", "three-halves", "ait-sahalia", "ginzburg-landau")
-VARIANTS = ("modified", "classical", "implicit-reference")
 CLAMPS = ("raw", "bar", "tilde", "check", "double")
-REFERENCES = ("closed-form", "implicit-fine-grid", "modified-scheme-fine-grid")
 PRICE_MODES = ("zcb-closed-form", "spread-mc", "gl-exact")
-PAYOFFS = ("zcb", "spread")
 
 _MODEL_PARAMS = {
     "cir": ("kappa", "theta", "xi", "x0"),
@@ -107,6 +106,19 @@ def _opt_float(section: _Section, key: str, default: float | None = None) -> flo
     return _as_float(value, section._at(key))
 
 
+def _to_mapping(section) -> dict:
+    """A parsed block as a config mapping: unset (None) fields are left out,
+    tuples become lists and nested blocks their own mappings."""
+    out = {}
+    for name in (f.name for f in fields(section)):
+        value = getattr(section, name)
+        if hasattr(value, "to_mapping"):
+            value = value.to_mapping()
+        if value is not None:
+            out[name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
 @dataclass(frozen=True, eq=True)
 class ModelConfig:
     """Declarative model record: family name plus its parameter map."""
@@ -136,12 +148,7 @@ class ModelConfig:
         return ModelConfig(family=family, params=params, q=q, q_prime=q_prime)
 
     def to_mapping(self) -> dict:
-        out: dict[str, Any] = {"family": self.family, "params": dict(self.params)}
-        if self.q is not None:
-            out["q"] = self.q
-        if self.q_prime is not None:
-            out["q_prime"] = self.q_prime
-        return out
+        return dict(_to_mapping(self), params=dict(self.params))
 
     def build(self) -> ModelTriple:
         kwargs = {}
@@ -193,13 +200,7 @@ class SchemeConfig:
         return SchemeConfig(variant=variant, k=k, k_prime=k_prime,
                             scale_lo=scale_lo, scale_hi=scale_hi, clamp=clamp)
 
-    def to_mapping(self) -> dict:
-        out: dict[str, Any] = {"variant": self.variant, "clamp": self.clamp}
-        for name in ("k", "k_prime", "scale_lo", "scale_hi"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+    to_mapping = _to_mapping
 
     def build_plan(self, triple: ModelTriple) -> ProjectionPlan:
         if self.variant == "classical":
@@ -251,10 +252,7 @@ class StudyConfig:
         return StudyConfig(exponents=exponents, reference=reference, paths=paths,
                            fine_exponent=fine_exponent, horizon=horizon, space=space)
 
-    def to_mapping(self) -> dict:
-        return {"exponents": list(self.exponents), "reference": self.reference,
-                "paths": self.paths, "fine_exponent": self.fine_exponent,
-                "horizon": self.horizon, "space": self.space}
+    to_mapping = _to_mapping
 
 
 @dataclass(frozen=True, eq=True)
@@ -312,16 +310,7 @@ class MlmcSection:
                            pilot_paths=pilot_paths, horizon=horizon, strike=strike,
                            correlation=correlation, path_ceiling=path_ceiling)
 
-    def to_mapping(self) -> dict:
-        out: dict[str, Any] = {
-            "payoff": self.payoff, "epsilons": list(self.epsilons),
-            "refinement": self.refinement, "max_level": self.max_level,
-            "pilot_paths": self.pilot_paths, "horizon": self.horizon,
-            "correlation": self.correlation, "path_ceiling": self.path_ceiling,
-        }
-        if self.strike is not None:
-            out["strike"] = self.strike
-        return out
+    to_mapping = _to_mapping
 
 
 @dataclass(frozen=True, eq=True)
@@ -359,14 +348,7 @@ class PriceSection:
         return PriceSection(mode=mode, paths=paths, fine_exponent=fine_exponent,
                             horizon=horizon, strike=strike, correlation=correlation)
 
-    def to_mapping(self) -> dict:
-        out: dict[str, Any] = {"mode": self.mode, "paths": self.paths,
-                               "fine_exponent": self.fine_exponent,
-                               "horizon": self.horizon,
-                               "correlation": self.correlation}
-        if self.strike is not None:
-            out["strike"] = self.strike
-        return out
+    to_mapping = _to_mapping
 
 
 @dataclass(frozen=True, eq=True)
@@ -383,21 +365,7 @@ class ExperimentConfig:
     out: str = "results"
     threads: int = 0
 
-    def to_mapping(self) -> dict:
-        out: dict[str, Any] = {"model": self.model.to_mapping(),
-                               "scheme": self.scheme.to_mapping()}
-        if self.model2 is not None:
-            out["model2"] = self.model2.to_mapping()
-        if self.study is not None:
-            out["study"] = self.study.to_mapping()
-        if self.mlmc is not None:
-            out["mlmc"] = self.mlmc.to_mapping()
-        if self.price is not None:
-            out["price"] = self.price.to_mapping()
-        out["seed"] = self.seed
-        out["out"] = self.out
-        out["threads"] = self.threads
-        return out
+    to_mapping = _to_mapping
 
 
 def from_mapping(mapping: Mapping) -> ExperimentConfig:
@@ -439,9 +407,37 @@ def from_mapping(mapping: Mapping) -> ExperimentConfig:
     if mlmc is not None and (scheme.k_prime is not None or scheme.scale_hi is not None):
         raise ConfigError("the multilevel engine clamps from below only; "
                           "k_prime and scale_hi do not apply", "scheme")
+    _check_engine_families(model, model2, scheme, study, mlmc, price)
     return ExperimentConfig(model=model, scheme=scheme, model2=model2, study=study,
                             mlmc=mlmc, price=price, seed=seed, out=out,
                             threads=threads)
+
+
+def _check_engine_families(model, model2, scheme, study, mlmc, price) -> None:
+    """Refuse up front the family/engine pairs that the engines refuse: the
+    drift-implicit stepper needs cir (three-halves' transformed diffusion is
+    -c3/2), the closed-form reference is ginzburg-landau's solution, and the
+    multilevel engine cannot plan a full-line model's symmetric box."""
+    half_line = ("cir", "three-halves", "ait-sahalia")
+    gates = []  # (engine, admitted families, gated models)
+    if study is not None and study.reference == "implicit-fine-grid":
+        gates.append(("the implicit-fine-grid reference", ("cir",), ("model",)))
+    if study is not None and study.reference == "closed-form":
+        gates.append(("the closed-form reference", ("ginzburg-landau",), ("model",)))
+    if study is not None and scheme.variant == "implicit-reference":
+        gates.append(("the implicit-reference variant", ("cir",), ("model",)))
+    if price is not None and price.mode == "spread-mc":
+        gates.append(("spread-mc mode", ("cir",), ("model", "model2")))
+    if mlmc is not None:
+        gates.append(("the multilevel engine", half_line,
+                      ("model", "model2") if mlmc.payoff == "spread" else ("model",)))
+    for engine, admitted, names in gates:
+        for name in names:
+            family = {"model": model, "model2": model2}[name].family
+            if family not in admitted:
+                raise ConfigError(f"{engine} does not run the {family} family "
+                                  f"(it needs {', '.join(admitted)})",
+                                  f"{name}.family")
 
 
 def loads(text: str) -> ExperimentConfig:

@@ -20,18 +20,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import (BLOCK_WIDTH, BrownianFabric, couple_levels,
-                       extend_coupling)
+from .blocks import Moments, increments, walk
+from .brownian import BrownianFabric, couple_levels, extend_coupling
 from .errors import DomainError
 from .models import LampertiMap, TransformedModel
 from .projection import ProjectionPlan, clamp_variant, evolve_terminal
-from .reference import (ImplicitCirParams, ginzburg_landau_terminal,
-                        implicit_cir_step)
+# perfbench's tracer wraps `implicit_cir_step` under this module.
+from .reference import (ImplicitCirParams, ginzburg_landau_terminal,  # noqa: F401
+                        implicit_cir_step, implicit_cir_terminal)
 
 VALUE_CAP = 2.0 ** 20
 
-_REFERENCES = ("closed-form", "implicit-fine-grid", "modified-scheme-fine-grid")
-_VARIANTS = ("modified", "classical", "implicit-reference")
+REFERENCES = ("closed-form", "implicit-fine-grid", "modified-scheme-fine-grid")
+VARIANTS = ("modified", "classical", "implicit-reference")
 
 
 @dataclass(frozen=True)
@@ -144,10 +145,10 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             drift-implicit square-root scheme instead.
         seed: recorded in the report; defaults to the fabric's master seed.
     """
-    if reference not in _REFERENCES:
-        raise DomainError(f"unknown reference {reference!r}; expected one of {_REFERENCES}")
-    if variant not in _VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}; expected one of {_VARIANTS}")
+    if reference not in REFERENCES:
+        raise DomainError(f"unknown reference {reference!r}; expected one of {REFERENCES}")
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if space not in ("x", "y"):
         raise DomainError(f"space must be 'x' or 'y', got {space!r}")
     exps = [int(n) for n in exponents]
@@ -164,46 +165,31 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
                           "ginzburg-landau family")
     implicit_params = None
     if reference == "implicit-fine-grid" or variant == "implicit-reference":
-        if model.gamma_const is None or model.gamma_const <= 0 \
-                or "drift_a" not in model.meta:
-            raise DomainError("the implicit stepper needs square-root-type "
-                              "transformed dynamics with positive constant diffusion")
-        implicit_params = ImplicitCirParams(
-            a=model.meta["drift_a"], b=model.meta["drift_b"],
-            c=model.gamma_const, y0=model.y0)
+        implicit_params = ImplicitCirParams.from_model(model)
 
     n_fine = 1 << fine_exponent
     h_fine = horizon / n_fine
-    sqrt_h_fine = math.sqrt(h_fine)
-    err_sums = {n: 0.0 for n in exps}
-    bad_counts = {n: 0 for n in exps}
+    times = np.linspace(0.0, horizon, n_fine + 1)
 
-    n_blocks = (paths + BLOCK_WIDTH - 1) // BLOCK_WIDTH
-    for block in range(n_blocks):
-        rows = min(BLOCK_WIDTH, paths - block * BLOCK_WIDTH)
-        fine = fabric.block_normals(fine_exponent, block, n_fine, rows=rows)
-        fine *= sqrt_h_fine
-
-        if reference == "implicit-fine-grid":
-            y = np.full(rows, implicit_params.y0)
-            for i in range(n_fine):
-                y = implicit_cir_step(y, implicit_params, h_fine, fine[:, i])
-            ref_vals = _to_space(y, space, "raw", plan, h_fine, lamperti)
-            ref_vals, ref_bad = _sanitize(ref_vals)
-        elif reference == "modified-scheme-fine-grid":
-            y = evolve_terminal(model, plan, n_fine, h_fine, fine)
-            ref_vals = _to_space(y, space, "raw", plan, h_fine, lamperti)
-            ref_vals, ref_bad = _sanitize(ref_vals)
-        elif reference == "closed-form":
-            times = np.linspace(0.0, horizon, n_fine + 1)
-            exact = ginzburg_landau_terminal(model.meta["lam"], model.meta["sigma"],
-                                             model.meta["x0"], times, fine)
+    def block_errors(batch):
+        """Per resolution: Moments of |reference - scheme|, and capped paths."""
+        fine = increments(fabric, fine_exponent, batch, n_fine, h_fine)
+        if reference == "closed-form":
+            ref_vals = ginzburg_landau_terminal(model.meta["lam"], model.meta["sigma"],
+                                                model.meta["x0"], times, fine)
             if space == "y":
-                exact = lamperti.forward(exact)
-            ref_vals, ref_bad = _sanitize(exact)
+                ref_vals = lamperti.forward(ref_vals)
+        else:
+            if reference == "implicit-fine-grid":
+                y = implicit_cir_terminal(implicit_params, h_fine, fine)
+            else:
+                y = evolve_terminal(model, plan, n_fine, h_fine, fine)
+            ref_vals = _to_space(y, space, "raw", plan, h_fine, lamperti)
+        ref_vals, ref_bad = _sanitize(ref_vals)
 
         # Finest resolution first: each coarser grid extends the previous
         # one's sums (`extend_coupling`) instead of re-reading all of `fine`.
+        errors, capped = {}, {}
         coarse = ratio = None
         for n_exp in reversed(exps):
             n = 1 << n_exp
@@ -213,26 +199,26 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
                       else extend_coupling(coarse, fine, ratio, m))
             ratio = m
             if variant == "implicit-reference":
-                y = np.full(rows, implicit_params.y0)
-                for i in range(n):
-                    y = implicit_cir_step(y, implicit_params, h, coarse[:, i])
+                y = implicit_cir_terminal(implicit_params, h, coarse)
             else:
                 y = evolve_terminal(model, plan, n, h, coarse)
-            approx = _to_space(y, space, readout, plan, h, lamperti)
-            approx, approx_bad = _sanitize(approx)
+            approx, approx_bad = _sanitize(
+                _to_space(y, space, readout, plan, h, lamperti))
+            errors[n_exp] = Moments.of(np.abs(ref_vals - approx))
+            capped[n_exp] = int(np.count_nonzero(approx_bad | ref_bad))
+        return [([errors[n] for n in exps], [capped[n] for n in exps])]
 
-            bad = approx_bad | ref_bad
-            err_sums[n_exp] += float(np.sum(np.abs(ref_vals - approx)))
-            bad_counts[n_exp] += int(np.count_nonzero(bad))
-        # Release this block before the next one is drawn.
-        del fine, coarse
+    moments = [Moments() for _ in exps]
+    bad_counts = [0] * len(exps)
+    for errors, capped in walk(block_errors, 0, paths):
+        for i in range(len(exps)):
+            moments[i].merge(errors[i])
+            bad_counts[i] += capped[i]
 
-    records = []
-    for n_exp in exps:
-        error = min(err_sums[n_exp] / paths, VALUE_CAP)
-        records.append(ConvergenceRecord(
-            exponent=n_exp, steps=1 << n_exp, error=error,
-            sample_count=paths, diverged=bad_counts[n_exp]))
+    records = [ConvergenceRecord(exponent=n_exp, steps=1 << n_exp,
+                                 error=min(moment.mean, VALUE_CAP),
+                                 sample_count=paths, diverged=bad)
+               for n_exp, moment, bad in zip(exps, moments, bad_counts)]
 
     fittable = [r for r in records
                 if r.diverged == 0 and math.isfinite(r.error) and r.error > 0.0]

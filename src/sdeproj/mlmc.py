@@ -22,10 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from . import workers
+from .blocks import Moments, increments, walk
 from .brownian import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
 from .errors import BudgetExceeded, DomainError, NonFinite
 from .models import ModelTriple
-from .projection import ProjectionPlan, diffusion_bar, manual_plan, project
+# perfbench's tracer wraps `project` and `diffusion_bar` under this module.
+from .projection import _evolve, diffusion_bar, manual_plan, project  # noqa: F401
+from .reference import (ImplicitCirParams, _implicit_evolve,
+                        ginzburg_landau_exact, ginzburg_landau_terminal)
 
 # A factor's block is drawn on a pool thread only from this many normals up:
 # handing a smaller block to another thread costs more than its fill saves.
@@ -36,7 +40,7 @@ _INLINE_NORMALS = 1 << 14
 # the calling thread with its factors' draws and the mix split over the team.
 _BATCH_NORMALS = 1 << 17
 
-_PAYOFFS = ("zcb", "spread")
+PAYOFFS = ("zcb", "spread")
 
 
 def payoff_zcb(rates: np.ndarray, horizon: float) -> np.ndarray | float:
@@ -96,8 +100,8 @@ class MlmcConfig:
     scale_lo: float = 0.01
 
     def __post_init__(self):
-        if self.payoff not in _PAYOFFS:
-            raise DomainError(f"payoff must be one of {_PAYOFFS}, got {self.payoff!r}")
+        if self.payoff not in PAYOFFS:
+            raise DomainError(f"payoff must be one of {PAYOFFS}, got {self.payoff!r}")
         expected = 1 if self.payoff == "zcb" else 2
         if len(self.models) != expected:
             raise DomainError(f"{self.payoff!r} payoff needs exactly {expected} model(s)")
@@ -170,41 +174,12 @@ def allocate_paths(variances: Sequence[float], step_sizes: Sequence[float],
     return np.maximum(raw, floor).astype(np.int64)
 
 
-def _plans(config: MlmcConfig) -> tuple[ProjectionPlan, ...]:
-    return tuple(manual_plan(t.transformed, k=config.k, scale_lo=config.scale_lo)
-                 for t in config.models)
-
-
-def _chunks(start: int, stop: int):
-    """Yield (block, row_lo, row_hi) for paths [start, stop), block by block."""
-    while start < stop:
-        block, row_lo = divmod(start, BLOCK_WIDTH)
-        row_hi = min(BLOCK_WIDTH, row_lo + (stop - start))
-        yield block, row_lo, row_hi
-        start += row_hi - row_lo
-
-
-def _increments(fabric: BrownianFabric, level: int,
-                chunks: Sequence[tuple[int, int, int]], n: int, h: float, *,
-                factor: int = 0) -> np.ndarray:
-    """Brownian increments of the chunks' rows, stacked in chunk order.
-
-    A chunk (block, row_lo, row_hi) is rows [row_lo, row_hi) of a block, and
-    each block is drawn whole from its own stream.  One chunk is returned as
-    a row slice of its block; several are copied into one column-major
-    array, so every value is the one its block gives.
-    """
-    parts = (fabric.block_increments(level, block, n, h, factor=factor,
-                                     rows=row_hi)[row_lo:]
-             for block, row_lo, row_hi in chunks)
-    if len(chunks) == 1:
-        return next(parts)
-    out = np.empty((sum(hi - lo for _, lo, hi in chunks), n), order="F")
-    at = 0
-    for part in parts:
-        out[at:at + len(part)] = part
-        at += len(part)
-    return out
+def _projected(config: MlmcConfig) -> tuple:
+    """One projected stepper per factor, as `_payoff_values` calls them."""
+    return tuple(functools.partial(
+        _evolve, t.transformed,
+        manual_plan(t.transformed, k=config.k, scale_lo=config.scale_lo))
+        for t in config.models)
 
 
 def _drivers(config: MlmcConfig, fabric: BrownianFabric, level: int,
@@ -215,7 +190,7 @@ def _drivers(config: MlmcConfig, fabric: BrownianFabric, level: int,
     With a `team`, factor 1's blocks are drawn on a pool thread while this
     thread draws factor 0's, and the correlation mix is split over the team.
     """
-    draw = functools.partial(_increments, fabric, level, chunks, n, h)
+    draw = functools.partial(increments, fabric, level, chunks, n, h)
     if config.payoff == "zcb":
         return (draw(),)
     pending = None
@@ -227,33 +202,22 @@ def _drivers(config: MlmcConfig, fabric: BrownianFabric, level: int,
     return (w, correlate(w, w_perp, config.correlation, out=w_perp, team=team))
 
 
-def _payoff_values(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
+def _payoff_values(config: MlmcConfig, steppers: tuple,
                    drivers: tuple[np.ndarray, ...], n: int, h: float) -> np.ndarray:
-    """Payoffs for a batch of paths at one resolution."""
-    if config.payoff == "zcb":
-        triple, plan, drv = config.models[0], plans[0], drivers[0]
-        model, inverse = triple.transformed, triple.lamperti.inverse
-        y = np.full(drv.shape[0], model.y0)
-        integral = np.zeros(drv.shape[0])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i in range(n):
-                integral += inverse(np.maximum(y, 0.0)) * h
-                y = (y + model.f(project(y, n, plan)) * h
-                     + diffusion_bar(model, y, n, plan) * drv[:, i])
-        return np.exp(-integral)
-    terminals = []
+    """Payoffs for a batch of paths at one resolution; `steppers[f]` is factor
+    f's `_evolve` or `_implicit_evolve` with its model bound.  A rate is the
+    inverse Lamperti image of max(state, 0); implicit states are never < 0."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for triple, plan, drv in zip(config.models, plans, drivers):
-            model = triple.transformed
-            y = np.full(drv.shape[0], model.y0)
-            for i in range(n):
-                y = (y + model.f(project(y, n, plan)) * h
-                     + diffusion_bar(model, y, n, plan) * drv[:, i])
-            terminals.append(triple.lamperti.inverse(np.maximum(y, 0.0)))
-    return payoff_spread(terminals[0], terminals[1], config.strike)
+        rates = [lambda y, inverse=t.lamperti.inverse: inverse(np.maximum(y, 0.0))
+                 for t in config.models]
+        if config.payoff == "zcb":
+            return np.exp(-steppers[0](n, h, drivers[0], rates[0])[1])
+        x1, x2 = (rate(run(n, h, drv)[0])
+                  for run, rate, drv in zip(steppers, rates, drivers))
+        return payoff_spread(x1, x2, config.strike)
 
 
-def _pair_batch(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
+def _pair_batch(config: MlmcConfig, steppers: tuple,
                 fabric: BrownianFabric, level: int,
                 chunks: Sequence[tuple[int, int, int]],
                 team: workers.Team | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -272,12 +236,12 @@ def _pair_batch(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
     n_fine = m ** level
     h_fine = config.horizon / n_fine
     drivers = _drivers(config, fabric, level, chunks, n_fine, h_fine, team)
-    fine = _payoff_values(config, plans, drivers, n_fine, h_fine)
+    fine = _payoff_values(config, steppers, drivers, n_fine, h_fine)
     if level == 0:
         coarse = np.zeros_like(fine)
     else:
         coarse_drivers = tuple(couple_levels(d, m) for d in drivers)
-        coarse = _payoff_values(config, plans, coarse_drivers,
+        coarse = _payoff_values(config, steppers, coarse_drivers,
                                 n_fine // m, h_fine * m)
     finite = np.isfinite(fine) & np.isfinite(coarse)
     if not finite.all():
@@ -289,6 +253,22 @@ def _pair_batch(config: MlmcConfig, plans: tuple[ProjectionPlan, ...],
         raise NonFinite(f"non-finite payoff at level {level}, block {block}, "
                         f"row {row_lo + at}")
     return fine, coarse
+
+
+def _pair_moments(config: MlmcConfig, steppers: tuple, fabric: BrownianFabric,
+                  level: int, chunks: Sequence[tuple[int, int, int]],
+                  team: workers.Team | None = None) -> list[tuple[Moments, Moments]]:
+    """(Moments of P_l - P_{l-1}, Moments of P_l) for each chunk of a batch;
+    at level 0, with no coarse half, both are the moments of P_0."""
+    fine, coarse = _pair_batch(config, steppers, fabric, level, chunks, team)
+    out, at = [], 0
+    for _, row_lo, row_hi in chunks:
+        rows = slice(at, at + row_hi - row_lo)
+        moments = Moments.of(fine[rows])
+        out.append((moments if level == 0 else Moments.of(fine[rows] - coarse[rows]),
+                    moments))
+        at = rows.stop
+    return out
 
 
 def level_sample(config: MlmcConfig, fabric: BrownianFabric, level: int,
@@ -306,72 +286,22 @@ def level_sample(config: MlmcConfig, fabric: BrownianFabric, level: int,
     if path < 0:
         raise DomainError("path must be nonnegative")
     block, row = divmod(path, BLOCK_WIDTH)
-    fine, coarse = _pair_batch(config, _plans(config), fabric, level,
+    fine, coarse = _pair_batch(config, _projected(config), fabric, level,
                                [(block, row, row + 1)])
     return float(fine[0]), float(coarse[0])
 
 
-class _LevelAccumulator:
-    """Streaming sums for one level, extended in deterministic block order."""
-
-    def __init__(self):
-        self.count = 0
-        self.sum_diff = 0.0
-        self.sumsq_diff = 0.0
-        self.sum_fine = 0.0
-        self.sumsq_fine = 0.0
-
-    def extend(self, config, plans, fabric, level, target, team=None):
-        """Add paths [count, target) of `level`, block by block.
-
-        Blocks are cut into batches of at most `_BATCH_NORMALS` normals per
-        factor (at least one block each).  With a team, up to `team.size`
-        batches are drawn and stepped at once; a block bigger than the cap
-        is a batch of its own and splits its draws over the team instead.
-        The sums are folded here, one block's rows at a time in block order,
-        so they are the same for every batch size and thread count.
-        """
-        chunks = list(_chunks(self.count, target))
-        per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * config.refinement ** level)
-        size = max(1, per_batch)
-        batches = [chunks[i:i + size] for i in range(0, len(chunks), size)]
-        pair = functools.partial(_pair_batch, config, plans, fabric, level)
-        if team is None or per_batch == 0:
-            results = (pair(batch, team) for batch in batches)
-        else:
-            results = team.imap(pair, batches)
-        for batch, (fine, coarse) in zip(batches, results):
-            at = 0
-            for _, row_lo, row_hi in batch:
-                rows = slice(at, at + row_hi - row_lo)
-                diff = fine[rows] - coarse[rows]
-                self.sum_diff += float(np.sum(diff))
-                self.sumsq_diff += float(np.dot(diff, diff))
-                self.sum_fine += float(np.sum(fine[rows]))
-                self.sumsq_fine += float(np.dot(fine[rows], fine[rows]))
-                self.count += row_hi - row_lo
-                at = rows.stop
-
-    def mean_var_diff(self) -> tuple[float, float]:
-        mean = self.sum_diff / self.count
-        return mean, max(self.sumsq_diff / self.count - mean * mean, 0.0)
-
-    def mean_var_fine(self) -> tuple[float, float]:
-        mean = self.sum_fine / self.count
-        return mean, max(self.sumsq_fine / self.count - mean * mean, 0.0)
-
-
 def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
-                  threads: int = 1) -> MlmcReport:
+                  threads: int = 0) -> MlmcReport:
     """Run the pilot, allocate paths, and estimate the payoff expectation.
 
-    `threads` caps the workers of a two-factor payoff (0 means all cores;
-    larger values are clamped to the cores available).  On levels whose
-    blocks are small, workers draw and step whole batches of blocks at
-    once; on the others they draw the two factors' blocks at the same time
-    and split the correlation mix.  Sums stay on the calling thread in
-    block order, so the report is the same for every value.  Single-factor
-    payoffs always run on the calling thread.
+    `threads` caps the workers of a two-factor payoff (0, the default, means
+    all cores; larger values are clamped to the cores available).  On
+    levels whose blocks are small, workers draw and step whole batches of
+    blocks at once; on the others they draw the two factors' blocks at the
+    same time and split the correlation mix.  Each block's moments are
+    merged on the calling thread in block order, so the report is the same
+    for every value.  Single-factor payoffs always run on the calling thread.
 
     Raises:
         BudgetExceeded: the allocation asks for more total paths than
@@ -380,16 +310,30 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
     m = config.refinement
     levels = list(range(config.max_level + 1))
     step_sizes = [config.horizon / m ** l for l in levels]
-    plans = _plans(config)
-    accs = [_LevelAccumulator() for _ in levels]
+    steppers = _projected(config)
+    diffs = [Moments() for _ in levels]
+    fines = [Moments() for _ in levels]
+
+    def extend(level: int, target: int, team: workers.Team | None) -> None:
+        """Fold paths [count, target) of `level` into its moments, in block
+        order.  Batches hold at most `_BATCH_NORMALS` normals per factor and
+        run `team.size` at a time; a bigger block is a batch of its own and
+        splits its draws over the team instead."""
+        per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * m ** level)
+        pair = functools.partial(_pair_moments, config, steppers, fabric, level,
+                                 team=None if per_batch else team)
+        for diff, fine in walk(pair, diffs[level].count, target,
+                               blocks=per_batch, team=team if per_batch else None):
+            diffs[level].merge(diff)
+            fines[level].merge(fine)
 
     # Finest level first: its big blocks are drawn before the small batches'
     # freed temporaries are scattered over the heap, which keeps peak memory
-    # down.  The levels' sums are independent, so the order changes no value.
+    # down.  The levels are independent, so the order changes no value.
     with workers.team(threads if len(config.models) > 1 else 1) as team:
         for l in reversed(levels):
-            accs[l].extend(config, plans, fabric, l, config.pilot_paths, team)
-        pilot_vars = [accs[l].mean_var_diff()[1] for l in levels]
+            extend(l, config.pilot_paths, team)
+        pilot_vars = [d.var for d in diffs]
         allocation = allocate_paths(pilot_vars, step_sizes, config.epsilon,
                                     floor=config.pilot_paths)
         total = int(allocation.sum())
@@ -397,28 +341,27 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
             raise BudgetExceeded(
                 f"allocation of {total} paths exceeds ceiling {config.path_ceiling}")
         for l in reversed(levels):
-            accs[l].extend(config, plans, fabric, l, int(allocation[l]), team)
+            extend(l, int(allocation[l]), team)
 
     level_rows = []
     estimator = 0.0
     variance_of_estimator = 0.0
     cost_mlmc = 0
-    for l in levels:
-        acc = accs[l]
-        mean_diff, var_diff = acc.mean_var_diff()
-        mean_fine, var_fine = acc.mean_var_fine()
-        estimator += mean_diff
-        variance_of_estimator += var_diff / acc.count
-        cost = acc.count * m ** l
+    for l, diff, fine in zip(levels, diffs, fines):
+        estimator += diff.mean
+        variance_of_estimator += diff.var / diff.count
+        cost = diff.count * m ** l
         cost_mlmc += cost
         level_rows.append(MlmcLevel(
-            level=l, h=step_sizes[l], paths=acc.count, mean_diff=mean_diff,
-            var_diff=var_diff, mean_fine=mean_fine, var_fine=var_fine,
+            level=l, h=step_sizes[l], paths=diff.count, mean_diff=diff.mean,
+            var_diff=diff.var, mean_fine=fine.mean, var_fine=fine.var,
             cost=cost))
 
     bias_proxy = abs(level_rows[-1].mean_diff) / (m - 1)
     std_error = math.sqrt(variance_of_estimator)
-    rmse_estimate = math.sqrt(variance_of_estimator + bias_proxy * bias_proxy)
+    # From the reported std_error, so that the report's own identity
+    # rmse^2 = std_error^2 + bias_proxy^2 holds in floating point.
+    rmse_estimate = math.sqrt(std_error ** 2 + bias_proxy ** 2)
 
     # Standard-MC benchmark: a plain estimator with the bias of this run
     # steps on the finest multilevel grid, with the path count set by the
@@ -450,73 +393,65 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
         savings=savings, seed=fabric.master_seed, metadata=metadata)
 
 
-def _implicit_values(config: MlmcConfig, params: list,
-                     drivers: tuple[np.ndarray, ...], n: int, h: float) -> np.ndarray:
-    """Payoffs for a batch of paths from the drift-implicit stepper."""
-    # Looked up at call time, so that a wrapper installed on
-    # `reference.implicit_cir_step` (as the benchmark tracer does) is called.
-    from .reference import implicit_cir_step
-
-    if config.payoff == "zcb":
-        w = drivers[0]
-        y = np.full(w.shape[0], params[0].y0)
-        integral = np.zeros(w.shape[0])
-        inverse = config.models[0].lamperti.inverse
-        for i in range(n):
-            integral += inverse(y) * h
-            y = implicit_cir_step(y, params[0], h, w[:, i])
-        return np.exp(-integral)
-    terminals = []
-    for p, triple, drv in zip(params, config.models, drivers):
-        y = np.full(drv.shape[0], p.y0)
-        for i in range(n):
-            y = implicit_cir_step(y, p, h, drv[:, i])
-        terminals.append(triple.lamperti.inverse(y))
-    return payoff_spread(terminals[0], terminals[1], config.strike)
+def _mean_and_error(values, paths: int) -> tuple[float, float]:
+    """Mean and standard error of `values(batch)` over one-block batches."""
+    moments = Moments()
+    for chunk in walk(lambda batch: [Moments.of(values(batch))], 0, paths):
+        moments.merge(chunk)
+    return moments.mean, math.sqrt(moments.var / paths)
 
 
 def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
-                   fine_exponent: int = 12, threads: int = 1) -> tuple[float, float]:
+                   fine_exponent: int = 12, threads: int = 0) -> tuple[float, float]:
     """High-resolution benchmark price from the drift-implicit stepper.
 
     Prices the configured payoff with 2**fine_exponent implicit steps per
     path, using addresses disjoint from the multilevel levels (the grid
     exponent is the stream level tag).  Returns (price, standard error).
 
-    `threads` works as in `mlmc_estimate`: for two factors, workers draw
-    both factors' blocks at the same time and split the correlation mix,
-    while the implicit steps and the sums stay on the calling thread, so
-    the result is the same for every value.
+    `threads` works as in `mlmc_estimate` (0, the default, means all
+    cores): for two factors, workers draw both factors' blocks at the same
+    time and split the correlation mix; the result is the same for every
+    value.
     """
-    from .reference import ImplicitCirParams
-
     if paths < 2:
         raise DomainError("paths must be >= 2")
-    params = []
-    for triple in config.models:
-        model = triple.transformed
-        if model.gamma_const is None or model.gamma_const <= 0 \
-                or "drift_a" not in model.meta:
-            raise DomainError("implicit benchmark needs square-root-type factors")
-        params.append(ImplicitCirParams(
-            a=model.meta["drift_a"], b=model.meta["drift_b"],
-            c=model.gamma_const, y0=model.y0))
-
+    steppers = tuple(functools.partial(_implicit_evolve,
+                                       ImplicitCirParams.from_model(t.transformed))
+                     for t in config.models)
     n = 1 << fine_exponent
     h = config.horizon / n
-    total = 0.0
-    total_sq = 0.0
     with workers.team(threads if len(config.models) > 1 else 1) as team:
-        for chunk in _chunks(0, paths):
-            # The drivers are a call argument only, so each block is released
-            # before the next one is drawn.
-            values = _implicit_values(
-                config, params,
-                _drivers(config, fabric, fine_exponent, [chunk], n, h, team),
-                n, h)
-            total += float(np.sum(values))
-            total_sq += float(np.dot(values, values))
+        def payoffs(batch):
+            # The drivers are a call argument only, so each block is
+            # released before the next one is drawn.
+            return _payoff_values(
+                config, steppers,
+                _drivers(config, fabric, fine_exponent, batch, n, h, team), n, h)
 
-    mean = total / paths
-    var = max(total_sq / paths - mean * mean, 0.0)
-    return mean, math.sqrt(var / paths)
+        return _mean_and_error(payoffs, paths)
+
+
+def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
+                   fine_exponent: int = 12, horizon: float = 1.0) -> tuple[float, float]:
+    """(price, standard error) of E[X_T] for the ginzburg-landau model, from
+    `ginzburg_landau_terminal` on 2**fine_exponent steps (streams at level
+    `fine_exponent`).  With sigma = 0 the price is exact and no path is drawn.
+    """
+    meta = triple.transformed.meta
+    if meta.get("family") != "ginzburg-landau" or paths < 2:
+        raise DomainError("the exact price needs a ginzburg-landau model and "
+                          "paths >= 2")
+    lam, sigma, x0 = meta["lam"], meta["sigma"], meta["x0"]
+    n = 1 << fine_exponent
+    times = np.linspace(0.0, horizon, n + 1)
+    if sigma == 0.0:
+        value = ginzburg_landau_exact(lam, 0.0, x0, times, np.zeros((1, n + 1)))
+        return float(value[0, -1]), 0.0
+
+    def terminals(batch):
+        return ginzburg_landau_terminal(
+            lam, sigma, x0, times,
+            increments(fabric, fine_exponent, batch, n, horizon / n))
+
+    return _mean_and_error(terminals, paths)

@@ -207,15 +207,6 @@ def project(y: np.ndarray | float, n: int, plan: ProjectionPlan) -> np.ndarray |
     return out
 
 
-def projected_drift(model: TransformedModel, n: int, plan: ProjectionPlan):
-    """Drift with its argument clamped onto D_n, as a plain callable."""
-
-    def f_n(y):
-        return model.f(project(y, n, plan))
-
-    return f_n
-
-
 def diffusion_bar(model: TransformedModel, y: np.ndarray | float, n: int,
                   plan: ProjectionPlan) -> np.ndarray | float:
     """Diffusion factor used in one scheme step.
@@ -273,10 +264,16 @@ class SchemeGrid:
         return np.linspace(0.0, self.horizon, self.n + 1)
 
 
+def _advance(y, model: TransformedModel, plan: ProjectionPlan, n: int,
+             h: float, dw):
+    """One projected step of a state or a batch: the scheme's only copy."""
+    return y + model.f(project(y, n, plan)) * h + diffusion_bar(model, y, n, plan) * dw
+
+
 def step(y: float, model: TransformedModel, n: int, plan: ProjectionPlan,
          h: float, dw: float) -> float:
     """One scalar scheme step.  Raises NonFinite if the result is not finite."""
-    out = y + model.f(project(y, n, plan)) * h + diffusion_bar(model, y, n, plan) * dw
+    out = _advance(y, model, plan, n, h, dw)
     if not np.isfinite(out):
         raise NonFinite(f"step produced {out}")
     return float(out)
@@ -299,38 +296,38 @@ def simulate_path(model: TransformedModel, grid: SchemeGrid,
     incs = np.asarray(increments, dtype=float)
     if incs.shape != (grid.n,):
         raise ValueError(f"expected {(grid.n,)} increments, got {incs.shape}")
-    h = grid.h
     out = np.empty(grid.n + 1)
     out[0] = y = model.y0
     for i in range(grid.n):
-        y = (y + model.f(project(y, grid.n, plan)) * h
-             + diffusion_bar(model, y, grid.n, plan) * incs[i])
+        y = _advance(y, model, plan, grid.n, grid.h, incs[i])
         if not np.isfinite(y):
             raise NonFinite(f"non-finite state at node {i + 1}", index=i + 1)
         out[i + 1] = y
     return out
 
 
-def evolve_terminal(model: TransformedModel, plan: ProjectionPlan, n: int,
-                    h: float, increments: np.ndarray) -> np.ndarray:
-    """Terminal states for a batch of paths, one per row of `increments`.
-
-    Overflow is deliberately left unchecked here (the values propagate as
-    inf/NaN); callers flag and cap non-finite results.  The per-step update
-    is the exact expression used by `step`, so a single-path run reproduces
-    `simulate_path` bit for bit.
-
-    Step i reads the column `increments[:, i]`, which is contiguous for the
-    column-major blocks of `BrownianFabric`; the array is used in whatever
-    layout it arrives in, and the result does not depend on that layout.
-    """
+def _evolve(model: TransformedModel, plan: ProjectionPlan, n: int, h: float,
+            increments: np.ndarray, integrand=None):
+    """The projected stepper over n steps, one path per row of `increments`:
+    terminal states and, with an `integrand`, the left Riemann sum of
+    integrand(state) * h (else None).  Step i reads the column
+    `increments[:, i]`, contiguous in column-major blocks; the result does
+    not depend on the layout.  inf/NaN propagate for callers to flag."""
     incs = np.asarray(increments, dtype=float)
     y = np.full(incs.shape[0], model.y0, dtype=float)
+    integral = None if integrand is None else np.zeros(incs.shape[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(n):
-            y = (y + model.f(project(y, n, plan)) * h
-                 + diffusion_bar(model, y, n, plan) * incs[:, i])
-    return y
+            if integral is not None:
+                integral += integrand(y) * h
+            y = _advance(y, model, plan, n, h, incs[:, i])
+    return y, integral
+
+
+def evolve_terminal(model: TransformedModel, plan: ProjectionPlan, n: int,
+                    h: float, increments: np.ndarray) -> np.ndarray:
+    """Terminal states of `_evolve`; one row reproduces `simulate_path`."""
+    return _evolve(model, plan, n, h, increments)[0]
 
 
 def clamp_variant(y: np.ndarray | float, variant: str, plan: ProjectionPlan,

@@ -55,6 +55,16 @@ class ImplicitCirParams:
             raise DomainError("4*kappa*theta < xi^2: transform coefficient a < 0")
         return cls(a=a, b=-kappa / 2.0, c=xi / 2.0, y0=math.sqrt(x0))
 
+    @classmethod
+    def from_model(cls, model) -> "ImplicitCirParams":
+        """Coefficients of a square-root-type `TransformedModel`."""
+        if model.gamma_const is None or model.gamma_const <= 0 \
+                or "drift_a" not in model.meta:
+            raise DomainError("the implicit stepper needs square-root-type "
+                              "transformed dynamics with positive constant diffusion")
+        return cls(a=model.meta["drift_a"], b=model.meta["drift_b"],
+                   c=model.gamma_const, y0=model.y0)
+
 
 def implicit_cir_step(y: np.ndarray | float, params: ImplicitCirParams,
                       h: float, dw: np.ndarray | float) -> np.ndarray | float:
@@ -110,14 +120,25 @@ def implicit_cir_path(params: ImplicitCirParams, h: float,
     return out
 
 
+def _implicit_evolve(params: ImplicitCirParams, n: int, h: float,
+                     increments: np.ndarray, integrand=None):
+    """The implicit stepper over n steps, one path per row of `increments`:
+    terminal states and, with an `integrand`, the left Riemann sum of
+    integrand(state) * h (else None)."""
+    incs = np.asarray(increments, dtype=float)
+    y = np.full(incs.shape[0], params.y0, dtype=float)
+    integral = None if integrand is None else np.zeros(incs.shape[0])
+    for i in range(n):
+        if integral is not None:
+            integral += integrand(y) * h
+        y = implicit_cir_step(y, params, h, incs[:, i])
+    return y, integral
+
+
 def implicit_cir_terminal(params: ImplicitCirParams, h: float,
                           increments: np.ndarray) -> np.ndarray:
     """Terminal states for a batch of paths (rows of `increments`)."""
-    incs = np.asarray(increments, dtype=float)
-    y = np.full(incs.shape[0], params.y0, dtype=float)
-    for i in range(incs.shape[-1]):
-        y = implicit_cir_step(y, params, h, incs[:, i])
-    return y
+    return _implicit_evolve(params, np.shape(increments)[-1], h, increments)[0]
 
 
 def ginzburg_landau_exact(lam: float, sigma: float, x0: float,

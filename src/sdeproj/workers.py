@@ -4,9 +4,9 @@ A worker count never changes a result.  Threads only compute arrays whose
 every element is fixed in advance: a factor's block is drawn whole from its
 own Philox stream on one thread, the correlation mix is elementwise over
 disjoint column ranges, and a multilevel batch of whole blocks steps each
-path on its own increments.  Whole batches step on workers (`Team.imap`),
-but every sum stays on the calling thread, one block at a time in block
-order.
+path on its own increments.  Whole batches step on workers (`Team.imap`)
+down to one `Moments` per block, but every merge stays on the calling
+thread, one block at a time in block order.
 
 NumPy releases the interpreter lock while it fills normals and runs
 elementwise loops on large arrays, so threads fill blocks at the same time.

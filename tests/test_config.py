@@ -1,5 +1,8 @@
 import pytest
+import yaml
+from click.testing import CliRunner
 
+from sdeproj.cli import main
 from sdeproj.config import (CLAMPS, FAMILIES, PAYOFFS, PRICE_MODES,
                             REFERENCES, VARIANTS, ExperimentConfig,
                             ModelConfig, SchemeConfig, from_mapping, loads)
@@ -263,3 +266,74 @@ study:
         loads("- just\n- a\n- list\n")
     with pytest.raises(ConfigError):
         loads("model: [unclosed\n")
+
+
+FAMILY_PARAMS = {
+    "cir": {"kappa": 2.0, "theta": 1.0, "xi": 0.5, "x0": 1.0},
+    "three-halves": {"c1": 1.0, "c2": 1.0, "c3": 0.5, "x0": 1.0},
+    "ait-sahalia": {"a_minus1": 1.0, "a0": 1.0, "a1": 1.0, "a2": 1.0,
+                    "gamma": 1.0, "varrho": 2.0, "rho": 1.5, "x0": 1.0},
+    "ginzburg-landau": {"lambda": 0.5, "sigma": 1.0, "x0": 1.0},
+}
+HALF_LINE = ("cir", "three-halves", "ait-sahalia")
+
+
+def family_block(family):
+    return {"family": family, "params": dict(FAMILY_PARAMS[family])}
+
+
+def study(reference, **extra):
+    return dict(extra, study={"exponents": [3], "reference": reference,
+                              "fine_exponent": 4, "paths": 2})
+
+
+# gate: (command, admitted families, path of the refused field, experiment
+# with the gated model of the given family)
+GATES = {
+    "implicit-fine-grid": ("convergence", ("cir",), "model.family",
+                           lambda f: study("implicit-fine-grid",
+                                           model=family_block(f))),
+    "implicit-reference": ("convergence", ("cir",), "model.family",
+                           lambda f: study("modified-scheme-fine-grid",
+                                           model=family_block(f),
+                                           scheme={"variant": "implicit-reference"})),
+    "closed-form": ("convergence", ("ginzburg-landau",), "model.family",
+                    lambda f: study("closed-form", model=family_block(f))),
+    "spread-mc model": ("price", ("cir",), "model.family",
+                        lambda f: {"model": family_block(f), "model2": cir_block(),
+                                   "price": {"mode": "spread-mc", "strike": 0.001,
+                                             "paths": 2, "fine_exponent": 2}}),
+    "spread-mc model2": ("price", ("cir",), "model2.family",
+                         lambda f: {"model": cir_block(), "model2": family_block(f),
+                                    "price": {"mode": "spread-mc", "strike": 0.001,
+                                              "paths": 2, "fine_exponent": 2}}),
+    "mlmc zcb": ("mlmc", HALF_LINE, "model.family",
+                 lambda f: {"model": family_block(f),
+                            "mlmc": {"payoff": "zcb", "epsilons": [1e-3]}}),
+    "mlmc spread model2": ("mlmc", HALF_LINE, "model2.family",
+                           lambda f: {"model": cir_block(), "model2": family_block(f),
+                                      "mlmc": {"payoff": "spread", "epsilons": [1e-3],
+                                               "strike": 0.001}}),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_engine_family_gates_refuse_before_running(gate, family, tmp_path):
+    command, admitted, path, experiment = GATES[gate]
+    mapping = experiment(family)
+    if family in admitted:
+        from_mapping(mapping)
+        return
+    with pytest.raises(ConfigError) as err:
+        from_mapping(mapping)
+    assert err.value.path == path
+    assert family in str(err.value)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(dict(mapping, out=str(out))), encoding="utf-8")
+    result = CliRunner().invoke(main, [command, str(cfg)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"config error: {path}: ")
+    assert not out.exists()

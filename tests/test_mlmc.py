@@ -254,7 +254,8 @@ def test_non_finite_payoff_names_its_block_and_row(monkeypatch):
     _poison(monkeypatch, 1, 2 * BLOCK_WIDTH - 50, BLOCK_WIDTH - 100 + 3)
     with pytest.raises(NonFinite, match=r"^non-finite payoff at level 0, "
                                         r"block 1, row 3$"):
-        mlmc._pair_batch(config, mlmc._plans(config), BrownianFabric(3), 0, chunks)
+        mlmc._pair_batch(config, mlmc._projected(config), BrownianFabric(3), 0,
+                         chunks)
 
 
 @pytest.mark.parametrize("rows, at, block, row", [

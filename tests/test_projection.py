@@ -15,8 +15,8 @@ from sdeproj.models import (TransformedModel, ait_sahalia_model, cir_model,
 from sdeproj.projection import (ProjectionPlan, SchemeGrid, clamp_variant,
                                 classical_plan, diffusion_bar,
                                 evolve_terminal, lipschitz_bound, manual_plan,
-                                plan_exponents, project, projected_drift,
-                                simulate_path, step)
+                                plan_exponents, project, simulate_path,
+                                step)
 
 
 def synthetic_model(**overrides):
@@ -240,7 +240,10 @@ def test_projected_drift_is_globally_lipschitz():
     cir = cir_model(0.5, 1.0, 0.5, 1.0).transformed
     plan = ProjectionPlan(alpha=0.0, beta=2.0, k=0.25, k_prime=None)
     n = 16
-    f_n = projected_drift(cir, n, plan)
+
+    def f_n(y):
+        return cir.f(project(y, n, plan))
+
     bound = lipschitz_bound(cir, n, plan)
     rng = np.random.default_rng(7)
     x = rng.uniform(-100.0, 100.0, 1000)

@@ -106,7 +106,7 @@ def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):
     # Factor 1's blocks went to the pool, and so did pieces of the mix and
     # whole batches of small blocks.
     names = {getattr(fn, "func", fn).__name__ for fn in submitted}
-    assert names == {"_increments", "mix", "_pair_batch"}
+    assert names == {"increments", "mix", "_pair_moments"}
 
 
 @pytest.mark.parametrize("cap", [BLOCK_WIDTH, 3 * BLOCK_WIDTH, 4 * BLOCK_WIDTH,

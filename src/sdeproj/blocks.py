@@ -2,14 +2,22 @@
 
 Paths are cut into chunks (block, row_lo, row_hi), rows of one Brownian
 block, and those into batches of whole blocks.  A batch is drawn, stepped
-and reduced to one small item per chunk, so no block outlives it."""
+and reduced to one small item per chunk, so no block outlives it.  A batch
+of long rows is drawn and stepped in row slabs instead (`by_slabs`): each
+slab holds a share of every block's rows, at most one block's worth, and
+its blocks' streams are filled at once on a worker team."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .brownian import BLOCK_WIDTH, BrownianFabric
+
+# Storage order of drawn increments: each time step is one contiguous column.
+# A speed choice only; no value depends on it.
+_LAYOUT = "F"
 
 
 def chunks(start: int, stop: int) -> list[tuple[int, int, int]]:
@@ -24,22 +32,102 @@ def chunks(start: int, stop: int) -> list[tuple[int, int, int]]:
 
 
 def increments(fabric: BrownianFabric, level: int, batch, n: int, h: float, *,
-               factor: int = 0) -> np.ndarray:
+               factor: int = 0, team=None, cursors: dict | None = None) -> np.ndarray:
     """Brownian increments of the batch's rows, stacked in chunk order.
 
-    Each block is drawn from its own stream up to the chunk's last row; one
-    chunk is a row slice of it, several are copied into one column-major array.
+    Each chunk's rows are drawn straight into its rows of one column-major
+    array by a cursor on its block's stream: the one in `cursors` (keyed by
+    level, factor and block) if it stopped at the chunk's first row, else a
+    new one advanced to that row.  A chunk that ends inside its block leaves
+    its cursor in `cursors`, so the next chunk of the block continues the
+    stream instead of drawing it again.  A `workers.Team` fills the chunks'
+    streams at once, each on one thread.
     """
-    parts = (fabric.block_increments(level, block, n, h, factor=factor,
-                                     rows=row_hi)[row_lo:]
-             for block, row_lo, row_hi in batch)
+    scale = math.sqrt(h)
+    spans = rows(batch)
+    out = np.empty((spans[-1].stop, n), order=_LAYOUT)
+
+    def fill(first: int, last: int) -> None:
+        for (block, lo, hi), span in zip(batch[first:last], spans[first:last]):
+            key = (level, factor, block)
+            cursor = None if cursors is None else cursors.pop(key, None)
+            if cursor is None or cursor.row != lo:
+                cursor = fabric.block_cursor(level, block, n, factor=factor)
+                if lo:
+                    cursor.fill(None, lo)
+            keep = cursors is not None and hi < BLOCK_WIDTH
+            part = out[span]
+            cursor.fill(part, keep=keep)
+            part *= scale
+            if keep:
+                cursors[key] = cursor
+
+    if team is None or len(batch) < 2:
+        fill(0, len(batch))
+    else:
+        team.run_split(fill, len(batch))
+    return out
+
+
+def slabs(batch) -> list[list[tuple[int, tuple[int, int, int]]]]:
+    """Cut each chunk of `batch` into as many row spans as there are chunks,
+    one per slab.
+
+    Slab s lists (chunk index, (block, row_lo, row_hi)) for the s-th span of
+    every chunk that has one.  Span sizes differ by at most one row, and
+    chunk c puts its longer spans in slabs c, c + 1, ..., so no slab holds
+    more rows than the longest chunk: k whole blocks give k slabs of
+    BLOCK_WIDTH rows.
+    """
+    count = len(batch)
+    out = [[] for _ in range(count)]
+    for c, (block, lo, hi) in enumerate(batch):
+        base, extra = divmod(hi - lo, count)
+        for s in range(count):
+            size = base + ((s - c) % count < extra)
+            if size:
+                out[s].append((c, (block, lo, lo + size)))
+                lo += size
+    return out
+
+
+def by_slabs(values, batch, dtypes) -> tuple[np.ndarray, ...]:
+    """`values(batch)`, computed on the row slabs of the batch in turn.
+
+    `values(chunks)` returns one array per entry of `dtypes`, each with one
+    entry per row of `chunks`, chunk after chunk; each path's values must
+    depend on its own increments only.  Each slab's values are copied to
+    their rows, so the result is what one `values(batch)` call would give,
+    while only one slab of increments is held at a time.  The result is
+    allocated before the first slab is drawn: allocated after, it would sit
+    among the freed slab temporaries and keep the next slab from reusing
+    their memory.
+    """
     if len(batch) == 1:
-        return next(parts)
-    out = np.empty((sum(hi - lo for _, lo, hi in batch), n), order="F")
+        return values(batch)
+    spans = rows(batch)
+    out = tuple(np.empty(spans[-1].stop, dtype) for dtype in dtypes)
+    for slab in filter(None, slabs(batch)):
+        # A call, so the slab's values are freed before the next slab.
+        _place(out, values([chunk for _, chunk in slab]), slab, spans, batch)
+    return out
+
+
+def _place(out, parts, slab, spans, batch) -> None:
     at = 0
-    for part in parts:
-        out[at:at + len(part)] = part
-        at += len(part)
+    for c, (_, lo, hi) in slab:
+        row = spans[c].start + lo - batch[c][1]
+        for whole, part in zip(out, parts):
+            whole[row:row + hi - lo] = part[at:at + hi - lo]
+        at += hi - lo
+
+
+def rows(batch) -> list[slice]:
+    """The slice of each chunk's rows in arrays stacked in chunk order."""
+    out, at = [], 0
+    for _, lo, hi in batch:
+        out.append(slice(at, at + hi - lo))
+        at += hi - lo
     return out
 
 

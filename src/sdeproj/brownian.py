@@ -33,9 +33,9 @@ BLOCK_WIDTH = 4096
 
 # Normals drawn per generator call when filling a block.  Successive calls
 # continue one Philox stream, so the chunk size never changes a value; it
-# only bounds the row-major staging buffer (1 MiB).  Capping elements rather
-# than rows keeps short blocks at a single call.
-_CHUNK_NORMALS = 1 << 17
+# only bounds the row-major staging buffer (512 KiB on each drawing thread).
+# Capping elements rather than rows keeps short blocks at a single call.
+_CHUNK_NORMALS = 1 << 16
 
 # Elements per column chunk of an in-place `correlate` (a 256 KiB scratch).
 _MIX_NORMALS = 1 << 15
@@ -83,6 +83,13 @@ class BrownianFabric:
     def _seed_word(self) -> int:
         return _splitmix64(self.master_seed)
 
+    def _key(self, tag: int, level: int, factor: int, index: int) -> np.ndarray:
+        # The key must be a uint64 array: a plain list of ints above 2**63
+        # would be coerced through float64, rounding away the low bits that
+        # distinguish neighbouring addresses.
+        return np.array([self._seed_word, _pack(tag, level, factor, index)],
+                        dtype=np.uint64)
+
     def _generator(self, tag: int, level: int, factor: int, index: int) -> np.random.Generator:
         """This thread's generator, set to the start of the address's stream.
 
@@ -90,23 +97,7 @@ class BrownianFabric:
         stream must be drawn before the thread asks for the next one.  The
         draws equal those of `Generator(Philox(key=key))`.
         """
-        # The key must be a uint64 array: a plain list of ints above 2**63
-        # would be coerced through float64, rounding away the low bits that
-        # distinguish neighbouring addresses.
-        key = np.array([self._seed_word, _pack(tag, level, factor, index)],
-                       dtype=np.uint64)
-        rng = getattr(_THREAD, "rng", None)
-        if rng is None:
-            rng = _THREAD.rng = np.random.Generator(np.random.Philox(key=key))
-            return rng
-        # Counter 0, an empty output buffer and no cached 32-bit half: the
-        # state of a freshly built generator with this key.
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        return rng
+        return _thread_generator(_start(self._key(tag, level, factor, index)))
 
     def increments(self, path: int, level: int, n: int, h: float, *, factor: int = 0) -> np.ndarray:
         """Brownian increments for one path.
@@ -147,19 +138,14 @@ class BrownianFabric:
             rows = BLOCK_WIDTH
         if not 0 < rows <= BLOCK_WIDTH:
             raise ValueError(f"rows must be in (0, {BLOCK_WIDTH}]")
-        rng = self._generator(_TAG_BLOCK, level, factor, block)
         out = np.empty((rows, n), order="F")
-        if out.flags.c_contiguous:
-            # One column or one row: both layouts are the same memory.
-            rng.standard_normal(out=out)
-            return out
-        step = max(1, _CHUNK_NORMALS // n)
-        staging = np.empty((min(step, rows), n))
-        for lo in range(0, rows, step):
-            chunk = staging[:rows - lo]
-            rng.standard_normal(out=chunk)
-            out[lo:lo + chunk.shape[0]] = chunk
+        _fill(self._generator(_TAG_BLOCK, level, factor, block), out)
         return out
+
+    def block_cursor(self, level: int, block: int, n: int, *,
+                     factor: int = 0) -> "BlockCursor":
+        """A cursor at row 0 of the stream that `block_normals` draws."""
+        return BlockCursor(self._key(_TAG_BLOCK, level, factor, block), n)
 
     def block_increments(self, level: int, block: int, n: int, h: float, *,
                          factor: int = 0, rows: int | None = None) -> np.ndarray:
@@ -173,6 +159,78 @@ class BrownianFabric:
         out = self.block_normals(level, block, n, factor=factor, rows=rows)
         out *= math.sqrt(h)
         return out
+
+
+def _start(key: np.ndarray) -> dict:
+    """The Philox state of a freshly built generator with this key: counter
+    0, an empty output buffer and no cached 32-bit half."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _thread_generator(state: dict) -> np.random.Generator:
+    """This thread's one generator, set to `state`."""
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(
+            np.random.Philox(key=state["state"]["key"]))
+    rng.bit_generator.state = state
+    return rng
+
+
+def _fill(rng: np.random.Generator, out: np.ndarray | None, rows: int = 0,
+          n: int = 0) -> None:
+    """Draw `out`'s rows in order from `rng`, as one `standard_normal(out.shape)`
+    call would, into `out` of any layout.  With `out` None, draw (rows, n)
+    normals and drop them."""
+    if out is not None:
+        rows, n = out.shape
+        if out.flags.c_contiguous:
+            # One column, one row or a row-major array: drawn in place.
+            rng.standard_normal(out=out)
+            return
+    step = max(1, _CHUNK_NORMALS // max(1, n))
+    staging = np.empty((min(step, rows), n))
+    for lo in range(0, rows, step):
+        chunk = staging[:rows - lo]
+        rng.standard_normal(out=chunk)
+        if out is not None:
+            out[lo:lo + chunk.shape[0]] = chunk
+
+
+class BlockCursor:
+    """Where one block stream stands: the next row it draws, and its Philox
+    state there.
+
+    Successive `fill` calls continue the stream, on whichever thread makes
+    them, so rows drawn in pieces equal the same rows of one `block_normals`
+    call.  Made by `BrownianFabric.block_cursor`.
+    """
+
+    __slots__ = ("n", "row", "_state")
+
+    def __init__(self, key: np.ndarray, n: int):
+        self.n = n
+        self.row = 0
+        self._state = _start(key)
+
+    def fill(self, out: np.ndarray | None, rows: int = 0, *,
+             keep: bool = True) -> None:
+        """Draw the stream's next rows into `out`, shape (rows, n) in any
+        layout; with `out` None, skip `rows` rows.  Without `keep` the
+        cursor is spent: it saves no state (a few microseconds) and must not
+        fill again."""
+        if out is not None:
+            rows = out.shape[0]
+            if out.shape[1] != self.n:
+                raise ValueError(f"rows of this stream hold {self.n} normals, "
+                                 f"not {out.shape[1]}")
+        rng = _thread_generator(self._state)
+        _fill(rng, out, rows, self.n)
+        self.row += rows
+        self._state = rng.bit_generator.state if keep else None
 
 
 def couple_levels(fine: np.ndarray, m: int) -> np.ndarray:

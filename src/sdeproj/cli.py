@@ -75,11 +75,11 @@ def _run(body) -> None:
 
 def _options(fn):
     fn = click.option("--threads", type=click.IntRange(0), default=None,
-                      help="Worker threads for two-factor pricing (mlmc spread "
-                           "steps batches of small blocks on them; price "
-                           "spread-mc draws on them); 0 = all cores, larger "
-                           "values are clamped to the cores available. Moments "
-                           "fold in block order: never affects results.")(fn)
+                      help="Worker threads (mlmc steps batches of small blocks "
+                           "on them; long-row blocks are drawn on them in row "
+                           "slabs, one stream per thread); 0 = all cores, "
+                           "larger values are clamped to the cores available. "
+                           "Moments fold in block order: never affects results.")(fn)
     fn = click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=None,
                       help="Master seed, overrides the config value.")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=None,
@@ -110,7 +110,7 @@ def convergence(config, out, seed, threads):
             cfg.study.paths, cfg.study.reference, fabric,
             horizon=cfg.study.horizon, fine_exponent=cfg.study.fine_exponent,
             space=cfg.study.space, readout=cfg.scheme.clamp,
-            variant=cfg.scheme.variant, seed=cfg.seed)
+            variant=cfg.scheme.variant, seed=cfg.seed, threads=cfg.threads)
 
         os.makedirs(cfg.out, exist_ok=True)
         _write_rows(os.path.join(cfg.out, "convergence.csv"),
@@ -197,7 +197,8 @@ def price(config, out, seed, threads):
         elif pr.mode == "gl-exact":
             value, se = gl_exact_price(cfg.model.build(), BrownianFabric(cfg.seed),
                                        paths=pr.paths, horizon=pr.horizon,
-                                       fine_exponent=pr.fine_exponent)
+                                       fine_exponent=pr.fine_exponent,
+                                       threads=cfg.threads)
             half = _Z95 * se
         else:
             run_config = MlmcConfig(

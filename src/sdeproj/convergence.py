@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import Moments, increments, walk
+from . import workers
+from .blocks import Moments, by_slabs, increments, rows, walk
 from .brownian import BrownianFabric, couple_levels, extend_coupling
 from .errors import DomainError
 from .models import LampertiMap, TransformedModel
@@ -120,8 +121,8 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
                           paths: int, reference: str, fabric: BrownianFabric,
                           *, horizon: float = 1.0, fine_exponent: int = 12,
                           space: str = "x", readout: str = "raw",
-                          variant: str = "modified",
-                          seed: int | None = None) -> ConvergenceReport:
+                          variant: str = "modified", seed: int | None = None,
+                          threads: int = 0) -> ConvergenceReport:
     """Measure strong errors over resolutions 2^N for N in `exponents`.
 
     Args:
@@ -144,6 +145,11 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             "implicit-reference" steps the tested resolutions with the
             drift-implicit square-root scheme instead.
         seed: recorded in the report; defaults to the fabric's master seed.
+        threads: worker threads (0, the default, means all cores; larger
+            values are clamped to the cores available).  Blocks are taken
+            one per worker and drawn in row slabs (`blocks.by_slabs`), each
+            block's stream filled on its own worker; the calling thread
+            steps each slab.  The report is the same for every value.
     """
     if reference not in REFERENCES:
         raise DomainError(f"unknown reference {reference!r}; expected one of {REFERENCES}")
@@ -171,9 +177,11 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
     h_fine = horizon / n_fine
     times = np.linspace(0.0, horizon, n_fine + 1)
 
-    def block_errors(batch):
-        """Per resolution: Moments of |reference - scheme|, and capped paths."""
-        fine = increments(fabric, fine_exponent, batch, n_fine, h_fine)
+    def slab_errors(chunks):
+        """Per resolution, |reference - scheme| of each path of `chunks`;
+        then per resolution, whether either value was capped."""
+        fine = increments(fabric, fine_exponent, chunks, n_fine, h_fine,
+                          team=team, cursors=cursors)
         if reference == "closed-form":
             ref_vals = ginzburg_landau_terminal(model.meta["lam"], model.meta["sigma"],
                                                 model.meta["x0"], times, fine)
@@ -204,16 +212,26 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
                 y = evolve_terminal(model, plan, n, h, coarse)
             approx, approx_bad = _sanitize(
                 _to_space(y, space, readout, plan, h, lamperti))
-            errors[n_exp] = Moments.of(np.abs(ref_vals - approx))
-            capped[n_exp] = int(np.count_nonzero(approx_bad | ref_bad))
-        return [([errors[n] for n in exps], [capped[n] for n in exps])]
+            errors[n_exp] = np.abs(ref_vals - approx)
+            capped[n_exp] = approx_bad | ref_bad
+        return tuple(errors[n] for n in exps) + tuple(capped[n] for n in exps)
+
+    def block_errors(batch):
+        """Per chunk and resolution: Moments of the errors, and capped paths."""
+        values = by_slabs(slab_errors, batch, [float] * len(exps) + [bool] * len(exps))
+        errors, capped = values[:len(exps)], values[len(exps):]
+        return [([Moments.of(e[r]) for e in errors],
+                 [int(np.count_nonzero(c[r])) for c in capped]) for r in rows(batch)]
 
     moments = [Moments() for _ in exps]
     bad_counts = [0] * len(exps)
-    for errors, capped in walk(block_errors, 0, paths):
-        for i in range(len(exps)):
-            moments[i].merge(errors[i])
-            bad_counts[i] += capped[i]
+    cursors = {}
+    with workers.team(threads) as team:
+        for errors, capped in walk(block_errors, 0, paths,
+                                   blocks=1 if team is None else team.size):
+            for i in range(len(exps)):
+                moments[i].merge(errors[i])
+                bad_counts[i] += capped[i]
 
     records = [ConvergenceRecord(exponent=n_exp, steps=1 << n_exp,
                                  error=min(moment.mean, VALUE_CAP),

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import workers
-from .blocks import Moments, increments, walk
+from .blocks import Moments, by_slabs, increments, rows, walk
 from .brownian import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
 from .errors import BudgetExceeded, DomainError, NonFinite
 from .models import ModelTriple
@@ -182,19 +182,29 @@ def _projected(config: MlmcConfig) -> tuple:
         for t in config.models)
 
 
+def _slab_blocks(config: MlmcConfig, team: workers.Team | None) -> int:
+    """Blocks a batch of long rows takes: one stream per worker.  Two
+    factors fill the team from one block."""
+    return 1 if team is None or len(config.models) > 1 else team.size
+
+
 def _drivers(config: MlmcConfig, fabric: BrownianFabric, level: int,
              chunks: Sequence[tuple[int, int, int]], n: int, h: float,
-             team: workers.Team | None = None) -> tuple[np.ndarray, ...]:
-    """Brownian increments for each factor over the rows of `chunks`.
+             team: workers.Team | None = None,
+             cursors: dict | None = None) -> tuple[np.ndarray, ...]:
+    """Brownian increments for each factor over the rows of `chunks`,
+    continuing the streams of `cursors` (see `blocks.increments`).
 
-    With a `team`, factor 1's blocks are drawn on a pool thread while this
+    With a `team`, one factor's chunks are filled at once on its workers;
+    of two factors, factor 1's blocks are drawn on a pool thread while this
     thread draws factor 0's, and the correlation mix is split over the team.
     """
-    draw = functools.partial(increments, fabric, level, chunks, n, h)
+    draw = functools.partial(increments, fabric, level, chunks, n, h,
+                             cursors=cursors)
     if config.payoff == "zcb":
-        return (draw(),)
+        return (draw(team=team),)
     pending = None
-    if team is not None and sum(hi for _, _, hi in chunks) * n >= _INLINE_NORMALS:
+    if team is not None and sum(hi - lo for _, lo, hi in chunks) * n >= _INLINE_NORMALS:
         pending = team.submit(draw, factor=1)
     w = draw()
     w_perp = draw(factor=1) if pending is None else pending.result()
@@ -220,13 +230,15 @@ def _payoff_values(config: MlmcConfig, steppers: tuple,
 def _pair_batch(config: MlmcConfig, steppers: tuple,
                 fabric: BrownianFabric, level: int,
                 chunks: Sequence[tuple[int, int, int]],
-                team: workers.Team | None = None) -> tuple[np.ndarray, np.ndarray]:
+                team: workers.Team | None = None,
+                cursors: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(fine payoff, coarse payoff) for the rows of `chunks` at one level.
 
     The coarse payoff reruns the scheme on the summed increments of the same
     Brownian path; level 0 has no coarse half and returns zeros there.  Each
     path's payoffs are elementwise in its own increments, so they do not
-    depend on which rows share the batch.
+    depend on which rows share the batch.  With a `team`, the chunks are
+    drawn and stepped in as many row slabs (`blocks.by_slabs`).
 
     Raises:
         NonFinite: naming the level, block and row of the first path whose
@@ -235,14 +247,19 @@ def _pair_batch(config: MlmcConfig, steppers: tuple,
     m = config.refinement
     n_fine = m ** level
     h_fine = config.horizon / n_fine
-    drivers = _drivers(config, fabric, level, chunks, n_fine, h_fine, team)
-    fine = _payoff_values(config, steppers, drivers, n_fine, h_fine)
-    if level == 0:
-        coarse = np.zeros_like(fine)
-    else:
+
+    def pair(slab):
+        drivers = _drivers(config, fabric, level, slab, n_fine, h_fine, team,
+                           cursors)
+        fine = _payoff_values(config, steppers, drivers, n_fine, h_fine)
+        if level == 0:
+            return fine, np.zeros_like(fine)
         coarse_drivers = tuple(couple_levels(d, m) for d in drivers)
-        coarse = _payoff_values(config, steppers, coarse_drivers,
-                                n_fine // m, h_fine * m)
+        return fine, _payoff_values(config, steppers, coarse_drivers,
+                                    n_fine // m, h_fine * m)
+
+    fine, coarse = pair(chunks) if team is None else by_slabs(pair, chunks,
+                                                              (float, float))
     finite = np.isfinite(fine) & np.isfinite(coarse)
     if not finite.all():
         at = int(np.argmin(finite))
@@ -257,17 +274,17 @@ def _pair_batch(config: MlmcConfig, steppers: tuple,
 
 def _pair_moments(config: MlmcConfig, steppers: tuple, fabric: BrownianFabric,
                   level: int, chunks: Sequence[tuple[int, int, int]],
-                  team: workers.Team | None = None) -> list[tuple[Moments, Moments]]:
+                  team: workers.Team | None = None,
+                  cursors: dict | None = None) -> list[tuple[Moments, Moments]]:
     """(Moments of P_l - P_{l-1}, Moments of P_l) for each chunk of a batch;
     at level 0, with no coarse half, both are the moments of P_0."""
-    fine, coarse = _pair_batch(config, steppers, fabric, level, chunks, team)
-    out, at = [], 0
-    for _, row_lo, row_hi in chunks:
-        rows = slice(at, at + row_hi - row_lo)
-        moments = Moments.of(fine[rows])
-        out.append((moments if level == 0 else Moments.of(fine[rows] - coarse[rows]),
+    fine, coarse = _pair_batch(config, steppers, fabric, level, chunks, team,
+                               cursors)
+    out = []
+    for r in rows(chunks):
+        moments = Moments.of(fine[r])
+        out.append((moments if level == 0 else Moments.of(fine[r] - coarse[r]),
                     moments))
-        at = rows.stop
     return out
 
 
@@ -295,13 +312,17 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
                   threads: int = 0) -> MlmcReport:
     """Run the pilot, allocate paths, and estimate the payoff expectation.
 
-    `threads` caps the workers of a two-factor payoff (0, the default, means
-    all cores; larger values are clamped to the cores available).  On
-    levels whose blocks are small, workers draw and step whole batches of
-    blocks at once; on the others they draw the two factors' blocks at the
-    same time and split the correlation mix.  Each block's moments are
-    merged on the calling thread in block order, so the report is the same
-    for every value.  Single-factor payoffs always run on the calling thread.
+    `threads` caps the workers (0, the default, means all cores; larger
+    values are clamped to the cores available).  On levels whose blocks are
+    small, workers draw and step whole batches of blocks at once.  On the
+    others, one factor's blocks are taken one per worker and drawn in row
+    slabs, with every block's stream filled at once; two factors' blocks
+    are drawn at the same time and the workers split the correlation mix.
+    Each block's moments are merged on the calling thread in block order,
+    so the report is the same for every value.
+
+    Every (level, factor, block) stream is drawn once: the final pass
+    continues a block where the pilot left it, through its cursor.
 
     Raises:
         BudgetExceeded: the allocation asks for more total paths than
@@ -313,24 +334,26 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
     steppers = _projected(config)
     diffs = [Moments() for _ in levels]
     fines = [Moments() for _ in levels]
+    cursors = {}
 
     def extend(level: int, target: int, team: workers.Team | None) -> None:
         """Fold paths [count, target) of `level` into its moments, in block
         order.  Batches hold at most `_BATCH_NORMALS` normals per factor and
-        run `team.size` at a time; a bigger block is a batch of its own and
-        splits its draws over the team instead."""
+        run `team.size` at a time; bigger blocks are drawn in row slabs, or
+        split their two factors' draws over the team (`_slab_blocks`)."""
         per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * m ** level)
         pair = functools.partial(_pair_moments, config, steppers, fabric, level,
-                                 team=None if per_batch else team)
+                                 team=None if per_batch else team, cursors=cursors)
         for diff, fine in walk(pair, diffs[level].count, target,
-                               blocks=per_batch, team=team if per_batch else None):
+                               blocks=per_batch or _slab_blocks(config, team),
+                               team=team if per_batch else None):
             diffs[level].merge(diff)
             fines[level].merge(fine)
 
     # Finest level first: its big blocks are drawn before the small batches'
     # freed temporaries are scattered over the heap, which keeps peak memory
     # down.  The levels are independent, so the order changes no value.
-    with workers.team(threads if len(config.models) > 1 else 1) as team:
+    with workers.team(threads) as team:
         for l in reversed(levels):
             extend(l, config.pilot_paths, team)
         pilot_vars = [d.var for d in diffs]
@@ -393,10 +416,16 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
         savings=savings, seed=fabric.master_seed, metadata=metadata)
 
 
-def _mean_and_error(values, paths: int) -> tuple[float, float]:
-    """Mean and standard error of `values(batch)` over one-block batches."""
+def _mean_and_error(values, paths: int, blocks: int = 1) -> tuple[float, float]:
+    """Mean and standard error of the per-path `values(chunks)`, over
+    batches of `blocks` blocks, each drawn in as many row slabs."""
+
+    def step(batch):
+        (joined,) = by_slabs(lambda chunks: (values(chunks),), batch, (float,))
+        return [Moments.of(joined[r]) for r in rows(batch)]
+
     moments = Moments()
-    for chunk in walk(lambda batch: [Moments.of(values(batch))], 0, paths):
+    for chunk in walk(step, 0, paths, blocks=blocks):
         moments.merge(chunk)
     return moments.mean, math.sqrt(moments.var / paths)
 
@@ -410,8 +439,9 @@ def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
     exponent is the stream level tag).  Returns (price, standard error).
 
     `threads` works as in `mlmc_estimate` (0, the default, means all
-    cores): for two factors, workers draw both factors' blocks at the same
-    time and split the correlation mix; the result is the same for every
+    cores): one factor's blocks are drawn in row slabs, one stream per
+    worker; for two factors, workers draw both factors' blocks at the same
+    time and split the correlation mix.  The result is the same for every
     value.
     """
     if paths < 2:
@@ -421,22 +451,28 @@ def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
                      for t in config.models)
     n = 1 << fine_exponent
     h = config.horizon / n
-    with workers.team(threads if len(config.models) > 1 else 1) as team:
-        def payoffs(batch):
-            # The drivers are a call argument only, so each block is
+    cursors = {}
+    with workers.team(threads) as team:
+        def payoffs(chunks):
+            # The drivers are a call argument only, so each slab is
             # released before the next one is drawn.
             return _payoff_values(
                 config, steppers,
-                _drivers(config, fabric, fine_exponent, batch, n, h, team), n, h)
+                _drivers(config, fabric, fine_exponent, chunks, n, h, team,
+                         cursors), n, h)
 
-        return _mean_and_error(payoffs, paths)
+        return _mean_and_error(payoffs, paths, _slab_blocks(config, team))
 
 
 def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
-                   fine_exponent: int = 12, horizon: float = 1.0) -> tuple[float, float]:
+                   fine_exponent: int = 12, horizon: float = 1.0,
+                   threads: int = 0) -> tuple[float, float]:
     """(price, standard error) of E[X_T] for the ginzburg-landau model, from
     `ginzburg_landau_terminal` on 2**fine_exponent steps (streams at level
     `fine_exponent`).  With sigma = 0 the price is exact and no path is drawn.
+
+    `threads` works as in `run_convergence_study`: blocks are taken one per
+    worker and drawn in row slabs; the result is the same for every value.
     """
     meta = triple.transformed.meta
     if meta.get("family") != "ginzburg-landau" or paths < 2:
@@ -449,9 +485,12 @@ def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
         value = ginzburg_landau_exact(lam, 0.0, x0, times, np.zeros((1, n + 1)))
         return float(value[0, -1]), 0.0
 
-    def terminals(batch):
-        return ginzburg_landau_terminal(
-            lam, sigma, x0, times,
-            increments(fabric, fine_exponent, batch, n, horizon / n))
+    cursors = {}
+    with workers.team(threads) as team:
+        def terminals(chunks):
+            return ginzburg_landau_terminal(
+                lam, sigma, x0, times,
+                increments(fabric, fine_exponent, chunks, n, horizon / n,
+                           team=team, cursors=cursors))
 
-    return _mean_and_error(terminals, paths)
+        return _mean_and_error(terminals, paths, 1 if team is None else team.size)

@@ -1,20 +1,22 @@
-"""Worker threads for the two-factor engines.
+"""Worker threads for the engines.
 
 A worker count never changes a result.  Threads only compute arrays whose
-every element is fixed in advance: a factor's block is drawn whole from its
-own Philox stream on one thread, the correlation mix is elementwise over
-disjoint column ranges, and a multilevel batch of whole blocks steps each
-path on its own increments.  Whole batches step on workers (`Team.imap`)
-down to one `Moments` per block, but every merge stays on the calling
-thread, one block at a time in block order.
+every element is fixed in advance: each block's stream, or its next share
+of rows in a row slab, is drawn in order on one thread, the correlation mix
+is elementwise over disjoint column ranges, and a multilevel batch of whole
+blocks steps each path on its own increments.  Whole batches step on
+workers (`Team.imap`) down to one `Moments` per block, but every merge
+stays on the calling thread, one block at a time in block order.
 
 NumPy releases the interpreter lock while it fills normals and runs
-elementwise loops on large arrays, so threads fill blocks at the same time.
-Stepping overlaps only where the arrays are long: each step is several
-ufunc calls whose set-up holds the lock.  A batch of many small blocks
-gives long arrays and lets one thread step while another draws; a single
-long-row block does not (stepping its two factors on two threads was slower
-than stepping both on one).
+elementwise loops on large arrays, so threads fill streams at the same
+time: one per worker in a row slab of long-row blocks, or the two factors
+of one block.  Stepping overlaps only where the arrays are long: each step
+is several ufunc calls whose set-up holds the lock.  A batch of many small
+blocks gives long arrays and lets one thread step while another draws; a
+slab of long rows does not (stepping two blocks or two factors on two
+threads was slower than stepping both on one), so the calling thread steps
+it alone.
 """
 from __future__ import annotations
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdeproj import BLOCK_WIDTH, BrownianFabric, mlmc
-from sdeproj.blocks import Moments, chunks, walk
+from sdeproj.blocks import Moments, by_slabs, chunks, increments, rows, slabs, walk
 from sdeproj.mlmc import MlmcConfig, mlmc_estimate
 from sdeproj.models import cir_model
 from sdeproj.workers import Team
@@ -46,6 +47,82 @@ def test_walk_yields_each_chunk_in_block_order(blocks, size):
     rows = np.concatenate([r for r, _ in got])
     assert np.array_equal(rows, np.arange(start, stop))
     assert all(np.array_equal(neg, -r) for r, neg in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans=st.lists(st.tuples(st.integers(0, BLOCK_WIDTH - 1),
+                                st.integers(1, BLOCK_WIDTH)), min_size=1, max_size=6))
+def test_slabs_cut_every_chunk_in_row_order_and_stay_within_the_longest_chunk(spans):
+    batch = [(block, min(lo, BLOCK_WIDTH - size), min(lo, BLOCK_WIDTH - size) + size)
+             for block, (lo, size) in enumerate(spans)]
+    cut = slabs(batch)
+    assert len(cut) == len(batch)
+    for slab in cut:
+        assert sum(hi - lo for _, (_, lo, hi) in slab) <= max(hi - lo for _, lo, hi in batch)
+        assert [c for c, _ in slab] == sorted(c for c, _ in slab)
+        assert all(lo < hi for _, (_, lo, hi) in slab)
+    for c, (block, lo, hi) in enumerate(batch):
+        pieces = [piece for slab in cut for i, piece in slab if i == c]
+        assert pieces[0][1] == lo and pieces[-1][2] == hi
+        assert all(p[0] == block for p in pieces)
+        assert all(a[2] == b[1] for a, b in zip(pieces, pieces[1:]))
+        sizes = [p[2] - p[1] for p in pieces]
+        assert max(sizes) - min(sizes) <= 1
+
+
+def _block_rows(fabric, level, batch, n):
+    return np.concatenate([fabric.block_normals(level, block, n, rows=hi)[lo:]
+                           for block, lo, hi in batch])
+
+
+@pytest.mark.parametrize("n", [1, 7, 1 << 12])
+@pytest.mark.parametrize("batch", [
+    [(0, 0, BLOCK_WIDTH)],                                   # one block
+    [(3, 0, BLOCK_WIDTH), (4, 0, 1001)],                     # a partial last block
+    [(0, 5, BLOCK_WIDTH), (1, 0, BLOCK_WIDTH), (2, 0, 7)],  # rows not divisible by 3
+    [(6, 0, BLOCK_WIDTH), (7, 0, BLOCK_WIDTH), (8, 0, BLOCK_WIDTH), (9, 0, 3)],
+], ids=["1", "2-partial", "3-uneven", "4-short-last"])
+@pytest.mark.parametrize("size", [None, 3])
+def test_slab_draws_equal_the_rows_of_whole_blocks(batch, n, size):
+    # Each chunk's stream continues across the slabs through its cursor and,
+    # with a team, is filled on whichever thread takes it.  A short switch
+    # interval interleaves the threads as often as the interpreter allows.
+    if n == 1 << 12:  # keep the arrays small at long rows
+        batch = [(block, lo, min(hi, lo + 150)) for block, lo, hi in batch]
+    fabric = BrownianFabric(29)
+    expected = _block_rows(fabric, 5, batch, n)
+    cursors = {}
+    team = None if size is None else Team(size)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        (got,) = by_slabs(lambda chunk_list: (increments(
+            fabric, 5, chunk_list, n, 1.0, team=team, cursors=cursors),),
+            batch, [(float, n)])
+    finally:
+        sys.setswitchinterval(interval)
+        if team is not None:
+            team.close()
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    # A chunk left short of its block's end keeps its cursor there.
+    assert sorted(cursors) == sorted((5, 0, block) for block, _, hi in batch
+                                     if hi < BLOCK_WIDTH)
+
+
+def test_increments_resume_a_block_where_the_last_chunk_stopped():
+    fabric = BrownianFabric(31)
+    expected = fabric.block_increments(2, 4, 16, 0.25, factor=1)
+    cursors = {}
+    parts = [increments(fabric, 2, [(4, lo, hi)], 16, 0.25, factor=1, cursors=cursors)
+             for lo, hi in [(0, 10), (10, 11), (11, 3000), (3000, BLOCK_WIDTH)]]
+    assert np.array_equal(np.concatenate(parts), expected)
+    assert cursors == {}
+    # Without a cursor at the chunk's first row, the stream is drawn afresh
+    # up to it.
+    assert np.array_equal(increments(fabric, 2, [(4, 77, 90)], 16, 0.25, factor=1),
+                          expected[77:90])
+    assert rows([(4, 77, 90), (5, 0, 3)]) == [slice(0, 13), slice(13, 16)]
 
 
 def test_zcb_fine_variance_matches_np_var_at_tiny_noise():

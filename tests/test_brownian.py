@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from sdeproj import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
+from sdeproj import BLOCK_WIDTH, BrownianFabric, blocks, correlate, couple_levels
 from sdeproj.brownian import (_CHUNK_NORMALS, _TAG_BLOCK, _TAG_PATH, _pack,
                               _splitmix64, extend_coupling)
 from sdeproj.convergence import run_convergence_study
@@ -291,13 +291,8 @@ _SPREAD = MlmcConfig(models=(cir_model(1.0, 0.06, 0.04, 0.05),
         "mlmc-spread", "implicit-price"])
 def test_engines_do_not_depend_on_block_layout(engine, monkeypatch):
     shipped = engine()
-    column_major = BrownianFabric.block_normals
-
-    def row_major(self, *args, **kwargs):
-        return np.ascontiguousarray(column_major(self, *args, **kwargs))
-
-    monkeypatch.setattr(BrownianFabric, "block_normals", row_major)
-    assert BrownianFabric(1).block_normals(0, 0, 8, rows=4).flags.c_contiguous
+    monkeypatch.setattr(blocks, "_LAYOUT", "C")
+    assert blocks.increments(BrownianFabric(1), 0, [(0, 0, 4)], 8, 1.0).flags.c_contiguous
     assert engine() == shipped
 
 

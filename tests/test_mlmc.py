@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sdeproj import mlmc, workers
-from sdeproj.brownian import BLOCK_WIDTH, BrownianFabric
+from sdeproj.blocks import chunks
+from sdeproj.brownian import BLOCK_WIDTH, BlockCursor, BrownianFabric
 from sdeproj.errors import BudgetExceeded, DomainError, NonFinite
 from sdeproj.mlmc import (MlmcConfig, allocate_paths, implicit_price,
                           level_sample, mlmc_estimate, payoff_spread,
@@ -271,3 +272,52 @@ def test_non_finite_payoff_address_reaches_the_caller(rows, at, block, row,
     config = _spread(max_level=2, pilot_paths=2 * BLOCK_WIDTH + 300)
     with pytest.raises(NonFinite, match=rf"level 2, block {block}, row {row}$"):
         mlmc_estimate(config, BrownianFabric(3), threads=2)
+
+
+def _drawn_rows(monkeypatch):
+    """Record the rows each cursor fill draws (or skips), by (level, factor,
+    block) address."""
+    drawn = {}
+    real = BlockCursor.fill
+
+    def logged(self, out, rows=0, *, keep=True):
+        word = int(self._state["state"]["key"][1])
+        address = ((word >> 52) & 0xFF, (word >> 44) & 0xFF, word & ((1 << 44) - 1))
+        drawn.setdefault(address, []).append(
+            (self.row, self.row + (rows if out is None else out.shape[0])))
+        return real(self, out, rows, keep=keep)
+
+    monkeypatch.setattr(BlockCursor, "fill", logged)
+    return drawn
+
+
+@pytest.mark.parametrize("cap", [1, mlmc._BATCH_NORMALS], ids=["slabs", "batches"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("config", [
+    zcb_config(epsilon=3e-4, max_level=4, pilot_paths=BLOCK_WIDTH + 300),
+    _spread(max_level=2, pilot_paths=BLOCK_WIDTH + 300)], ids=["zcb", "spread"])
+def test_pilot_and_final_pass_draw_every_row_once(config, threads, cap, monkeypatch):
+    # Pilot and final targets end mid-block.  The final pass continues each
+    # level's and factor's stream from the pilot's last row, so every
+    # (level, factor, block, row) is drawn exactly once, and the report
+    # equals that of a run that redraws every block from its first row.
+    monkeypatch.setattr(workers, "available_cores", lambda: 2)
+    monkeypatch.setattr(mlmc, "_BATCH_NORMALS", cap)
+    real_increments = mlmc.increments
+    with monkeypatch.context() as patch:
+        patch.setattr(mlmc, "increments",
+                      lambda *args, cursors=None, **kwargs: real_increments(*args, **kwargs))
+        redrawn = mlmc_estimate(config, BrownianFabric(7), threads=threads)
+    drawn = _drawn_rows(monkeypatch)
+    report = mlmc_estimate(config, BrownianFabric(7), threads=threads)
+    assert report == redrawn
+    expected = {(level.level, factor, block): hi
+                for level in report.levels for factor in range(len(config.models))
+                for block, _, hi in chunks(0, level.paths)}
+    assert sorted(drawn) == sorted(expected)
+    for address, pieces in drawn.items():
+        pieces.sort()
+        assert pieces[0][0] == 0
+        assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:])), address
+        assert pieces[-1][1] == expected[address]
+    assert any(len(pieces) > 1 for pieces in drawn.values())

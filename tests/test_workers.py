@@ -9,8 +9,10 @@ import pytest
 
 from sdeproj import BLOCK_WIDTH, BrownianFabric, correlate
 from sdeproj import mlmc, workers
-from sdeproj.mlmc import MlmcConfig, implicit_price, mlmc_estimate
-from sdeproj.models import cir_model
+from sdeproj.convergence import run_convergence_study
+from sdeproj.mlmc import MlmcConfig, gl_exact_price, implicit_price, mlmc_estimate
+from sdeproj.models import cir_model, ginzburg_landau_model
+from sdeproj.projection import plan_exponents
 from sdeproj.workers import Team, resolve_threads, split
 
 SPREAD = MlmcConfig(models=(cir_model(1.0, 0.06, 0.04, 0.05),
@@ -74,14 +76,76 @@ def test_one_core_starts_no_thread(monkeypatch):
     mlmc_estimate(SPREAD, BrownianFabric(5), threads=0)
 
 
-def test_single_factor_payoffs_start_no_thread(monkeypatch):
+# Three blocks, the last one partial: with up to three workers both a
+# group of uneven blocks and a lone block are drawn in slabs.
+STUDY_PATHS = 2 * BLOCK_WIDTH + 808
+CIR = cir_model(0.375, 1.0, 0.5, 1.0)
+GL = ginzburg_landau_model(0.5, 1.0, 1.0)
+# Pilot and final targets end mid-block; level 1 ends with 29 blocks, and
+# levels 3 and 4 take blocks of 64 and 256 steps, drawn in slabs.
+ZCB = MlmcConfig(models=(cir_model(2.0, 1.0, 0.5, 1.0),), payoff="zcb",
+                 horizon=1.0, epsilon=3e-4, max_level=4,
+                 pilot_paths=BLOCK_WIDTH + 300)
+
+
+def _study(triple, reference, variant="modified"):
+    def run(threads):
+        return run_convergence_study(
+            triple.transformed, triple.lamperti, plan_exponents(triple.transformed),
+            [2, 3, 4], STUDY_PATHS, reference, BrownianFabric(19), fine_exponent=6,
+            variant=variant, threads=threads)
+    return run
+
+
+ENGINES = {
+    "closed-form": _study(GL, "closed-form"),
+    "implicit-fine-grid": _study(CIR, "implicit-fine-grid"),
+    "modified-scheme-fine-grid": _study(CIR, "modified-scheme-fine-grid"),
+    "implicit-reference": _study(CIR, "implicit-fine-grid", "implicit-reference"),
+    "gl-exact": lambda threads: gl_exact_price(GL, BrownianFabric(19), paths=STUDY_PATHS,
+                                               fine_exponent=6, threads=threads),
+    "mlmc-zcb": lambda threads: mlmc_estimate(ZCB, BrownianFabric(19), threads=threads),
+    "implicit-zcb": lambda threads: implicit_price(ZCB, BrownianFabric(19),
+                                                   paths=STUDY_PATHS, fine_exponent=5,
+                                                   threads=threads),
+    "mlmc-spread": lambda threads: mlmc_estimate(SPREAD, BrownianFabric(19),
+                                                 threads=threads),
+    "implicit-spread": lambda threads: implicit_price(SPREAD, BrownianFabric(19),
+                                                      paths=STUDY_PATHS,
+                                                      fine_exponent=5, threads=threads),
+}
+
+
+def test_one_thread_starts_no_pool_in_any_engine(monkeypatch):
     monkeypatch.setattr(workers, "available_cores", lambda: 4)
     _forbid_pools(monkeypatch)
-    zcb = MlmcConfig(models=(cir_model(2.0, 1.0, 0.5, 1.0),), payoff="zcb",
-                     horizon=1.0, epsilon=1e-3, max_level=3, pilot_paths=500)
-    implicit_price(zcb, BrownianFabric(5), paths=BLOCK_WIDTH, fine_exponent=4,
-                   threads=4)
-    mlmc_estimate(zcb, BrownianFabric(5), threads=4)
+    for run in ENGINES.values():
+        run(1)
+
+
+@pytest.mark.parametrize("engine", [name for name in ENGINES if "spread" not in name])
+def test_single_factor_engines_give_the_same_report_for_every_thread_count(
+        engine, monkeypatch):
+    # Four usable cores, so that threads = 3 builds a real three-worker team
+    # on any machine, and a short switch interval that interleaves the
+    # workers as often as the interpreter allows.
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    submitted = []
+    real_submit = Team.submit
+
+    def counting_submit(self, fn, *args, **kwargs):
+        submitted.append(fn)
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(Team, "submit", counting_submit)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        reports = [ENGINES[engine](threads) for threads in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1] == reports[2]
+    assert submitted, "no work went to the pool"
 
 
 def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):

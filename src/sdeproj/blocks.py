@@ -1,11 +1,13 @@
 """The one way the engines walk their paths, and the one moment accumulator.
 
 Paths are cut into chunks (block, row_lo, row_hi), rows of one Brownian
-block, and those into batches of whole blocks.  A batch is drawn, stepped
-and reduced to one small item per chunk, so no block outlives it.  A batch
-of long rows is drawn and stepped in row slabs instead (`by_slabs`): each
-slab holds a share of every block's rows, at most one block's worth, and
-its blocks' streams are filled at once on a worker team."""
+block, and those into batches of whole blocks.  `fold` draws, steps and
+reduces each batch to one `Moments` per chunk, so no block outlives its
+batch, and it alone decides how a worker team is used, from the row
+length: batches of short rows run on the workers, and a batch of long
+rows is drawn and stepped in row slabs (`by_slabs`), each slab holding a
+share of every block's rows, at most one block's worth, with its blocks'
+streams filled at once on the team."""
 from __future__ import annotations
 
 import math
@@ -18,6 +20,10 @@ from .brownian import BLOCK_WIDTH, BrownianFabric
 # Storage order of drawn increments: each time step is one contiguous column.
 # A speed choice only; no value depends on it.
 _LAYOUT = "F"
+
+# Normals per factor in one batch of whole blocks, the unit of work a worker
+# draws, steps and reduces.  A block of longer rows is drawn in row slabs.
+_BATCH_NORMALS = 1 << 17
 
 
 def chunks(start: int, stop: int) -> list[tuple[int, int, int]]:
@@ -32,23 +38,27 @@ def chunks(start: int, stop: int) -> list[tuple[int, int, int]]:
 
 
 def increments(fabric: BrownianFabric, level: int, batch, n: int, h: float, *,
-               factor: int = 0, team=None, cursors: dict | None = None) -> np.ndarray:
-    """Brownian increments of the batch's rows, stacked in chunk order.
+               factors: int = 1, team=None,
+               cursors: dict | None = None) -> tuple[np.ndarray, ...]:
+    """Brownian increments of the batch's rows for factors 0, 1, ...,
+    `factors - 1`: one column-major array per factor, stacked in chunk order.
 
-    Each chunk's rows are drawn straight into its rows of one column-major
-    array by a cursor on its block's stream: the one in `cursors` (keyed by
-    level, factor and block) if it stopped at the chunk's first row, else a
-    new one advanced to that row.  A chunk that ends inside its block leaves
-    its cursor in `cursors`, so the next chunk of the block continues the
-    stream instead of drawing it again.  A `workers.Team` fills the chunks'
-    streams at once, each on one thread.
+    Each chunk's rows are drawn straight into its rows of its factor's array
+    by a cursor on its block's stream: the one in `cursors` (keyed by level,
+    factor and block) if it stopped at the chunk's first row, else a new one
+    advanced to that row.  A chunk that ends inside its block leaves its
+    cursor in `cursors`, so the next chunk of the block continues the stream
+    instead of drawing it again.  A `workers.Team` fills every (factor,
+    chunk) stream of the batch at once, each on one thread.
     """
     scale = math.sqrt(h)
     spans = rows(batch)
-    out = np.empty((spans[-1].stop, n), order=_LAYOUT)
+    out = tuple(np.empty((spans[-1].stop, n), order=_LAYOUT) for _ in range(factors))
+    streams = [(factor, chunk, span) for factor in range(factors)
+               for chunk, span in zip(batch, spans)]
 
     def fill(first: int, last: int) -> None:
-        for (block, lo, hi), span in zip(batch[first:last], spans[first:last]):
+        for factor, (block, lo, hi), span in streams[first:last]:
             key = (level, factor, block)
             cursor = None if cursors is None else cursors.pop(key, None)
             if cursor is None or cursor.row != lo:
@@ -56,16 +66,16 @@ def increments(fabric: BrownianFabric, level: int, batch, n: int, h: float, *,
                 if lo:
                     cursor.fill(None, lo)
             keep = cursors is not None and hi < BLOCK_WIDTH
-            part = out[span]
+            part = out[factor][span]
             cursor.fill(part, keep=keep)
             part *= scale
             if keep:
                 cursors[key] = cursor
 
-    if team is None or len(batch) < 2:
-        fill(0, len(batch))
+    if team is None or len(streams) < 2:
+        fill(0, len(streams))
     else:
-        team.run_split(fill, len(batch))
+        team.run_split(fill, len(streams))
     return out
 
 
@@ -131,18 +141,46 @@ def rows(batch) -> list[slice]:
     return out
 
 
-def walk(step, start: int, stop: int, *, blocks: int = 1, team=None):
-    """Yield, in block order, what `step` gives for each chunk of [start, stop).
+def fold(values, start: int, stop: int, n: int, totals, *, team=None,
+         check=None) -> None:
+    """Fold the values of paths [start, stop), rows of `n` steps, into
+    `totals`, a sequence of `Moments`.
 
-    `step(batch)` gets the chunks of `blocks` whole blocks (at least one) and
-    returns one item per chunk.  A `workers.Team` steps up to `team.size`
-    batches at once; the items still arrive in block order.
+    `values(chunks, team)` returns one array per entry of `totals`, each
+    with one value per row of `chunks`, chunk after chunk; each path's
+    values must depend on its own increments only.  `check(chunks, joined)`,
+    if given, sees a batch's values joined in row order, and may raise.
+    Each chunk's `Moments` are merged into `totals` on the calling thread,
+    one chunk at a time in block order, so no team changes a bit.
+
+    The row length picks how a team is used.  Blocks of at most
+    `_BATCH_NORMALS` normals go in batches of whole blocks holding at most
+    that many; `team.size` batches run at once, each drawn, stepped and
+    reduced to `Moments` on one worker, and `values` gets no team.  Longer
+    rows take `team.size` blocks a batch, drawn in row slabs (`by_slabs`)
+    and stepped on the calling thread; `values` gets the team to fill each
+    slab's streams on.
     """
+    per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * n)
+    size = per_batch or (1 if team is None else team.size)
     todo = chunks(start, stop)
-    size = max(1, blocks)
     batches = [todo[i:i + size] for i in range(0, len(todo), size)]
-    for items in map(step, batches) if team is None else team.imap(step, batches):
-        yield from items
+
+    def batch_moments(batch):
+        if per_batch:
+            joined = values(batch, None)
+        else:
+            joined = by_slabs(lambda part: values(part, team), batch,
+                              [float] * len(totals))
+        if check is not None:
+            check(batch, joined)
+        return [[Moments.of(v[r]) for v in joined] for r in rows(batch)]
+
+    run = team.imap if team is not None and per_batch else map
+    for items in run(batch_moments, batches):
+        for item in items:
+            for total, moments in zip(totals, item):
+                total.merge(moments)
 
 
 @dataclass

@@ -147,19 +147,6 @@ class BrownianFabric:
         """A cursor at row 0 of the stream that `block_normals` draws."""
         return BlockCursor(self._key(_TAG_BLOCK, level, factor, block), n)
 
-    def block_increments(self, level: int, block: int, n: int, h: float, *,
-                         factor: int = 0, rows: int | None = None) -> np.ndarray:
-        """Like `block_normals` but scaled to Brownian increments N(0, h).
-
-        Scaled in place, so the result keeps the column-major storage of
-        `block_normals` and no second block-sized array is allocated.
-        """
-        if h <= 0:
-            raise ValueError("h must be positive")
-        out = self.block_normals(level, block, n, factor=factor, rows=rows)
-        out *= math.sqrt(h)
-        return out
-
 
 def _start(key: np.ndarray) -> dict:
     """The Philox state of a freshly built generator with this key: counter

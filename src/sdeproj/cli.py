@@ -75,11 +75,12 @@ def _run(body) -> None:
 
 def _options(fn):
     fn = click.option("--threads", type=click.IntRange(0), default=None,
-                      help="Worker threads (mlmc steps batches of small blocks "
+                      help="Worker threads (batches of short-row blocks step "
                            "on them; long-row blocks are drawn on them in row "
-                           "slabs, one stream per thread); 0 = all cores, "
-                           "larger values are clamped to the cores available. "
-                           "Moments fold in block order: never affects results.")(fn)
+                           "slabs, one stream per thread and factor); 0 = all "
+                           "cores, larger values are clamped to the cores "
+                           "available. Moments fold in block order: never "
+                           "affects results.")(fn)
     fn = click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=None,
                       help="Master seed, overrides the config value.")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=None,
@@ -151,8 +152,9 @@ def mlmc(config, out, seed, threads):
         triples = [cfg.model.build()]
         if sec.payoff == "spread":
             triples.append(cfg.model2.build())
-        k = cfg.scheme.k if cfg.scheme.k is not None else 0.25
-        scale_lo = cfg.scheme.scale_lo if cfg.scheme.scale_lo is not None else 0.01
+        # Only the scheme fields that are set: MlmcConfig holds the defaults.
+        scheme = {name: getattr(cfg.scheme, name) for name in ("k", "scale_lo")
+                  if getattr(cfg.scheme, name) is not None}
         fabric = BrownianFabric(cfg.seed)
         os.makedirs(cfg.out, exist_ok=True)
         click.echo("epsilon estimator std_error rmse savings")
@@ -161,8 +163,7 @@ def mlmc(config, out, seed, threads):
                 models=tuple(triples), payoff=sec.payoff, horizon=sec.horizon,
                 epsilon=eps, refinement=sec.refinement, max_level=sec.max_level,
                 pilot_paths=sec.pilot_paths, path_ceiling=sec.path_ceiling,
-                strike=sec.strike, correlation=sec.correlation, k=k,
-                scale_lo=scale_lo)
+                strike=sec.strike, correlation=sec.correlation, **scheme)
             report = mlmc_estimate(run_config, fabric, threads=cfg.threads)
             tag = format(eps, "g")
             _write_rows(os.path.join(cfg.out, f"mlmc_{tag}.csv"),

@@ -173,7 +173,7 @@ class SchemeConfig:
     """Scheme variant and projection-plan overrides.
 
     Unset exponents fall back to the rate planner for convergence studies
-    and to the pricing defaults (k = 1/4, scale_lo = 0.01) for MLMC runs.
+    and to `MlmcConfig`'s defaults for MLMC runs.
     """
 
     variant: str = "modified"

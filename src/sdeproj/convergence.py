@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import workers
-from .blocks import Moments, by_slabs, increments, rows, walk
+from .blocks import Moments, fold, increments
 from .brownian import BrownianFabric, couple_levels, extend_coupling
 from .errors import DomainError
 from .models import LampertiMap, TransformedModel
@@ -146,10 +146,12 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             drift-implicit square-root scheme instead.
         seed: recorded in the report; defaults to the fabric's master seed.
         threads: worker threads (0, the default, means all cores; larger
-            values are clamped to the cores available).  Blocks are taken
-            one per worker and drawn in row slabs (`blocks.by_slabs`), each
-            block's stream filled on its own worker; the calling thread
-            steps each slab.  The report is the same for every value.
+            values are clamped to the cores available).  Paths are walked
+            by `blocks.fold`: long fine rows are drawn in row slabs, one
+            block per worker, each block's stream filled on its own worker
+            while the calling thread steps each slab; short ones step in
+            batches of whole blocks on the workers.  The report is the same
+            for every value.
     """
     if reference not in REFERENCES:
         raise DomainError(f"unknown reference {reference!r}; expected one of {REFERENCES}")
@@ -177,11 +179,11 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
     h_fine = horizon / n_fine
     times = np.linspace(0.0, horizon, n_fine + 1)
 
-    def slab_errors(chunks):
+    def values(chunks, team):
         """Per resolution, |reference - scheme| of each path of `chunks`;
         then per resolution, whether either value was capped."""
-        fine = increments(fabric, fine_exponent, chunks, n_fine, h_fine,
-                          team=team, cursors=cursors)
+        (fine,) = increments(fabric, fine_exponent, chunks, n_fine, h_fine,
+                             team=team, cursors=cursors)
         if reference == "closed-form":
             ref_vals = ginzburg_landau_terminal(model.meta["lam"], model.meta["sigma"],
                                                 model.meta["x0"], times, fine)
@@ -216,27 +218,18 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             capped[n_exp] = approx_bad | ref_bad
         return tuple(errors[n] for n in exps) + tuple(capped[n] for n in exps)
 
-    def block_errors(batch):
-        """Per chunk and resolution: Moments of the errors, and capped paths."""
-        values = by_slabs(slab_errors, batch, [float] * len(exps) + [bool] * len(exps))
-        errors, capped = values[:len(exps)], values[len(exps):]
-        return [([Moments.of(e[r]) for e in errors],
-                 [int(np.count_nonzero(c[r])) for c in capped]) for r in rows(batch)]
-
+    # Per resolution, the moments of the errors and of the capped flags
+    # (whose total is the count of capped paths).
     moments = [Moments() for _ in exps]
-    bad_counts = [0] * len(exps)
+    capped_paths = [Moments() for _ in exps]
     cursors = {}
     with workers.team(threads) as team:
-        for errors, capped in walk(block_errors, 0, paths,
-                                   blocks=1 if team is None else team.size):
-            for i in range(len(exps)):
-                moments[i].merge(errors[i])
-                bad_counts[i] += capped[i]
+        fold(values, 0, paths, n_fine, moments + capped_paths, team=team)
 
     records = [ConvergenceRecord(exponent=n_exp, steps=1 << n_exp,
                                  error=min(moment.mean, VALUE_CAP),
-                                 sample_count=paths, diverged=bad)
-               for n_exp, moment, bad in zip(exps, moments, bad_counts)]
+                                 sample_count=paths, diverged=int(bad.total))
+               for n_exp, moment, bad in zip(exps, moments, capped_paths)]
 
     fittable = [r for r in records
                 if r.diverged == 0 and math.isfinite(r.error) and r.error > 0.0]

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import workers
-from .blocks import Moments, by_slabs, increments, rows, walk
+from .blocks import Moments, fold, increments
 from .brownian import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
 from .errors import BudgetExceeded, DomainError, NonFinite
 from .models import ModelTriple
@@ -30,15 +30,6 @@ from .models import ModelTriple
 from .projection import _evolve, diffusion_bar, manual_plan, project  # noqa: F401
 from .reference import (ImplicitCirParams, _implicit_evolve,
                         ginzburg_landau_exact, ginzburg_landau_terminal)
-
-# A factor's block is drawn on a pool thread only from this many normals up:
-# handing a smaller block to another thread costs more than its fill saves.
-_INLINE_NORMALS = 1 << 14
-
-# Normals per factor in one batch of whole blocks, the unit of work a worker
-# draws and steps.  A block bigger than this is a batch of its own, stepped on
-# the calling thread with its factors' draws and the mix split over the team.
-_BATCH_NORMALS = 1 << 17
 
 PAYOFFS = ("zcb", "spread")
 
@@ -182,12 +173,6 @@ def _projected(config: MlmcConfig) -> tuple:
         for t in config.models)
 
 
-def _slab_blocks(config: MlmcConfig, team: workers.Team | None) -> int:
-    """Blocks a batch of long rows takes: one stream per worker.  Two
-    factors fill the team from one block."""
-    return 1 if team is None or len(config.models) > 1 else team.size
-
-
 def _drivers(config: MlmcConfig, fabric: BrownianFabric, level: int,
              chunks: Sequence[tuple[int, int, int]], n: int, h: float,
              team: workers.Team | None = None,
@@ -195,19 +180,14 @@ def _drivers(config: MlmcConfig, fabric: BrownianFabric, level: int,
     """Brownian increments for each factor over the rows of `chunks`,
     continuing the streams of `cursors` (see `blocks.increments`).
 
-    With a `team`, one factor's chunks are filled at once on its workers;
-    of two factors, factor 1's blocks are drawn on a pool thread while this
-    thread draws factor 0's, and the correlation mix is split over the team.
+    With a `team`, every factor's chunks are filled at once on its workers,
+    and the correlation mix is split over them.
     """
-    draw = functools.partial(increments, fabric, level, chunks, n, h,
-                             cursors=cursors)
+    drivers = increments(fabric, level, chunks, n, h, factors=len(config.models),
+                         team=team, cursors=cursors)
     if config.payoff == "zcb":
-        return (draw(team=team),)
-    pending = None
-    if team is not None and sum(hi - lo for _, lo, hi in chunks) * n >= _INLINE_NORMALS:
-        pending = team.submit(draw, factor=1)
-    w = draw()
-    w_perp = draw(factor=1) if pending is None else pending.result()
+        return drivers
+    w, w_perp = drivers
     # Mixed into w_perp's own storage: no third block-sized array.
     return (w, correlate(w, w_perp, config.correlation, out=w_perp, team=team))
 
@@ -232,35 +212,33 @@ def _pair_batch(config: MlmcConfig, steppers: tuple,
                 chunks: Sequence[tuple[int, int, int]],
                 team: workers.Team | None = None,
                 cursors: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(fine payoff, coarse payoff) for the rows of `chunks` at one level.
+    """(fine payoff, coarse payoff) for the rows of `chunks` at one level,
+    drawn with `team` (see `_drivers`); not checked for finiteness.
 
     The coarse payoff reruns the scheme on the summed increments of the same
     Brownian path; level 0 has no coarse half and returns zeros there.  Each
     path's payoffs are elementwise in its own increments, so they do not
-    depend on which rows share the batch.  With a `team`, the chunks are
-    drawn and stepped in as many row slabs (`blocks.by_slabs`).
-
-    Raises:
-        NonFinite: naming the level, block and row of the first path whose
-            fine or coarse payoff is not finite.
+    depend on which rows share the call: `blocks.fold` calls this on whole
+    batches or on their row slabs.
     """
     m = config.refinement
     n_fine = m ** level
     h_fine = config.horizon / n_fine
+    drivers = _drivers(config, fabric, level, chunks, n_fine, h_fine, team,
+                       cursors)
+    fine = _payoff_values(config, steppers, drivers, n_fine, h_fine)
+    if level == 0:
+        return fine, np.zeros_like(fine)
+    coarse_drivers = tuple(couple_levels(d, m) for d in drivers)
+    return fine, _payoff_values(config, steppers, coarse_drivers,
+                                n_fine // m, h_fine * m)
 
-    def pair(slab):
-        drivers = _drivers(config, fabric, level, slab, n_fine, h_fine, team,
-                           cursors)
-        fine = _payoff_values(config, steppers, drivers, n_fine, h_fine)
-        if level == 0:
-            return fine, np.zeros_like(fine)
-        coarse_drivers = tuple(couple_levels(d, m) for d in drivers)
-        return fine, _payoff_values(config, steppers, coarse_drivers,
-                                    n_fine // m, h_fine * m)
 
-    fine, coarse = pair(chunks) if team is None else by_slabs(pair, chunks,
-                                                              (float, float))
-    finite = np.isfinite(fine) & np.isfinite(coarse)
+def _check_finite(level: int, chunks: Sequence[tuple[int, int, int]],
+                  values: Sequence[np.ndarray]) -> None:
+    """Raise NonFinite naming the level, block and row of the first path of
+    `chunks`, in row order, with a non-finite entry in any of `values`."""
+    finite = np.logical_and.reduce([np.isfinite(v) for v in values])
     if not finite.all():
         at = int(np.argmin(finite))
         for block, row_lo, row_hi in chunks:
@@ -269,23 +247,6 @@ def _pair_batch(config: MlmcConfig, steppers: tuple,
             at -= row_hi - row_lo
         raise NonFinite(f"non-finite payoff at level {level}, block {block}, "
                         f"row {row_lo + at}")
-    return fine, coarse
-
-
-def _pair_moments(config: MlmcConfig, steppers: tuple, fabric: BrownianFabric,
-                  level: int, chunks: Sequence[tuple[int, int, int]],
-                  team: workers.Team | None = None,
-                  cursors: dict | None = None) -> list[tuple[Moments, Moments]]:
-    """(Moments of P_l - P_{l-1}, Moments of P_l) for each chunk of a batch;
-    at level 0, with no coarse half, both are the moments of P_0."""
-    fine, coarse = _pair_batch(config, steppers, fabric, level, chunks, team,
-                               cursors)
-    out = []
-    for r in rows(chunks):
-        moments = Moments.of(fine[r])
-        out.append((moments if level == 0 else Moments.of(fine[r] - coarse[r]),
-                    moments))
-    return out
 
 
 def level_sample(config: MlmcConfig, fabric: BrownianFabric, level: int,
@@ -303,9 +264,10 @@ def level_sample(config: MlmcConfig, fabric: BrownianFabric, level: int,
     if path < 0:
         raise DomainError("path must be nonnegative")
     block, row = divmod(path, BLOCK_WIDTH)
-    fine, coarse = _pair_batch(config, _projected(config), fabric, level,
-                               [(block, row, row + 1)])
-    return float(fine[0]), float(coarse[0])
+    chunks = [(block, row, row + 1)]
+    pair = _pair_batch(config, _projected(config), fabric, level, chunks)
+    _check_finite(level, chunks, pair)
+    return float(pair[0][0]), float(pair[1][0])
 
 
 def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
@@ -313,18 +275,20 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
     """Run the pilot, allocate paths, and estimate the payoff expectation.
 
     `threads` caps the workers (0, the default, means all cores; larger
-    values are clamped to the cores available).  On levels whose blocks are
-    small, workers draw and step whole batches of blocks at once.  On the
-    others, one factor's blocks are taken one per worker and drawn in row
-    slabs, with every block's stream filled at once; two factors' blocks
-    are drawn at the same time and the workers split the correlation mix.
-    Each block's moments are merged on the calling thread in block order,
-    so the report is the same for every value.
+    values are clamped to the cores available).  Each level is walked by
+    `blocks.fold`: on levels whose blocks are small, workers draw and step
+    whole batches of blocks at once; on the others, blocks are taken one
+    per worker and drawn in row slabs, with every (factor, block) stream
+    filled at once and the correlation mix split over the workers.  Each
+    block's moments are merged on the calling thread in block order, so
+    the report is the same for every value.
 
     Every (level, factor, block) stream is drawn once: the final pass
     continues a block where the pilot left it, through its cursor.
 
     Raises:
+        NonFinite: naming the level, block and row of the first path, in
+            block order, whose fine or coarse payoff is not finite.
         BudgetExceeded: the allocation asks for more total paths than
             config.path_ceiling.
     """
@@ -333,22 +297,22 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
     step_sizes = [config.horizon / m ** l for l in levels]
     steppers = _projected(config)
     diffs = [Moments() for _ in levels]
-    fines = [Moments() for _ in levels]
+    # Level 0 has no coarse half: its differences are its payoffs, and one
+    # `Moments` serves as both.
+    fines = diffs[:1] + [Moments() for _ in levels[1:]]
     cursors = {}
 
     def extend(level: int, target: int, team: workers.Team | None) -> None:
         """Fold paths [count, target) of `level` into its moments, in block
-        order.  Batches hold at most `_BATCH_NORMALS` normals per factor and
-        run `team.size` at a time; bigger blocks are drawn in row slabs, or
-        split their two factors' draws over the team (`_slab_blocks`)."""
-        per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * m ** level)
-        pair = functools.partial(_pair_moments, config, steppers, fabric, level,
-                                 team=None if per_batch else team, cursors=cursors)
-        for diff, fine in walk(pair, diffs[level].count, target,
-                               blocks=per_batch or _slab_blocks(config, team),
-                               team=team if per_batch else None):
-            diffs[level].merge(diff)
-            fines[level].merge(fine)
+        order (`blocks.fold`)."""
+        def values(chunks, team):
+            fine, coarse = _pair_batch(config, steppers, fabric, level, chunks,
+                                       team, cursors)
+            return (fine,) if level == 0 else (fine - coarse, fine)
+
+        totals = (diffs[0],) if level == 0 else (diffs[level], fines[level])
+        fold(values, diffs[level].count, target, m ** level, totals, team=team,
+             check=functools.partial(_check_finite, level))
 
     # Finest level first: its big blocks are drawn before the small batches'
     # freed temporaries are scattered over the heap, which keeps peak memory
@@ -416,17 +380,14 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
         savings=savings, seed=fabric.master_seed, metadata=metadata)
 
 
-def _mean_and_error(values, paths: int, blocks: int = 1) -> tuple[float, float]:
-    """Mean and standard error of the per-path `values(chunks)`, over
-    batches of `blocks` blocks, each drawn in as many row slabs."""
-
-    def step(batch):
-        (joined,) = by_slabs(lambda chunks: (values(chunks),), batch, (float,))
-        return [Moments.of(joined[r]) for r in rows(batch)]
-
+def _mean_and_error(values, paths: int, n: int,
+                    threads: int) -> tuple[float, float]:
+    """Mean and standard error of the per-path `values(chunks, team)` over
+    paths [0, paths) with rows of `n` steps, folded by `blocks.fold`."""
     moments = Moments()
-    for chunk in walk(step, 0, paths, blocks=blocks):
-        moments.merge(chunk)
+    with workers.team(threads) as team:
+        fold(lambda chunks, team: (values(chunks, team),), 0, paths, n,
+             (moments,), team=team)
     return moments.mean, math.sqrt(moments.var / paths)
 
 
@@ -439,10 +400,10 @@ def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
     exponent is the stream level tag).  Returns (price, standard error).
 
     `threads` works as in `mlmc_estimate` (0, the default, means all
-    cores): one factor's blocks are drawn in row slabs, one stream per
-    worker; for two factors, workers draw both factors' blocks at the same
-    time and split the correlation mix.  The result is the same for every
-    value.
+    cores): short rows step in batches of whole blocks on the workers, and
+    long ones are drawn in row slabs, one block per worker, with every
+    (factor, block) stream filled at once and the correlation mix split
+    over the workers.  The result is the same for every value.
     """
     if paths < 2:
         raise DomainError("paths must be >= 2")
@@ -452,16 +413,16 @@ def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
     n = 1 << fine_exponent
     h = config.horizon / n
     cursors = {}
-    with workers.team(threads) as team:
-        def payoffs(chunks):
-            # The drivers are a call argument only, so each slab is
-            # released before the next one is drawn.
-            return _payoff_values(
-                config, steppers,
-                _drivers(config, fabric, fine_exponent, chunks, n, h, team,
-                         cursors), n, h)
 
-        return _mean_and_error(payoffs, paths, _slab_blocks(config, team))
+    def payoffs(chunks, team):
+        # The drivers are a call argument only, so each slab is released
+        # before the next one is drawn.
+        return _payoff_values(
+            config, steppers,
+            _drivers(config, fabric, fine_exponent, chunks, n, h, team, cursors),
+            n, h)
+
+    return _mean_and_error(payoffs, paths, n, threads)
 
 
 def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
@@ -471,8 +432,8 @@ def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
     `ginzburg_landau_terminal` on 2**fine_exponent steps (streams at level
     `fine_exponent`).  With sigma = 0 the price is exact and no path is drawn.
 
-    `threads` works as in `run_convergence_study`: blocks are taken one per
-    worker and drawn in row slabs; the result is the same for every value.
+    `threads` works as in `implicit_price`; the result is the same for
+    every value.
     """
     meta = triple.transformed.meta
     if meta.get("family") != "ginzburg-landau" or paths < 2:
@@ -484,13 +445,12 @@ def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
     if sigma == 0.0:
         value = ginzburg_landau_exact(lam, 0.0, x0, times, np.zeros((1, n + 1)))
         return float(value[0, -1]), 0.0
-
     cursors = {}
-    with workers.team(threads) as team:
-        def terminals(chunks):
-            return ginzburg_landau_terminal(
-                lam, sigma, x0, times,
-                increments(fabric, fine_exponent, chunks, n, horizon / n,
-                           team=team, cursors=cursors))
 
-        return _mean_and_error(terminals, paths, 1 if team is None else team.size)
+    def terminals(chunks, team):
+        return ginzburg_landau_terminal(
+            lam, sigma, x0, times,
+            increments(fabric, fine_exponent, chunks, n, horizon / n,
+                       team=team, cursors=cursors)[0])
+
+    return _mean_and_error(terminals, paths, n, threads)

@@ -1,22 +1,24 @@
 """Worker threads for the engines.
 
 A worker count never changes a result.  Threads only compute arrays whose
-every element is fixed in advance: each block's stream, or its next share
-of rows in a row slab, is drawn in order on one thread, the correlation mix
-is elementwise over disjoint column ranges, and a multilevel batch of whole
-blocks steps each path on its own increments.  Whole batches step on
-workers (`Team.imap`) down to one `Moments` per block, but every merge
-stays on the calling thread, one block at a time in block order.
+every element is fixed in advance: each (factor, block) stream, or its next
+share of rows in a row slab, is drawn in order on one thread, the
+correlation mix is elementwise over disjoint column ranges, and a batch of
+whole blocks steps each path on its own increments.  `blocks.fold` alone
+decides how the team is used, from the row length: batches of short rows
+step on workers (`Team.imap`) down to one `Moments` per block, and long
+rows are drawn in row slabs whose streams the team fills at once
+(`Team.run_split`).  Every merge stays on the calling thread, one block at
+a time in block order.
 
 NumPy releases the interpreter lock while it fills normals and runs
 elementwise loops on large arrays, so threads fill streams at the same
-time: one per worker in a row slab of long-row blocks, or the two factors
-of one block.  Stepping overlaps only where the arrays are long: each step
-is several ufunc calls whose set-up holds the lock.  A batch of many small
-blocks gives long arrays and lets one thread step while another draws; a
-slab of long rows does not (stepping two blocks or two factors on two
-threads was slower than stepping both on one), so the calling thread steps
-it alone.
+time: every (factor, block) stream of a row slab on its own worker.
+Stepping overlaps only where the arrays are long: each step is several
+ufunc calls whose set-up holds the lock.  A batch of many small blocks
+gives long arrays and lets one thread step while another draws; a slab of
+long rows does not (stepping two blocks or two factors on two threads was
+slower than stepping both on one), so the calling thread steps it alone.
 """
 from __future__ import annotations
 

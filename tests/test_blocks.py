@@ -1,4 +1,5 @@
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdeproj import BLOCK_WIDTH, BrownianFabric, mlmc
-from sdeproj.blocks import Moments, by_slabs, chunks, increments, rows, slabs, walk
+from sdeproj.blocks import Moments, by_slabs, chunks, fold, increments, rows, slabs
 from sdeproj.mlmc import MlmcConfig, mlmc_estimate
 from sdeproj.models import cir_model
 from sdeproj.workers import Team
@@ -28,25 +29,58 @@ def test_chunks_follow_block_boundaries():
         (0, BLOCK_WIDTH - 2, BLOCK_WIDTH), (1, 0, BLOCK_WIDTH), (2, 0, 3)]
 
 
+class _Merged(list):
+    """Stands in for a `Moments` total: records what is merged, and where."""
+
+    def merge(self, moments):
+        self.append((moments.shift, moments.count, threading.get_ident()))
+
+
+# Row lengths whose blocks go in batches of 1, 2 and 5 blocks, or, for 0,
+# are drawn in row slabs.
+_ROW_LENGTHS = {0: 64, 1: 32, 2: 16, 5: 6}
+
+
 @pytest.mark.parametrize("blocks", [0, 1, 2, 5])
 @pytest.mark.parametrize("size", [None, 3])
 def test_walk_yields_each_chunk_in_block_order(blocks, size):
+    # `fold` merges each chunk once, in block order, on the calling thread.
+    # The row length picks the batch size; long rows take one block per
+    # worker, drawn in slabs, and only they hand `values` the team.
     start, stop = 100, 6 * BLOCK_WIDTH + 17
 
-    def step(batch):
-        return [(block * BLOCK_WIDTH + np.arange(lo, hi),
-                 -(block * BLOCK_WIDTH + np.arange(lo, hi))) for block, lo, hi in batch]
+    def paths(batch):
+        return np.concatenate([block * BLOCK_WIDTH + np.arange(lo, hi, dtype=float)
+                               for block, lo, hi in batch])
 
+    def values(batch, given):
+        assert given is (team if blocks == 0 else None)
+        return paths(batch), -paths(batch)
+
+    def check(batch, joined):
+        assert np.array_equal(joined[0], paths(batch))
+        assert np.array_equal(joined[1], -paths(batch))
+        batches.append(batch)
+
+    batches, totals = [], (_Merged(), _Merged())
     team = None if size is None else Team(size)
     try:
-        got = list(walk(step, start, stop, blocks=blocks, team=team))
+        fold(values, start, stop, _ROW_LENGTHS[blocks], totals, team=team,
+             check=check)
     finally:
         if team is not None:
             team.close()
-    assert len(got) == len(chunks(start, stop))
-    rows = np.concatenate([r for r, _ in got])
-    assert np.array_equal(rows, np.arange(start, stop))
-    assert all(np.array_equal(neg, -r) for r, neg in got)
+    # Batches on a team are checked on their workers, in any order.
+    batches.sort()
+    todo = chunks(start, stop)
+    assert [c for batch in batches for c in batch] == todo
+    width = blocks or size or 1
+    assert all(len(batch) == width for batch in batches[:-1])
+    assert 0 < len(batches[-1]) <= width
+    here = threading.get_ident()
+    assert totals[0] == [(block * BLOCK_WIDTH + lo, hi - lo, here)
+                         for block, lo, hi in todo]
+    assert totals[1] == [(-shift, count, thread) for shift, count, thread in totals[0]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -70,8 +104,9 @@ def test_slabs_cut_every_chunk_in_row_order_and_stay_within_the_longest_chunk(sp
         assert max(sizes) - min(sizes) <= 1
 
 
-def _block_rows(fabric, level, batch, n):
-    return np.concatenate([fabric.block_normals(level, block, n, rows=hi)[lo:]
+def _block_rows(fabric, level, batch, n, factor):
+    return np.concatenate([fabric.block_normals(level, block, n, factor=factor,
+                                                rows=hi)[lo:]
                            for block, lo, hi in batch])
 
 
@@ -84,44 +119,47 @@ def _block_rows(fabric, level, batch, n):
 ], ids=["1", "2-partial", "3-uneven", "4-short-last"])
 @pytest.mark.parametrize("size", [None, 3])
 def test_slab_draws_equal_the_rows_of_whole_blocks(batch, n, size):
-    # Each chunk's stream continues across the slabs through its cursor and,
-    # with a team, is filled on whichever thread takes it.  A short switch
-    # interval interleaves the threads as often as the interpreter allows.
+    # Each (factor, chunk) stream continues across the slabs through its
+    # cursor and, with a team, is filled on whichever thread takes it.  A
+    # short switch interval interleaves the threads as often as the
+    # interpreter allows.
     if n == 1 << 12:  # keep the arrays small at long rows
         batch = [(block, lo, min(hi, lo + 150)) for block, lo, hi in batch]
     fabric = BrownianFabric(29)
-    expected = _block_rows(fabric, 5, batch, n)
     cursors = {}
     team = None if size is None else Team(size)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        (got,) = by_slabs(lambda chunk_list: (increments(
-            fabric, 5, chunk_list, n, 1.0, team=team, cursors=cursors),),
-            batch, [(float, n)])
+        got = by_slabs(lambda chunk_list: increments(
+            fabric, 5, chunk_list, n, 1.0, factors=2, team=team, cursors=cursors),
+            batch, [(float, n)] * 2)
     finally:
         sys.setswitchinterval(interval)
         if team is not None:
             team.close()
-    assert got.shape == expected.shape
-    assert np.array_equal(got, expected)
-    # A chunk left short of its block's end keeps its cursor there.
-    assert sorted(cursors) == sorted((5, 0, block) for block, _, hi in batch
-                                     if hi < BLOCK_WIDTH)
+    for factor, drawn in enumerate(got):
+        expected = _block_rows(fabric, 5, batch, n, factor)
+        assert drawn.shape == expected.shape
+        assert np.array_equal(drawn, expected)
+    # A chunk left short of its block's end keeps its cursors there.
+    assert sorted(cursors) == sorted((5, factor, block) for block, _, hi in batch
+                                     for factor in (0, 1) if hi < BLOCK_WIDTH)
 
 
 def test_increments_resume_a_block_where_the_last_chunk_stopped():
     fabric = BrownianFabric(31)
-    expected = fabric.block_increments(2, 4, 16, 0.25, factor=1)
+    expected = fabric.block_normals(2, 4, 16, factor=1) * 0.5
     cursors = {}
-    parts = [increments(fabric, 2, [(4, lo, hi)], 16, 0.25, factor=1, cursors=cursors)
+    parts = [increments(fabric, 2, [(4, lo, hi)], 16, 0.25, factors=2,
+                        cursors=cursors)[1]
              for lo, hi in [(0, 10), (10, 11), (11, 3000), (3000, BLOCK_WIDTH)]]
     assert np.array_equal(np.concatenate(parts), expected)
     assert cursors == {}
     # Without a cursor at the chunk's first row, the stream is drawn afresh
     # up to it.
-    assert np.array_equal(increments(fabric, 2, [(4, 77, 90)], 16, 0.25, factor=1),
-                          expected[77:90])
+    assert np.array_equal(increments(fabric, 2, [(4, 77, 90)], 16, 0.25,
+                                     factors=2)[1], expected[77:90])
     assert rows([(4, 77, 90), (5, 0, 3)]) == [slice(0, 13), slice(13, 16)]
 
 

@@ -53,7 +53,7 @@ def test_couple_pairwise_sums():
 
 def test_coupled_coarse_variance():
     m, h_fine = 4, 0.01
-    fine = BrownianFabric(17).block_increments(6, 0, 4000 * m, h_fine, rows=100)
+    (fine,) = blocks.increments(BrownianFabric(17), 6, [(0, 0, 100)], 4000 * m, h_fine)
     coarse = couple_levels(fine, m).ravel()
     assert coarse.size == 4 * 10 ** 5
     h = m * h_fine
@@ -79,8 +79,7 @@ def test_correlate_empirical_correlation():
 
 def test_couple_commutes_with_correlate():
     fabric = BrownianFabric(29)
-    w = fabric.block_increments(5, 0, 64, 0.125, rows=32)
-    w_perp = fabric.block_increments(5, 0, 64, 0.125, factor=1, rows=32)
+    w, w_perp = blocks.increments(fabric, 5, [(0, 0, 32)], 64, 0.125, factors=2)
     for rho in (0.0, 1.0, -1.0):
         lhs = couple_levels(correlate(w, w_perp, rho), 4)
         rhs = correlate(couple_levels(w, 4), couple_levels(w_perp, 4), rho)
@@ -121,7 +120,7 @@ def test_block_rows_prefix_consistent():
 def test_block_increments_scale():
     fabric = BrownianFabric(47)
     normals = fabric.block_normals(3, 0, 8, rows=10)
-    scaled = fabric.block_increments(3, 0, 8, 0.25, rows=10)
+    (scaled,) = blocks.increments(fabric, 3, [(0, 0, 10)], 8, 0.25)
     assert np.array_equal(scaled, normals * np.sqrt(0.25))
 
 
@@ -162,7 +161,7 @@ def test_block_normals_column_major_single_stream(rows, n):
     assert block.flags.f_contiguous
     reference = fabric._generator(_TAG_BLOCK, 2, 1, 3).standard_normal((rows, n))
     assert np.array_equal(block, reference)
-    increments = fabric.block_increments(2, 3, n, 0.25, factor=1, rows=rows)
+    increments = blocks.increments(fabric, 2, [(3, 0, rows)], n, 0.25, factors=2)[1]
     assert increments.flags.f_contiguous
     assert np.array_equal(increments, reference * 0.5)
 
@@ -217,7 +216,7 @@ def test_rekeyed_generators_on_two_threads_at_once():
 
 
 def test_couple_levels_keeps_layout():
-    fine_f = BrownianFabric(59).block_increments(1, 0, 64, 0.125, rows=40)
+    (fine_f,) = blocks.increments(BrownianFabric(59), 1, [(0, 0, 40)], 64, 0.125)
     fine_c = np.ascontiguousarray(fine_f)
     for m in (1, 2, 8):
         coarse_f = couple_levels(fine_f, m)
@@ -233,8 +232,8 @@ def test_couple_levels_keeps_layout():
 
 
 def test_extend_coupling_has_the_bits_and_layout_of_couple_levels():
-    fine_f = BrownianFabric(83).block_increments(10, 0, 1 << 10, 2.0 ** -10,
-                                                 rows=7)
+    (fine_f,) = blocks.increments(BrownianFabric(83), 10, [(0, 0, 7)], 1 << 10,
+                                  2.0 ** -10)
     for fine in (fine_f, np.ascontiguousarray(fine_f), fine_f[2:]):
         coupled = {m: couple_levels(fine, m) for m in (1 << e for e in range(11))}
         for m_prev in coupled:
@@ -292,7 +291,8 @@ _SPREAD = MlmcConfig(models=(cir_model(1.0, 0.06, 0.04, 0.05),
 def test_engines_do_not_depend_on_block_layout(engine, monkeypatch):
     shipped = engine()
     monkeypatch.setattr(blocks, "_LAYOUT", "C")
-    assert blocks.increments(BrownianFabric(1), 0, [(0, 0, 4)], 8, 1.0).flags.c_contiguous
+    (drawn,) = blocks.increments(BrownianFabric(1), 0, [(0, 0, 4)], 8, 1.0)
+    assert drawn.flags.c_contiguous
     assert engine() == shipped
 
 
@@ -303,8 +303,7 @@ def test_engines_do_not_depend_on_block_layout(engine, monkeypatch):
 ])
 def test_correlate_in_place_matches_allocating_form(rows, n):
     fabric = BrownianFabric(71)
-    w = fabric.block_increments(2, 0, n, 0.5, rows=rows)
-    w_perp = fabric.block_increments(2, 0, n, 0.5, factor=1, rows=rows)
+    w, w_perp = blocks.increments(fabric, 2, [(0, 0, rows)], n, 0.5, factors=2)
     kept = (w.copy(), w_perp.copy())
     for rho in (-0.7, 0.0, 1.0, 0.3):
         expected = correlate(w, w_perp, rho)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdeproj import mlmc, workers
+from sdeproj import blocks, mlmc, workers
 from sdeproj.blocks import chunks
 from sdeproj.brownian import BLOCK_WIDTH, BlockCursor, BrownianFabric
 from sdeproj.errors import BudgetExceeded, DomainError, NonFinite
@@ -253,10 +253,11 @@ def test_non_finite_payoff_names_its_block_and_row(monkeypatch):
     config = _spread()
     chunks = [(0, 100, BLOCK_WIDTH), (1, 0, BLOCK_WIDTH), (2, 0, 50)]
     _poison(monkeypatch, 1, 2 * BLOCK_WIDTH - 50, BLOCK_WIDTH - 100 + 3)
+    pair = mlmc._pair_batch(config, mlmc._projected(config), BrownianFabric(3), 0,
+                            chunks)
     with pytest.raises(NonFinite, match=r"^non-finite payoff at level 0, "
                                         r"block 1, row 3$"):
-        mlmc._pair_batch(config, mlmc._projected(config), BrownianFabric(3), 0,
-                         chunks)
+        mlmc._check_finite(0, chunks, pair)
 
 
 @pytest.mark.parametrize("rows, at, block, row", [
@@ -271,6 +272,30 @@ def test_non_finite_payoff_address_reaches_the_caller(rows, at, block, row,
     _poison(monkeypatch, 16, rows, at)
     config = _spread(max_level=2, pilot_paths=2 * BLOCK_WIDTH + 300)
     with pytest.raises(NonFinite, match=rf"level 2, block {block}, row {row}$"):
+        mlmc_estimate(config, BrownianFabric(3), threads=2)
+
+
+def test_non_finite_payoff_address_is_the_first_in_block_order(monkeypatch):
+    # Level 3 (64 steps) is walked in row slabs: with two workers its two
+    # pilot blocks are one batch, and slab 0 holds rows [0, 2048) of both.
+    # Block 1's row 5 is stepped first, but block 0's row 3000 comes first in
+    # block order.
+    monkeypatch.setattr(workers, "available_cores", lambda: 2)
+    real = mlmc._drivers
+
+    def poisoned(config, fabric, level, chunks, n, h, *args):
+        drivers = real(config, fabric, level, chunks, n, h, *args)
+        at = 0
+        for block, lo, hi in chunks:
+            row = {0: 3000, 1: 5}.get(block, -1)
+            if level == 3 and lo <= row < hi:
+                drivers[0][at + row - lo] = np.nan
+            at += hi - lo
+        return drivers
+
+    monkeypatch.setattr(mlmc, "_drivers", poisoned)
+    config = _spread(max_level=3, pilot_paths=2 * BLOCK_WIDTH)
+    with pytest.raises(NonFinite, match=r"level 3, block 0, row 3000$"):
         mlmc_estimate(config, BrownianFabric(3), threads=2)
 
 
@@ -291,7 +316,7 @@ def _drawn_rows(monkeypatch):
     return drawn
 
 
-@pytest.mark.parametrize("cap", [1, mlmc._BATCH_NORMALS], ids=["slabs", "batches"])
+@pytest.mark.parametrize("cap", [1, blocks._BATCH_NORMALS], ids=["slabs", "batches"])
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("config", [
     zcb_config(epsilon=3e-4, max_level=4, pilot_paths=BLOCK_WIDTH + 300),
@@ -302,7 +327,7 @@ def test_pilot_and_final_pass_draw_every_row_once(config, threads, cap, monkeypa
     # (level, factor, block, row) is drawn exactly once, and the report
     # equals that of a run that redraws every block from its first row.
     monkeypatch.setattr(workers, "available_cores", lambda: 2)
-    monkeypatch.setattr(mlmc, "_BATCH_NORMALS", cap)
+    monkeypatch.setattr(blocks, "_BATCH_NORMALS", cap)
     real_increments = mlmc.increments
     with monkeypatch.context() as patch:
         patch.setattr(mlmc, "increments",

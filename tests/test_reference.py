@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sdeproj import convergence, reference
+from sdeproj import blocks, convergence, reference
 from sdeproj.brownian import BLOCK_WIDTH, BrownianFabric
 from sdeproj.errors import DomainError
 from sdeproj.mlmc import MlmcConfig, implicit_price
@@ -132,7 +132,7 @@ def test_step_bits_on_strided_and_contiguous_columns():
     params = ImplicitCirParams.from_cir(0.5, 1.0, 0.5, 1.0)
     h = 1.0 / 8.0
     # Coarse steps from a low start, so some rows go below s = 0 on the way.
-    dw = BrownianFabric(23).block_increments(3, 0, 8, h, rows=500) * 6.0
+    dw = blocks.increments(BrownianFabric(23), 3, [(0, 0, 500)], 8, h)[0] * 6.0
     for block in (dw, np.ascontiguousarray(dw)):
         new = old = np.full(block.shape[0], 0.05)
         for i in range(block.shape[1]):
@@ -183,7 +183,7 @@ def test_implicit_users_give_the_where_formula_reports(monkeypatch):
 def test_path_and_terminal_agree():
     p = ImplicitCirParams.from_cir(0.5, 1.0, 0.5, 1.0)
     h = 1.0 / 32.0
-    incs = BrownianFabric(19).block_increments(5, 0, 32, h, rows=8)
+    (incs,) = blocks.increments(BrownianFabric(19), 5, [(0, 0, 8)], 32, h)
     terminal = implicit_cir_terminal(p, h, incs)
     for j in range(8):
         path = implicit_cir_path(p, h, incs[j])
@@ -278,7 +278,7 @@ def test_zcb_monotonicity():
 
 
 def test_running_sum_matches_cumsum_in_every_layout():
-    incs = BrownianFabric(61).block_increments(3, 0, 33, 0.125, rows=50)
+    (incs,) = blocks.increments(BrownianFabric(61), 3, [(0, 0, 50)], 33, 0.125)
     assert incs.flags.f_contiguous
     for terms in (incs, np.ascontiguousarray(incs), incs[7:], incs[0], incs[:1]):
         reference = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
@@ -289,7 +289,7 @@ def test_running_sum_matches_cumsum_in_every_layout():
 
 def test_gl_exact_layout_independent():
     times = np.linspace(0.0, 1.0, 65)
-    w = running_sum(BrownianFabric(67).block_increments(4, 0, 64, 1.0 / 64, rows=40))
+    w = running_sum(blocks.increments(BrownianFabric(67), 4, [(0, 0, 40)], 64, 1.0 / 64)[0])
     column_major = ginzburg_landau_exact(0.5, 1.0, 1.0, times, w)
     assert np.array_equal(column_major,
                           ginzburg_landau_exact(0.5, 1.0, 1.0, times,
@@ -303,7 +303,7 @@ def test_gl_exact_layout_independent():
 ])
 def test_gl_terminal_matches_full_solution(lam, sigma, x0, horizon):
     n = 256
-    incs = BrownianFabric(79).block_increments(8, 0, n, horizon / n, rows=300)
+    (incs,) = blocks.increments(BrownianFabric(79), 8, [(0, 0, 300)], n, horizon / n)
     times = np.linspace(0.0, horizon, n + 1)
     for terms in (incs, np.ascontiguousarray(incs), incs[37:], incs[5]):
         full = ginzburg_landau_exact(lam, sigma, x0, times, running_sum(terms))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sdeproj import BLOCK_WIDTH, BrownianFabric, correlate
-from sdeproj import mlmc, workers
+from sdeproj import blocks, workers
 from sdeproj.convergence import run_convergence_study
 from sdeproj.mlmc import MlmcConfig, gl_exact_price, implicit_price, mlmc_estimate
 from sdeproj.models import cir_model, ginzburg_landau_model
@@ -150,8 +150,7 @@ def test_single_factor_engines_give_the_same_report_for_every_thread_count(
 
 def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):
     # Four usable cores, so that threads = 3 builds a real three-worker team
-    # on any machine.  Blocks of BLOCK_WIDTH x 16 and up exceed the inline
-    # threshold, so factor 1 is drawn on the pool.
+    # on any machine.
     monkeypatch.setattr(workers, "available_cores", lambda: 4)
     submitted = []
     real_submit = Team.submit
@@ -167,24 +166,60 @@ def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):
     reports = [mlmc_estimate(MANY_BLOCKS, BrownianFabric(13), threads=t)
                for t in (1, 2, 3)]
     assert reports[0] == reports[1] == reports[2]
-    # Factor 1's blocks went to the pool, and so did pieces of the mix and
+    # Streams of slabs went to the pool, and so did pieces of the mix and
     # whole batches of small blocks.
     names = {getattr(fn, "func", fn).__name__ for fn in submitted}
-    assert names == {"increments", "mix", "_pair_moments"}
+    assert names == {"fill", "mix", "batch_moments"}
+
+
+@pytest.mark.parametrize("engine", [
+    # A pair of blocks and a lone partial one.
+    lambda threads: implicit_price(SPREAD, BrownianFabric(37),
+                                   paths=2 * BLOCK_WIDTH + 100, fine_exponent=6,
+                                   threads=threads),
+    # Levels 3 and 4 (64 and 256 steps) are walked in slabs.  Both pilots
+    # end mid-block, and level 3's final pass resumes block 0 at row 2000
+    # and ends in block 1 (7860 paths).
+    lambda threads: mlmc_estimate(
+        dataclasses.replace(SPREAD, max_level=4, epsilon=1.2e-5, pilot_paths=2000),
+        BrownianFabric(37), threads=threads),
+], ids=["implicit-spread", "mlmc-spread"])
+def test_two_factor_slab_walks_give_the_same_report_for_every_thread_count(
+        engine, monkeypatch):
+    # Four usable cores, so that threads = 3 builds a real three-worker team
+    # on any machine, and a short switch interval that interleaves the
+    # workers as often as the interpreter allows.
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    slabbed = []
+    real_by_slabs = blocks.by_slabs
+
+    def counting_by_slabs(values, batch, dtypes):
+        slabbed.append(len(batch))
+        return real_by_slabs(values, batch, dtypes)
+
+    monkeypatch.setattr(blocks, "by_slabs", counting_by_slabs)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        reports = [engine(threads) for threads in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1] == reports[2]
+    assert max(slabbed) >= 2, "no batch of several blocks was drawn in slabs"
 
 
 @pytest.mark.parametrize("cap", [BLOCK_WIDTH, 3 * BLOCK_WIDTH, 4 * BLOCK_WIDTH,
-                                 mlmc._BATCH_NORMALS])
+                                 blocks._BATCH_NORMALS])
 def test_batches_give_the_same_report_for_every_cap_and_thread_count(cap, monkeypatch):
     # The reference walks one block at a time on the calling thread (a cap
     # below one block).  With a small cap, level 0 runs one block per batch
     # and many batches are in flight; a short switch interval interleaves the
     # workers as often as the interpreter allows.  No cap and no thread count
     # may change a bit.
-    monkeypatch.setattr(mlmc, "_BATCH_NORMALS", 1)
+    monkeypatch.setattr(blocks, "_BATCH_NORMALS", 1)
     expected = mlmc_estimate(MANY_BLOCKS, BrownianFabric(17), threads=1)
     monkeypatch.setattr(workers, "available_cores", lambda: 4)
-    monkeypatch.setattr(mlmc, "_BATCH_NORMALS", cap)
+    monkeypatch.setattr(blocks, "_BATCH_NORMALS", cap)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
@@ -220,9 +255,8 @@ def test_split_mix_under_thread_switching():
     # More workers than cores and a short switch interval: an overlap or a
     # lost chunk between the threads' column ranges would change the bits.
     fabric = BrownianFabric(83)
-    w = fabric.block_increments(6, 0, 256, 1.0 / 256, rows=BLOCK_WIDTH)
-    w_perp = fabric.block_increments(6, 0, 256, 1.0 / 256, factor=1,
-                                     rows=BLOCK_WIDTH)
+    w, w_perp = blocks.increments(fabric, 6, [(0, 0, BLOCK_WIDTH)], 256, 1.0 / 256,
+                                  factors=2)
     expected = correlate(w, w_perp, -0.7)
     interval = sys.getswitchinterval()
     crew = Team(8)

@@ -90,15 +90,6 @@ class BrownianFabric:
         return np.array([self._seed_word, _pack(tag, level, factor, index)],
                         dtype=np.uint64)
 
-    def _generator(self, tag: int, level: int, factor: int, index: int) -> np.random.Generator:
-        """This thread's generator, set to the start of the address's stream.
-
-        Every call on one thread returns the same generator re-keyed, so a
-        stream must be drawn before the thread asks for the next one.  The
-        draws equal those of `Generator(Philox(key=key))`.
-        """
-        return _thread_generator(_start(self._key(tag, level, factor, index)))
-
     def increments(self, path: int, level: int, n: int, h: float, *, factor: int = 0) -> np.ndarray:
         """Brownian increments for one path.
 
@@ -114,8 +105,9 @@ class BrownianFabric:
         """
         if h <= 0:
             raise ValueError("h must be positive")
-        rng = self._generator(_TAG_PATH, level, factor, path)
-        return rng.standard_normal(n) * math.sqrt(h)
+        out = np.empty((1, n))
+        BlockCursor(self._key(_TAG_PATH, level, factor, path), n).fill(out, keep=False)
+        return out[0] * math.sqrt(h)
 
     def block_normals(self, level: int, block: int, n: int, *, factor: int = 0,
                       rows: int | None = None) -> np.ndarray:
@@ -139,7 +131,7 @@ class BrownianFabric:
         if not 0 < rows <= BLOCK_WIDTH:
             raise ValueError(f"rows must be in (0, {BLOCK_WIDTH}]")
         out = np.empty((rows, n), order="F")
-        _fill(self._generator(_TAG_BLOCK, level, factor, block), out)
+        self.block_cursor(level, block, n, factor=factor).fill(out, keep=False)
         return out
 
     def block_cursor(self, level: int, block: int, n: int, *,
@@ -188,12 +180,13 @@ def _fill(rng: np.random.Generator, out: np.ndarray | None, rows: int = 0,
 
 
 class BlockCursor:
-    """Where one block stream stands: the next row it draws, and its Philox
-    state there.
+    """Where one stream stands: the next row it draws, and its Philox state
+    there.
 
     Successive `fill` calls continue the stream, on whichever thread makes
     them, so rows drawn in pieces equal the same rows of one `block_normals`
-    call.  Made by `BrownianFabric.block_cursor`.
+    call.  Made by `BrownianFabric.block_cursor`; every draw of the package,
+    path streams included, goes through one.
     """
 
     __slots__ = ("n", "row", "_state")

@@ -18,7 +18,7 @@ import click
 
 from . import SPEC_VERSION
 from .brownian import BrownianFabric
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, epsilon_tag, load_config
 from .convergence import run_convergence_study
 from .errors import BudgetExceeded, ConfigError, SdeProjError
 from .mlmc import MlmcConfig, gl_exact_price, implicit_price, mlmc_estimate
@@ -165,7 +165,7 @@ def mlmc(config, out, seed, threads):
                 pilot_paths=sec.pilot_paths, path_ceiling=sec.path_ceiling,
                 strike=sec.strike, correlation=sec.correlation, **scheme)
             report = mlmc_estimate(run_config, fabric, threads=cfg.threads)
-            tag = format(eps, "g")
+            tag = epsilon_tag(eps)
             _write_rows(os.path.join(cfg.out, f"mlmc_{tag}.csv"),
                         ("l", "h_l", "N_l", "mean_diff", "V_l", "cost"),
                         [(lv.level, lv.h, lv.paths, lv.mean_diff, lv.var_diff,

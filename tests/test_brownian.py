@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import sys
 import threading
 
@@ -8,7 +9,8 @@ import pytest
 
 from sdeproj import BLOCK_WIDTH, BrownianFabric, blocks, correlate, couple_levels
 from sdeproj.brownian import (_CHUNK_NORMALS, _TAG_BLOCK, _TAG_PATH, _pack,
-                              _splitmix64, extend_coupling)
+                              _splitmix64, _start, _thread_generator,
+                              extend_coupling)
 from sdeproj.convergence import run_convergence_study
 from sdeproj.mlmc import MlmcConfig, implicit_price, mlmc_estimate
 from sdeproj.models import cir_model, ginzburg_landau_model
@@ -159,7 +161,7 @@ def test_block_normals_column_major_single_stream(rows, n):
     block = fabric.block_normals(2, 3, n, factor=1, rows=rows)
     assert block.shape == (rows, n)
     assert block.flags.f_contiguous
-    reference = fabric._generator(_TAG_BLOCK, 2, 1, 3).standard_normal((rows, n))
+    reference = _fresh_block(fabric, 2, 3, n, 1, rows)
     assert np.array_equal(block, reference)
     increments = blocks.increments(fabric, 2, [(3, 0, rows)], n, 0.25, factors=2)[1]
     assert increments.flags.f_contiguous
@@ -172,12 +174,23 @@ def _fresh_block(fabric, level, block, n, factor, rows):
     return np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, n))
 
 
+@pytest.mark.parametrize("n", [1, 7, 300, 4096])
+def test_path_increments_match_a_fresh_generator(n):
+    fabric = BrownianFabric(2 ** 63 + 5)
+    key = np.array([_splitmix64(fabric.master_seed), _pack(_TAG_PATH, 3, 1, 11)],
+                   dtype=np.uint64)
+    fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+    got = fabric.increments(11, 3, n, 0.5, factor=1)
+    assert got.shape == (n,)
+    assert np.array_equal(got, fresh * math.sqrt(0.5))
+
+
 def test_rekeyed_generator_matches_a_fresh_one():
     fabric = BrownianFabric(2 ** 64 - 3)
     for level, block, n, factor, rows in [(0, 0, 1, 0, BLOCK_WIDTH), (3, 7, 9, 1, 33),
                                           (5, 2 ** 40, 300, 0, 1000)]:
         # Leave this thread's generator mid-buffer with a cached 32-bit half.
-        rng = fabric._generator(_TAG_PATH, 1, 0, 9)
+        rng = _thread_generator(_start(fabric._key(_TAG_PATH, 1, 0, 9)))
         rng.standard_normal(3)
         rng.random(5)
         rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)

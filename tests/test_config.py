@@ -1,3 +1,7 @@
+import copy
+import math
+from dataclasses import MISSING, fields
+
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -80,6 +84,11 @@ def test_unknown_fields_rejected():
     assert err.value.path == "scheme"
     with pytest.raises(ConfigError):
         from_mapping({"model": cir_block(typo=True)})
+    mapping = base_mapping()
+    mapping[1] = "x"  # YAML reads `1: x` with an integer key
+    with pytest.raises(ConfigError) as err:
+        from_mapping(mapping)
+    assert str(err.value) == "unknown field(s): 1"
 
 
 def test_numeric_strings_accepted():
@@ -333,6 +342,108 @@ def test_engine_family_gates_refuse_before_running(gate, family, tmp_path):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(yaml.safe_dump(dict(mapping, out=str(out))), encoding="utf-8")
     result = CliRunner().invoke(main, [command, str(cfg)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"config error: {path}: ")
+    assert not out.exists()
+
+
+# Every block, each with its required fields only.
+MINIMAL = {"model": cir_block(), "model2": cir_block(),
+           "study": {"exponents": [3], "reference": "implicit-fine-grid"},
+           "mlmc": {"payoff": "zcb", "epsilons": [1e-3]},
+           "price": {"mode": "zcb-closed-form"}}
+
+
+def declared_fields(cls=ExperimentConfig, at=()):
+    """Every declared field of the schema as (keys of its block, field); a
+    field read by a block's `parse` is walked into."""
+    for f in fields(cls):
+        yield at, f
+        block = getattr(f.metadata["read"], "__self__", None)
+        if block is not None:
+            yield from declared_fields(block, at + (f.name,))
+
+
+def bound_probes(f):
+    """(value, accepted) pairs at and just past each side of f's bound."""
+    bound = f.metadata["bound"]
+    whole = isinstance(f.default, int)
+    if "choices" in bound:
+        yield "none-of-these", False
+    if bound.get("positive"):
+        yield 0, False
+    if "lo" in bound:
+        yield bound["lo"], True
+        yield bound["lo"] - 1 if whole else math.nextafter(bound["lo"], -math.inf), False
+    if "hi" in bound:
+        yield bound["hi"], True
+        yield bound["hi"] + 1 if whole else math.nextafter(bound["hi"], math.inf), False
+
+
+def test_declared_bounds_refuse_the_value_just_past_them():
+    probed = set()
+    for at, f in declared_fields():
+        block = MINIMAL
+        for key in at:
+            block = block.get(key, {})
+        listed = isinstance(block.get(f.name), list)
+        for value, accepted in bound_probes(f):
+            mapping = copy.deepcopy(MINIMAL)
+            target = mapping
+            for key in at:
+                target = target.setdefault(key, {})
+            target[f.name] = [value] if listed else value
+            dotted = ".".join(at + (f.name,)) + ("[0]" if listed else "")
+            probed.add(dotted)
+            if accepted:
+                from_mapping(mapping)
+                continue
+            with pytest.raises(ConfigError) as err:
+                from_mapping(mapping)
+            assert err.value.path == dotted, (value, str(err.value))
+    assert {"model.family", "scheme.k", "study.fine_exponent", "mlmc.epsilons[0]",
+            "price.correlation", "seed", "threads"} <= probed
+
+
+def test_minimal_config_yields_every_declared_default():
+    config = from_mapping(MINIMAL)
+    defaults = 0
+    for at, f in declared_fields():
+        owner, given = config, MINIMAL
+        for key in at:
+            owner, given = getattr(owner, key), given.get(key, {})
+        dotted = ".".join(at + (f.name,))
+        if f.default is MISSING and f.default_factory is MISSING:
+            assert f.name in given, dotted
+        elif f.name in given:  # an optional block, given to reach its fields
+            assert hasattr(f.metadata["read"], "__self__"), dotted
+        else:
+            default = f.default if f.default is not MISSING else f.default_factory()
+            assert getattr(owner, f.name) == default, dotted
+            defaults += 1
+    assert defaults >= 25
+
+
+@pytest.mark.parametrize("mlmc_block, path", [
+    ({"pilot_paths": 100, "max_level": 2, "path_ceiling": 10}, "mlmc.path_ceiling"),
+    ({"epsilons": [1.0e-2, 1.0000001e-2]}, "mlmc.epsilons[1]"),
+])
+def test_mlmc_runs_that_cannot_finish_cleanly_are_refused(mlmc_block, path, tmp_path):
+    # A ceiling below the pilot phase fails after the header is printed; two
+    # epsilons with one file tag would write over each other's files.
+    from_mapping({"model": cir_block(),
+                  "mlmc": {"payoff": "zcb", "epsilons": [1.0e-2, 1.00001e-2],
+                           "pilot_paths": 100, "max_level": 2, "path_ceiling": 300}})
+    out = tmp_path / "out"
+    mapping = {"model": cir_block(), "out": str(out),
+               "mlmc": dict({"payoff": "zcb", "epsilons": [1.0e-2]}, **mlmc_block)}
+    with pytest.raises(ConfigError) as err:
+        from_mapping(mapping)
+    assert err.value.path == path
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(mapping), encoding="utf-8")
+    result = CliRunner().invoke(main, ["mlmc", str(cfg)])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith(f"config error: {path}: ")

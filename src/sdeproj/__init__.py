@@ -11,13 +11,12 @@ from .brownian import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
 from .config import (ExperimentConfig, MlmcSection, ModelConfig, PriceSection,
                      SchemeConfig, StudyConfig, from_mapping, load_config, loads)
 from .convergence import (VALUE_CAP, ConvergenceRecord, ConvergenceReport,
-                          fit_rate, run_convergence_study, strong_error)
+                          fit_rate, run_convergence_study)
 from .errors import (BudgetExceeded, ConfigError, DomainError, FellerViolation,
                      MissingThreshold, NonFinite, PlanInfeasible,
                      RateUnavailable, SdeProjError)
 from .mlmc import (MlmcConfig, MlmcLevel, MlmcReport, allocate_paths,
-                   implicit_price, level_sample, mlmc_estimate, payoff_spread,
-                   payoff_zcb)
+                   implicit_price, level_sample, mlmc_estimate, payoff_spread)
 from .models import (LampertiMap, ModelTriple, RateTable, RawModel,
                      SmoothCoefficient, TransformedModel, ait_sahalia_model,
                      cir_model, ginzburg_landau_model, guaranteed_rate,
@@ -41,12 +40,12 @@ __all__ = [
     "ExperimentConfig", "MlmcSection", "ModelConfig", "PriceSection",
     "SchemeConfig", "StudyConfig", "from_mapping", "load_config", "loads",
     "VALUE_CAP", "ConvergenceRecord", "ConvergenceReport", "fit_rate",
-    "run_convergence_study", "strong_error",
+    "run_convergence_study",
     "BudgetExceeded", "ConfigError", "DomainError", "FellerViolation",
     "MissingThreshold", "NonFinite", "PlanInfeasible", "RateUnavailable",
     "SdeProjError",
     "MlmcConfig", "MlmcLevel", "MlmcReport", "allocate_paths", "implicit_price",
-    "level_sample", "mlmc_estimate", "payoff_spread", "payoff_zcb",
+    "level_sample", "mlmc_estimate", "payoff_spread",
     "LampertiMap", "ModelTriple", "RateTable", "RawModel", "SmoothCoefficient",
     "TransformedModel", "ait_sahalia_model", "cir_model",
     "ginzburg_landau_model", "guaranteed_rate", "locally_smooth_model",

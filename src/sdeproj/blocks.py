@@ -1,13 +1,15 @@
-"""The one way the engines walk their paths, and the one moment accumulator.
+"""The one way the engines draw and walk their paths, and the one moment
+accumulator.
 
 Paths are cut into chunks (block, row_lo, row_hi), rows of one Brownian
-block, and those into batches of whole blocks.  `fold` draws, steps and
-reduces each batch to one `Moments` per chunk, so no block outlives its
-batch, and it alone decides how a worker team is used, from the row
-length: batches of short rows run on the workers, and a batch of long
-rows is drawn and stepped in row slabs (`by_slabs`), each slab holding a
-share of every block's rows, at most one block's worth, with its blocks'
-streams filled at once on the team."""
+block, and those into batches of whole blocks.  `fold` draws each batch
+from a `Stream` (one grid's block streams and the cursors that resume
+them), steps and reduces it to one `Moments` per chunk, so no block
+outlives its batch.  It opens the worker team and alone decides how it is
+used, from the row length: batches of short rows run on the workers, and a
+batch of long rows is drawn and stepped in row slabs (`by_slabs`), each
+slab holding a share of every block's rows, at most one block's worth, with
+its blocks' streams filled at once on the team."""
 from __future__ import annotations
 
 import math
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .brownian import BLOCK_WIDTH, BrownianFabric
 
 # Storage order of drawn increments: each time step is one contiguous column.
@@ -37,46 +40,59 @@ def chunks(start: int, stop: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def increments(fabric: BrownianFabric, level: int, batch, n: int, h: float, *,
-               factors: int = 1, team=None,
-               cursors: dict | None = None) -> tuple[np.ndarray, ...]:
-    """Brownian increments of the batch's rows for factors 0, 1, ...,
-    `factors - 1`: one column-major array per factor, stacked in chunk order.
+class Stream:
+    """The block streams of one grid: `factors` streams per block of the
+    fabric at `level`, rows of `n` increments of variance `h`.
 
-    Each chunk's rows are drawn straight into its rows of its factor's array
-    by a cursor on its block's stream: the one in `cursors` (keyed by level,
-    factor and block) if it stopped at the chunk's first row, else a new one
-    advanced to that row.  A chunk that ends inside its block leaves its
-    cursor in `cursors`, so the next chunk of the block continues the stream
-    instead of drawing it again.  A `workers.Team` fills every (factor,
-    chunk) stream of the batch at once, each on one thread.
+    `draw` continues a block where the last draw of it stopped: a chunk that
+    ends inside its block leaves its cursor in the stream's own store, keyed
+    by (factor, block), so one stream serves a pilot and its final pass
+    without drawing a row twice.  Draws running at once must take
+    different blocks, as `fold`'s do.
     """
-    scale = math.sqrt(h)
-    spans = rows(batch)
-    out = tuple(np.empty((spans[-1].stop, n), order=_LAYOUT) for _ in range(factors))
-    streams = [(factor, chunk, span) for factor in range(factors)
-               for chunk, span in zip(batch, spans)]
 
-    def fill(first: int, last: int) -> None:
-        for factor, (block, lo, hi), span in streams[first:last]:
-            key = (level, factor, block)
-            cursor = None if cursors is None else cursors.pop(key, None)
-            if cursor is None or cursor.row != lo:
-                cursor = fabric.block_cursor(level, block, n, factor=factor)
-                if lo:
-                    cursor.fill(None, lo)
-            keep = cursors is not None and hi < BLOCK_WIDTH
-            part = out[factor][span]
-            cursor.fill(part, keep=keep)
-            part *= scale
-            if keep:
-                cursors[key] = cursor
+    def __init__(self, fabric: BrownianFabric, level: int, n: int, h: float,
+                 factors: int = 1):
+        self.fabric, self.level, self.n, self.factors = fabric, level, n, factors
+        self._scale = math.sqrt(h)
+        self._cursors = {}
 
-    if team is None or len(streams) < 2:
-        fill(0, len(streams))
-    else:
-        team.run_split(fill, len(streams))
-    return out
+    def draw(self, batch, team=None) -> tuple[np.ndarray, ...]:
+        """Brownian increments of the batch's rows for factors 0, 1, ...,
+        `factors - 1`: one column-major array per factor, stacked in chunk
+        order.
+
+        Each chunk's rows are drawn straight into its rows of its factor's
+        array by its block's cursor if that stopped at the chunk's first row,
+        else by a new one advanced to that row.  A `workers.Team` fills every
+        (factor, chunk) stream of the batch at once, each on one thread.
+        """
+        spans = rows(batch)
+        out = tuple(np.empty((spans[-1].stop, self.n), order=_LAYOUT)
+                    for _ in range(self.factors))
+        streams = [(factor, chunk, span) for factor in range(self.factors)
+                   for chunk, span in zip(batch, spans)]
+
+        def fill(first: int, last: int) -> None:
+            for factor, (block, lo, hi), span in streams[first:last]:
+                cursor = self._cursors.pop((factor, block), None)
+                if cursor is None or cursor.row != lo:
+                    cursor = self.fabric.block_cursor(self.level, block, self.n,
+                                                      factor=factor)
+                    if lo:
+                        cursor.fill(None, lo)
+                keep = hi < BLOCK_WIDTH
+                part = out[factor][span]
+                cursor.fill(part, keep=keep)
+                part *= self._scale
+                if keep:
+                    self._cursors[(factor, block)] = cursor
+
+        if team is None or len(streams) < 2:
+            fill(0, len(streams))
+        else:
+            team.run_split(fill, len(streams))
+        return out
 
 
 def slabs(batch) -> list[list[tuple[int, tuple[int, int, int]]]]:
@@ -141,46 +157,50 @@ def rows(batch) -> list[slice]:
     return out
 
 
-def fold(values, start: int, stop: int, n: int, totals, *, team=None,
-         check=None) -> None:
-    """Fold the values of paths [start, stop), rows of `n` steps, into
-    `totals`, a sequence of `Moments`.
+def fold(values, stream: Stream, start: int, stop: int, totals, *,
+         threads: int, check=None) -> None:
+    """Fold the values of paths [start, stop), drawn from `stream`, into
+    `totals`, a sequence of `Moments`, on a `workers.team(threads)`.
 
-    `values(chunks, team)` returns one array per entry of `totals`, each
-    with one value per row of `chunks`, chunk after chunk; each path's
-    values must depend on its own increments only.  `check(chunks, joined)`,
-    if given, sees a batch's values joined in row order, and may raise.
-    Each chunk's `Moments` are merged into `totals` on the calling thread,
-    one chunk at a time in block order, so no team changes a bit.
+    `values(increments, team)` maps the drawn increments of some rows (see
+    `Stream.draw`) to one array per entry of `totals`, each with one value
+    per row; each path's values must depend on its own increments only.
+    `check(chunks, joined)`, if given, sees a batch's values joined in row
+    order, and may raise.  Each chunk's `Moments` are merged into `totals`
+    on the calling thread, one chunk at a time in block order, so no team
+    changes a bit.
 
-    The row length picks how a team is used.  Blocks of at most
-    `_BATCH_NORMALS` normals go in batches of whole blocks holding at most
-    that many; `team.size` batches run at once, each drawn, stepped and
+    The row length `stream.n` picks how the team is used.  Blocks of at
+    most `_BATCH_NORMALS` normals go in batches of whole blocks holding at
+    most that many; `team.size` batches run at once, each drawn, stepped and
     reduced to `Moments` on one worker, and `values` gets no team.  Longer
     rows take `team.size` blocks a batch, drawn in row slabs (`by_slabs`)
-    and stepped on the calling thread; `values` gets the team to fill each
-    slab's streams on.
+    whose streams the team fills at once, and stepped on the calling
+    thread; `values` gets the team to split the correlation mix over.
     """
-    per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * n)
-    size = per_batch or (1 if team is None else team.size)
+    per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * stream.n)
     todo = chunks(start, stop)
-    batches = [todo[i:i + size] for i in range(0, len(todo), size)]
+    with workers.team(threads) as team:
+        size = per_batch or (1 if team is None else team.size)
+        batches = [todo[i:i + size] for i in range(0, len(todo), size)]
 
-    def batch_moments(batch):
-        if per_batch:
-            joined = values(batch, None)
-        else:
-            joined = by_slabs(lambda part: values(part, team), batch,
-                              [float] * len(totals))
-        if check is not None:
-            check(batch, joined)
-        return [[Moments.of(v[r]) for v in joined] for r in rows(batch)]
+        def batch_moments(batch):
+            if per_batch:
+                joined = values(stream.draw(batch), None)
+            else:
+                # The increments are a call argument only, so each slab is
+                # released before the next one is drawn.
+                joined = by_slabs(lambda part: values(stream.draw(part, team), team),
+                                  batch, [float] * len(totals))
+            if check is not None:
+                check(batch, joined)
+            return [[Moments.of(v[r]) for v in joined] for r in rows(batch)]
 
-    run = team.imap if team is not None and per_batch else map
-    for items in run(batch_moments, batches):
-        for item in items:
-            for total, moments in zip(totals, item):
-                total.merge(moments)
+        run = team.imap if team is not None and per_batch else map
+        for items in run(batch_moments, batches):
+            for item in items:
+                for total, moments in zip(totals, item):
+                    total.merge(moments)
 
 
 @dataclass

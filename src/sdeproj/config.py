@@ -285,6 +285,10 @@ class MlmcSection(_Block):
             if first < i:
                 raise ConfigError(f"names the same mlmc_{tag} files as "
                                   f"epsilons[{first}]", f"{path}.epsilons[{i}]")
+        # The finest study or price grid; max_level first keeps the power small.
+        if self.max_level > 24 or self.refinement ** self.max_level > 2 ** 24:
+            raise ConfigError("refinement ** max_level must be <= 2 ** 24 steps",
+                              f"{path}.max_level")
         pilot_total = self.pilot_paths * (self.max_level + 1)
         if self.path_ceiling < pilot_total:
             raise ConfigError(f"must be >= pilot_paths * (max_level + 1) = "

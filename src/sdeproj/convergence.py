@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import workers
-from .blocks import Moments, fold, increments
+from .blocks import Moments, Stream, fold
 from .brownian import BrownianFabric, couple_levels, extend_coupling
 from .errors import DomainError
 from .models import LampertiMap, TransformedModel
@@ -56,15 +55,6 @@ class ConvergenceReport:
     r_squared: float | None
     seed: int
     metadata: dict
-
-
-def strong_error(reference: np.ndarray, approximation: np.ndarray) -> float:
-    """Mean absolute terminal difference over paired samples."""
-    ref = np.asarray(reference, dtype=float)
-    app = np.asarray(approximation, dtype=float)
-    if ref.shape != app.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {app.shape}")
-    return float(np.mean(np.abs(ref - app)))
 
 
 def fit_rate(steps: Sequence[float], errors: Sequence[float]) -> tuple[float, float, float]:
@@ -146,12 +136,12 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             drift-implicit square-root scheme instead.
         seed: recorded in the report; defaults to the fabric's master seed.
         threads: worker threads (0, the default, means all cores; larger
-            values are clamped to the cores available).  Paths are walked
-            by `blocks.fold`: long fine rows are drawn in row slabs, one
-            block per worker, each block's stream filled on its own worker
-            while the calling thread steps each slab; short ones step in
-            batches of whole blocks on the workers.  The report is the same
-            for every value.
+            values are clamped to the cores available).  `blocks.fold`
+            draws the fine grid's `blocks.Stream`: long rows in row slabs,
+            one block per worker, each block's stream filled on its own
+            worker while the calling thread steps each slab; short ones in
+            batches of whole blocks stepped on the workers.  The report is
+            the same for every value.
     """
     if reference not in REFERENCES:
         raise DomainError(f"unknown reference {reference!r}; expected one of {REFERENCES}")
@@ -179,11 +169,10 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
     h_fine = horizon / n_fine
     times = np.linspace(0.0, horizon, n_fine + 1)
 
-    def values(chunks, team):
-        """Per resolution, |reference - scheme| of each path of `chunks`;
-        then per resolution, whether either value was capped."""
-        (fine,) = increments(fabric, fine_exponent, chunks, n_fine, h_fine,
-                             team=team, cursors=cursors)
+    def values(drawn, team):
+        """Per resolution, |reference - scheme| of each path `drawn` on the
+        fine grid; then per resolution, whether either value was capped."""
+        (fine,) = drawn
         if reference == "closed-form":
             ref_vals = ginzburg_landau_terminal(model.meta["lam"], model.meta["sigma"],
                                                 model.meta["x0"], times, fine)
@@ -222,9 +211,8 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
     # (whose total is the count of capped paths).
     moments = [Moments() for _ in exps]
     capped_paths = [Moments() for _ in exps]
-    cursors = {}
-    with workers.team(threads) as team:
-        fold(values, 0, paths, n_fine, moments + capped_paths, team=team)
+    fold(values, Stream(fabric, fine_exponent, n_fine, h_fine), 0, paths,
+         moments + capped_paths, threads=threads)
 
     records = [ConvergenceRecord(exponent=n_exp, steps=1 << n_exp,
                                  error=min(moment.mean, VALUE_CAP),

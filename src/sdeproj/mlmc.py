@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import workers
-from .blocks import Moments, fold, increments
+from .blocks import Moments, Stream, fold
 from .brownian import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
 from .errors import BudgetExceeded, DomainError, NonFinite
 from .models import ModelTriple
@@ -32,24 +31,6 @@ from .reference import (ImplicitCirParams, _implicit_evolve,
                         ginzburg_landau_exact, ginzburg_landau_terminal)
 
 PAYOFFS = ("zcb", "spread")
-
-
-def payoff_zcb(rates: np.ndarray, horizon: float) -> np.ndarray | float:
-    """Discount factor exp(-integral of the rate path), left Riemann sum.
-
-    Args:
-        rates: nonnegative rate values on a uniform grid, shape (..., n + 1).
-        horizon: grid length T.
-    """
-    r = np.asarray(rates, dtype=float)
-    if r.shape[-1] < 2:
-        raise ValueError("rate path needs at least two nodes")
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
-    if np.any(r < 0):
-        raise ValueError("rate path must be nonnegative")
-    h = horizon / (r.shape[-1] - 1)
-    return np.exp(-np.sum(r[..., :-1], axis=-1) * h)
 
 
 def payoff_spread(x1: np.ndarray, x2: np.ndarray, strike: float) -> np.ndarray:
@@ -173,18 +154,15 @@ def _projected(config: MlmcConfig) -> tuple:
         for t in config.models)
 
 
-def _drivers(config: MlmcConfig, fabric: BrownianFabric, level: int,
-             chunks: Sequence[tuple[int, int, int]], n: int, h: float,
-             team: workers.Team | None = None,
-             cursors: dict | None = None) -> tuple[np.ndarray, ...]:
-    """Brownian increments for each factor over the rows of `chunks`,
-    continuing the streams of `cursors` (see `blocks.increments`).
+def _stream(config: MlmcConfig, fabric: BrownianFabric, level: int) -> Stream:
+    """The block streams of `level`'s fine grid, one per factor."""
+    n = config.refinement ** level
+    return Stream(fabric, level, n, config.horizon / n, len(config.models))
 
-    With a `team`, every factor's chunks are filled at once on its workers,
-    and the correlation mix is split over them.
-    """
-    drivers = increments(fabric, level, chunks, n, h, factors=len(config.models),
-                         team=team, cursors=cursors)
+
+def _correlated(config: MlmcConfig, drivers: tuple, team=None) -> tuple:
+    """The drawn `drivers` with a spread's second factor mixed into its
+    correlated motion, split over `team` if one is given."""
     if config.payoff == "zcb":
         return drivers
     w, w_perp = drivers
@@ -207,13 +185,11 @@ def _payoff_values(config: MlmcConfig, steppers: tuple,
         return payoff_spread(x1, x2, config.strike)
 
 
-def _pair_batch(config: MlmcConfig, steppers: tuple,
-                fabric: BrownianFabric, level: int,
-                chunks: Sequence[tuple[int, int, int]],
-                team: workers.Team | None = None,
-                cursors: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(fine payoff, coarse payoff) for the rows of `chunks` at one level,
-    drawn with `team` (see `_drivers`); not checked for finiteness.
+def _pair_batch(config: MlmcConfig, steppers: tuple, level: int, drivers: tuple,
+                team=None) -> tuple[np.ndarray, np.ndarray]:
+    """(fine payoff, coarse payoff) at one level for the paths of `drivers`,
+    drawn from the level's stream and correlated with `team` (see
+    `_correlated`); not checked for finiteness.
 
     The coarse payoff reruns the scheme on the summed increments of the same
     Brownian path; level 0 has no coarse half and returns zeros there.  Each
@@ -224,8 +200,7 @@ def _pair_batch(config: MlmcConfig, steppers: tuple,
     m = config.refinement
     n_fine = m ** level
     h_fine = config.horizon / n_fine
-    drivers = _drivers(config, fabric, level, chunks, n_fine, h_fine, team,
-                       cursors)
+    drivers = _correlated(config, drivers, team)
     fine = _payoff_values(config, steppers, drivers, n_fine, h_fine)
     if level == 0:
         return fine, np.zeros_like(fine)
@@ -265,7 +240,8 @@ def level_sample(config: MlmcConfig, fabric: BrownianFabric, level: int,
         raise DomainError("path must be nonnegative")
     block, row = divmod(path, BLOCK_WIDTH)
     chunks = [(block, row, row + 1)]
-    pair = _pair_batch(config, _projected(config), fabric, level, chunks)
+    pair = _pair_batch(config, _projected(config), level,
+                       _stream(config, fabric, level).draw(chunks))
     _check_finite(level, chunks, pair)
     return float(pair[0][0]), float(pair[1][0])
 
@@ -283,8 +259,9 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
     block's moments are merged on the calling thread in block order, so
     the report is the same for every value.
 
-    Every (level, factor, block) stream is drawn once: the final pass
-    continues a block where the pilot left it, through its cursor.
+    Every (level, factor, block) stream is drawn once: each level keeps one
+    `blocks.Stream` across the pilot and the final pass, so the final pass
+    continues a block where the pilot left it.
 
     Raises:
         NonFinite: naming the level, block and row of the first path, in
@@ -300,35 +277,33 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
     # Level 0 has no coarse half: its differences are its payoffs, and one
     # `Moments` serves as both.
     fines = diffs[:1] + [Moments() for _ in levels[1:]]
-    cursors = {}
+    streams = [_stream(config, fabric, l) for l in levels]
 
-    def extend(level: int, target: int, team: workers.Team | None) -> None:
+    def extend(level: int, target: int) -> None:
         """Fold paths [count, target) of `level` into its moments, in block
         order (`blocks.fold`)."""
-        def values(chunks, team):
-            fine, coarse = _pair_batch(config, steppers, fabric, level, chunks,
-                                       team, cursors)
+        def values(drivers, team):
+            fine, coarse = _pair_batch(config, steppers, level, drivers, team)
             return (fine,) if level == 0 else (fine - coarse, fine)
 
         totals = (diffs[0],) if level == 0 else (diffs[level], fines[level])
-        fold(values, diffs[level].count, target, m ** level, totals, team=team,
-             check=functools.partial(_check_finite, level))
+        fold(values, streams[level], diffs[level].count, target, totals,
+             threads=threads, check=functools.partial(_check_finite, level))
 
     # Finest level first: its big blocks are drawn before the small batches'
     # freed temporaries are scattered over the heap, which keeps peak memory
     # down.  The levels are independent, so the order changes no value.
-    with workers.team(threads) as team:
-        for l in reversed(levels):
-            extend(l, config.pilot_paths, team)
-        pilot_vars = [d.var for d in diffs]
-        allocation = allocate_paths(pilot_vars, step_sizes, config.epsilon,
-                                    floor=config.pilot_paths)
-        total = int(allocation.sum())
-        if total > config.path_ceiling:
-            raise BudgetExceeded(
-                f"allocation of {total} paths exceeds ceiling {config.path_ceiling}")
-        for l in reversed(levels):
-            extend(l, int(allocation[l]), team)
+    for l in reversed(levels):
+        extend(l, config.pilot_paths)
+    pilot_vars = [d.var for d in diffs]
+    allocation = allocate_paths(pilot_vars, step_sizes, config.epsilon,
+                                floor=config.pilot_paths)
+    total = int(allocation.sum())
+    if total > config.path_ceiling:
+        raise BudgetExceeded(
+            f"allocation of {total} paths exceeds ceiling {config.path_ceiling}")
+    for l in reversed(levels):
+        extend(l, int(allocation[l]))
 
     level_rows = []
     estimator = 0.0
@@ -380,14 +355,13 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
         savings=savings, seed=fabric.master_seed, metadata=metadata)
 
 
-def _mean_and_error(values, paths: int, n: int,
+def _mean_and_error(values, stream: Stream, paths: int,
                     threads: int) -> tuple[float, float]:
-    """Mean and standard error of the per-path `values(chunks, team)` over
-    paths [0, paths) with rows of `n` steps, folded by `blocks.fold`."""
+    """Mean and standard error of the per-path `values(increments, team)`
+    over paths [0, paths) of `stream`, folded by `blocks.fold`."""
     moments = Moments()
-    with workers.team(threads) as team:
-        fold(lambda chunks, team: (values(chunks, team),), 0, paths, n,
-             (moments,), team=team)
+    fold(lambda drawn, team: (values(drawn, team),), stream, 0, paths,
+         (moments,), threads=threads)
     return moments.mean, math.sqrt(moments.var / paths)
 
 
@@ -400,10 +374,10 @@ def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
     exponent is the stream level tag).  Returns (price, standard error).
 
     `threads` works as in `mlmc_estimate` (0, the default, means all
-    cores): short rows step in batches of whole blocks on the workers, and
-    long ones are drawn in row slabs, one block per worker, with every
-    (factor, block) stream filled at once and the correlation mix split
-    over the workers.  The result is the same for every value.
+    cores): `blocks.fold` steps short rows in batches of whole blocks on the
+    workers, and draws long ones in row slabs, one block per worker, with
+    every (factor, block) stream filled at once and the correlation mix
+    split over the workers.  The result is the same for every value.
     """
     if paths < 2:
         raise DomainError("paths must be >= 2")
@@ -412,17 +386,13 @@ def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
                      for t in config.models)
     n = 1 << fine_exponent
     h = config.horizon / n
-    cursors = {}
 
-    def payoffs(chunks, team):
-        # The drivers are a call argument only, so each slab is released
-        # before the next one is drawn.
-        return _payoff_values(
-            config, steppers,
-            _drivers(config, fabric, fine_exponent, chunks, n, h, team, cursors),
-            n, h)
+    def payoffs(drivers, team):
+        return _payoff_values(config, steppers,
+                              _correlated(config, drivers, team), n, h)
 
-    return _mean_and_error(payoffs, paths, n, threads)
+    stream = Stream(fabric, fine_exponent, n, h, len(config.models))
+    return _mean_and_error(payoffs, stream, paths, threads)
 
 
 def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
@@ -445,12 +415,9 @@ def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
     if sigma == 0.0:
         value = ginzburg_landau_exact(lam, 0.0, x0, times, np.zeros((1, n + 1)))
         return float(value[0, -1]), 0.0
-    cursors = {}
 
-    def terminals(chunks, team):
-        return ginzburg_landau_terminal(
-            lam, sigma, x0, times,
-            increments(fabric, fine_exponent, chunks, n, horizon / n,
-                       team=team, cursors=cursors)[0])
+    def terminals(drawn, team):
+        return ginzburg_landau_terminal(lam, sigma, x0, times, drawn[0])
 
-    return _mean_and_error(terminals, paths, n, threads)
+    return _mean_and_error(terminals, Stream(fabric, fine_exponent, n, horizon / n),
+                           paths, threads)

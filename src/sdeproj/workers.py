@@ -5,11 +5,12 @@ every element is fixed in advance: each (factor, block) stream, or its next
 share of rows in a row slab, is drawn in order on one thread, the
 correlation mix is elementwise over disjoint column ranges, and a batch of
 whole blocks steps each path on its own increments.  `blocks.fold` alone
-decides how the team is used, from the row length: batches of short rows
-step on workers (`Team.imap`) down to one `Moments` per block, and long
-rows are drawn in row slabs whose streams the team fills at once
-(`Team.run_split`).  Every merge stays on the calling thread, one block at
-a time in block order.
+opens a team, for the engine's `threads`, and decides how it is used, from
+the row length: batches of short rows are drawn and stepped on workers
+(`Team.imap`) down to one `Moments` per block, and long rows are drawn in
+row slabs whose streams the team fills at once (`Team.run_split`, called
+by `blocks.Stream.draw`).  Every merge stays on the calling thread, one
+block at a time in block order.
 
 NumPy releases the interpreter lock while it fills normals and runs
 elementwise loops on large arrays, so threads fill streams at the same

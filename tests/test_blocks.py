@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdeproj import BLOCK_WIDTH, BrownianFabric, mlmc
-from sdeproj.blocks import Moments, by_slabs, chunks, fold, increments, rows, slabs
+from sdeproj import BLOCK_WIDTH, BrownianFabric, mlmc, workers
+from sdeproj.blocks import Moments, Stream, by_slabs, chunks, fold, rows, slabs
 from sdeproj.mlmc import MlmcConfig, mlmc_estimate
 from sdeproj.models import cir_model
 from sdeproj.workers import Team
@@ -27,6 +27,7 @@ def test_chunks_follow_block_boundaries():
     assert chunks(5, 6) == [(0, 5, 6)]
     assert chunks(BLOCK_WIDTH - 2, 2 * BLOCK_WIDTH + 3) == [
         (0, BLOCK_WIDTH - 2, BLOCK_WIDTH), (1, 0, BLOCK_WIDTH), (2, 0, 3)]
+    assert rows([(4, 77, 90), (5, 0, 3)]) == [slice(0, 13), slice(13, 16)]
 
 
 class _Merged(list):
@@ -41,35 +42,50 @@ class _Merged(list):
 _ROW_LENGTHS = {0: 64, 1: 32, 2: 16, 5: 6}
 
 
+def _paths(batch):
+    return np.concatenate([block * BLOCK_WIDTH + np.arange(lo, hi, dtype=float)
+                           for block, lo, hi in batch])
+
+
+class _Paths:
+    """Stands in for a `Stream` of rows of `n` steps: draws each row's path
+    index, and records which teams fill its draws."""
+
+    def __init__(self, n):
+        self.n = n
+        self.teams = set()
+
+    def draw(self, batch, team=None):
+        self.teams.add(team)
+        return (_paths(batch),)
+
+
 @pytest.mark.parametrize("blocks", [0, 1, 2, 5])
 @pytest.mark.parametrize("size", [None, 3])
-def test_walk_yields_each_chunk_in_block_order(blocks, size):
+def test_walk_yields_each_chunk_in_block_order(blocks, size, monkeypatch):
     # `fold` merges each chunk once, in block order, on the calling thread.
     # The row length picks the batch size; long rows take one block per
-    # worker, drawn in slabs, and only they hand `values` the team.
+    # worker, drawn in slabs, and only they hand the stream and `values`
+    # the team.  `size` workers, or none.
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    threads = size or 1
     start, stop = 100, 6 * BLOCK_WIDTH + 17
+    stream = _Paths(_ROW_LENGTHS[blocks])
+    slabbed = blocks == 0 and size is not None
 
-    def paths(batch):
-        return np.concatenate([block * BLOCK_WIDTH + np.arange(lo, hi, dtype=float)
-                               for block, lo, hi in batch])
-
-    def values(batch, given):
-        assert given is (team if blocks == 0 else None)
-        return paths(batch), -paths(batch)
+    def values(drawn, team):
+        assert isinstance(team, Team) if slabbed else team is None
+        assert team in stream.teams
+        (paths,) = drawn
+        return paths, -paths
 
     def check(batch, joined):
-        assert np.array_equal(joined[0], paths(batch))
-        assert np.array_equal(joined[1], -paths(batch))
+        assert np.array_equal(joined[0], _paths(batch))
+        assert np.array_equal(joined[1], -_paths(batch))
         batches.append(batch)
 
     batches, totals = [], (_Merged(), _Merged())
-    team = None if size is None else Team(size)
-    try:
-        fold(values, start, stop, _ROW_LENGTHS[blocks], totals, team=team,
-             check=check)
-    finally:
-        if team is not None:
-            team.close()
+    fold(values, stream, start, stop, totals, threads=threads, check=check)
     # Batches on a team are checked on their workers, in any order.
     batches.sort()
     todo = chunks(start, stop)
@@ -126,14 +142,13 @@ def test_slab_draws_equal_the_rows_of_whole_blocks(batch, n, size):
     if n == 1 << 12:  # keep the arrays small at long rows
         batch = [(block, lo, min(hi, lo + 150)) for block, lo, hi in batch]
     fabric = BrownianFabric(29)
-    cursors = {}
+    stream = Stream(fabric, 5, n, 1.0, factors=2)
     team = None if size is None else Team(size)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        got = by_slabs(lambda chunk_list: increments(
-            fabric, 5, chunk_list, n, 1.0, factors=2, team=team, cursors=cursors),
-            batch, [(float, n)] * 2)
+        got = by_slabs(lambda chunk_list: stream.draw(chunk_list, team),
+                       batch, [(float, n)] * 2)
     finally:
         sys.setswitchinterval(interval)
         if team is not None:
@@ -143,24 +158,37 @@ def test_slab_draws_equal_the_rows_of_whole_blocks(batch, n, size):
         assert drawn.shape == expected.shape
         assert np.array_equal(drawn, expected)
     # A chunk left short of its block's end keeps its cursors there.
-    assert sorted(cursors) == sorted((5, factor, block) for block, _, hi in batch
-                                     for factor in (0, 1) if hi < BLOCK_WIDTH)
+    assert sorted(stream._cursors) == sorted((factor, block) for block, _, hi in batch
+                                             for factor in (0, 1) if hi < BLOCK_WIDTH)
 
 
-def test_increments_resume_a_block_where_the_last_chunk_stopped():
-    fabric = BrownianFabric(31)
-    expected = fabric.block_normals(2, 4, 16, factor=1) * 0.5
-    cursors = {}
-    parts = [increments(fabric, 2, [(4, lo, hi)], 16, 0.25, factors=2,
-                        cursors=cursors)[1]
-             for lo, hi in [(0, 10), (10, 11), (11, 3000), (3000, BLOCK_WIDTH)]]
-    assert np.array_equal(np.concatenate(parts), expected)
-    assert cursors == {}
-    # Without a cursor at the chunk's first row, the stream is drawn afresh
-    # up to it.
-    assert np.array_equal(increments(fabric, 2, [(4, 77, 90)], 16, 0.25,
-                                     factors=2)[1], expected[77:90])
-    assert rows([(4, 77, 90), (5, 0, 3)]) == [slice(0, 13), slice(13, 16)]
+_EXPECTED = [BrownianFabric(31).block_normals(2, 4, 16, factor=factor) * 0.5
+             for factor in (0, 1)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cuts=st.sets(st.integers(1, BLOCK_WIDTH - 1), max_size=5),
+       fresh=st.tuples(st.integers(0, BLOCK_WIDTH - 1), st.integers(1, BLOCK_WIDTH)))
+def test_increments_resume_a_block_where_the_last_chunk_stopped(cuts, fresh):
+    # Any cuts of block 4, drawn in order through one stream, continue its
+    # streams from their cursors, and leave none behind at the block's end.
+    stream = Stream(BrownianFabric(31), 2, 16, 0.25, factors=2)
+    bounds = [0] + sorted(cuts) + [BLOCK_WIDTH]
+    parts = [stream.draw([(4, lo, hi)]) for lo, hi in zip(bounds, bounds[1:])]
+    for factor, expected in enumerate(_EXPECTED):
+        assert np.array_equal(np.concatenate([part[factor] for part in parts]),
+                              expected)
+    assert stream._cursors == {}
+    # A chunk that starts where no cursor stopped draws its block afresh up
+    # to its first row.
+    stop = min(bounds[1], BLOCK_WIDTH - 1)
+    stream.draw([(4, 0, stop)])
+    lo = fresh[0] + (fresh[0] >= stop)
+    hi = min(BLOCK_WIDTH, lo + fresh[1])
+    if lo < BLOCK_WIDTH:
+        drawn = stream.draw([(4, lo, hi)])
+        for factor, expected in enumerate(_EXPECTED):
+            assert np.array_equal(drawn[factor], expected[lo:hi])
 
 
 def test_zcb_fine_variance_matches_np_var_at_tiny_noise():
@@ -170,8 +198,8 @@ def test_zcb_fine_variance_matches_np_var_at_tiny_noise():
                         horizon=1.0, epsilon=1e-3)
     report = mlmc_estimate(config, BrownianFabric(11))
     level = report.levels[3]
-    fine, coarse = mlmc._pair_batch(config, mlmc._projected(config),
-                                    BrownianFabric(11), 3, chunks(0, level.paths))
+    drawn = mlmc._stream(config, BrownianFabric(11), 3).draw(chunks(0, level.paths))
+    fine, coarse = mlmc._pair_batch(config, mlmc._projected(config), 3, drawn)
     assert level.var_fine == pytest.approx(np.var(fine), rel=1e-12, abs=0.0)
     assert level.var_diff == pytest.approx(np.var(fine - coarse), rel=1e-12, abs=0.0)
     assert level.mean_fine == float(np.sum(fine)) / level.paths

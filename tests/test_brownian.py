@@ -55,7 +55,7 @@ def test_couple_pairwise_sums():
 
 def test_coupled_coarse_variance():
     m, h_fine = 4, 0.01
-    (fine,) = blocks.increments(BrownianFabric(17), 6, [(0, 0, 100)], 4000 * m, h_fine)
+    (fine,) = blocks.Stream(BrownianFabric(17), 6, 4000 * m, h_fine).draw([(0, 0, 100)])
     coarse = couple_levels(fine, m).ravel()
     assert coarse.size == 4 * 10 ** 5
     h = m * h_fine
@@ -81,7 +81,7 @@ def test_correlate_empirical_correlation():
 
 def test_couple_commutes_with_correlate():
     fabric = BrownianFabric(29)
-    w, w_perp = blocks.increments(fabric, 5, [(0, 0, 32)], 64, 0.125, factors=2)
+    w, w_perp = blocks.Stream(fabric, 5, 64, 0.125, factors=2).draw([(0, 0, 32)])
     for rho in (0.0, 1.0, -1.0):
         lhs = couple_levels(correlate(w, w_perp, rho), 4)
         rhs = correlate(couple_levels(w, 4), couple_levels(w_perp, 4), rho)
@@ -122,7 +122,7 @@ def test_block_rows_prefix_consistent():
 def test_block_increments_scale():
     fabric = BrownianFabric(47)
     normals = fabric.block_normals(3, 0, 8, rows=10)
-    (scaled,) = blocks.increments(fabric, 3, [(0, 0, 10)], 8, 0.25)
+    (scaled,) = blocks.Stream(fabric, 3, 8, 0.25).draw([(0, 0, 10)])
     assert np.array_equal(scaled, normals * np.sqrt(0.25))
 
 
@@ -163,7 +163,7 @@ def test_block_normals_column_major_single_stream(rows, n):
     assert block.flags.f_contiguous
     reference = _fresh_block(fabric, 2, 3, n, 1, rows)
     assert np.array_equal(block, reference)
-    increments = blocks.increments(fabric, 2, [(3, 0, rows)], n, 0.25, factors=2)[1]
+    increments = blocks.Stream(fabric, 2, n, 0.25, factors=2).draw([(3, 0, rows)])[1]
     assert increments.flags.f_contiguous
     assert np.array_equal(increments, reference * 0.5)
 
@@ -229,7 +229,7 @@ def test_rekeyed_generators_on_two_threads_at_once():
 
 
 def test_couple_levels_keeps_layout():
-    (fine_f,) = blocks.increments(BrownianFabric(59), 1, [(0, 0, 40)], 64, 0.125)
+    (fine_f,) = blocks.Stream(BrownianFabric(59), 1, 64, 0.125).draw([(0, 0, 40)])
     fine_c = np.ascontiguousarray(fine_f)
     for m in (1, 2, 8):
         coarse_f = couple_levels(fine_f, m)
@@ -245,8 +245,8 @@ def test_couple_levels_keeps_layout():
 
 
 def test_extend_coupling_has_the_bits_and_layout_of_couple_levels():
-    (fine_f,) = blocks.increments(BrownianFabric(83), 10, [(0, 0, 7)], 1 << 10,
-                                  2.0 ** -10)
+    (fine_f,) = blocks.Stream(BrownianFabric(83), 10, 1 << 10,
+                              2.0 ** -10).draw([(0, 0, 7)])
     for fine in (fine_f, np.ascontiguousarray(fine_f), fine_f[2:]):
         coupled = {m: couple_levels(fine, m) for m in (1 << e for e in range(11))}
         for m_prev in coupled:
@@ -304,7 +304,7 @@ _SPREAD = MlmcConfig(models=(cir_model(1.0, 0.06, 0.04, 0.05),
 def test_engines_do_not_depend_on_block_layout(engine, monkeypatch):
     shipped = engine()
     monkeypatch.setattr(blocks, "_LAYOUT", "C")
-    (drawn,) = blocks.increments(BrownianFabric(1), 0, [(0, 0, 4)], 8, 1.0)
+    (drawn,) = blocks.Stream(BrownianFabric(1), 0, 8, 1.0).draw([(0, 0, 4)])
     assert drawn.flags.c_contiguous
     assert engine() == shipped
 
@@ -316,7 +316,7 @@ def test_engines_do_not_depend_on_block_layout(engine, monkeypatch):
 ])
 def test_correlate_in_place_matches_allocating_form(rows, n):
     fabric = BrownianFabric(71)
-    w, w_perp = blocks.increments(fabric, 2, [(0, 0, rows)], n, 0.5, factors=2)
+    w, w_perp = blocks.Stream(fabric, 2, n, 0.5, factors=2).draw([(0, 0, rows)])
     kept = (w.copy(), w_perp.copy())
     for rho in (-0.7, 0.0, 1.0, 0.3):
         expected = correlate(w, w_perp, rho)

@@ -117,6 +117,27 @@ def test_malformed_config_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mlmc_block", [
+    {"pilot_paths": 2, "max_level": 300},       # numpy's dimension limit
+    {"refinement": 10 ** 12, "max_level": 1},   # a 14.6 TiB block
+])
+def test_over_deep_multilevel_grid_exits_2(mlmc_block, tmp_path):
+    # The finest level may have at most 2**24 steps, as a study or a price;
+    # past that a run used to create `out` and then crash.
+    model = conv_mapping("unused")["model"]
+    from_mapping({"model": model, "mlmc": {"payoff": "zcb", "epsilons": [1e-2],
+                                           "refinement": 4, "max_level": 12}})
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "deep.yaml", {
+        "model": model, "out": str(out),
+        "mlmc": dict({"payoff": "zcb", "epsilons": [1e-2]}, **mlmc_block)})
+    result = invoke("mlmc", cfg)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("config error: mlmc.max_level: ")
+    assert not out.exists()
+
+
 def test_model_error_exits_3(tmp_path):
     out = tmp_path / "run"
     mapping = conv_mapping(str(out))

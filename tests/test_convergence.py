@@ -3,21 +3,10 @@ import pytest
 
 from sdeproj import convergence
 from sdeproj.brownian import BLOCK_WIDTH, BrownianFabric
-from sdeproj.convergence import (VALUE_CAP, fit_rate, run_convergence_study,
-                                 strong_error)
+from sdeproj.convergence import VALUE_CAP, fit_rate, run_convergence_study
 from sdeproj.errors import DomainError
 from sdeproj.models import cir_model, ginzburg_landau_model
 from sdeproj.projection import classical_plan, manual_plan, plan_exponents
-
-
-def test_strong_error_values():
-    assert strong_error([1.0, 2.0], [0.0, 4.0]) == 1.5
-    assert strong_error([3.0, -1.0], [3.0, -1.0]) == 0.0
-
-
-def test_strong_error_shape_mismatch():
-    with pytest.raises(ValueError):
-        strong_error([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_fit_rate_exact_halving():

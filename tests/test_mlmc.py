@@ -8,8 +8,7 @@ from sdeproj.blocks import chunks
 from sdeproj.brownian import BLOCK_WIDTH, BlockCursor, BrownianFabric
 from sdeproj.errors import BudgetExceeded, DomainError, NonFinite
 from sdeproj.mlmc import (MlmcConfig, allocate_paths, implicit_price,
-                          level_sample, mlmc_estimate, payoff_spread,
-                          payoff_zcb)
+                          level_sample, mlmc_estimate, payoff_spread)
 from sdeproj.models import cir_model, ginzburg_landau_model
 
 ZCB_CLOSED_FORM = 0.3721963545473621
@@ -20,22 +19,6 @@ def zcb_config(**overrides):
                 horizon=1.0, epsilon=1e-3)
     base.update(overrides)
     return MlmcConfig(**base)
-
-
-def test_payoff_zcb_values():
-    assert payoff_zcb(np.zeros(5), 1.0) == 1.0
-    assert payoff_zcb(np.full(5, 0.5), 1.0) == math.exp(-0.5)
-    batch = payoff_zcb(np.zeros((3, 9)), 2.0)
-    assert batch.shape == (3,) and np.all(batch == 1.0)
-
-
-def test_payoff_zcb_validation():
-    with pytest.raises(ValueError):
-        payoff_zcb(np.zeros(1), 1.0)
-    with pytest.raises(DomainError):
-        payoff_zcb(np.zeros(5), 0.0)
-    with pytest.raises(ValueError):
-        payoff_zcb(np.array([0.1, -0.2, 0.3]), 1.0)
 
 
 def test_payoff_spread_values():
@@ -253,8 +236,8 @@ def test_non_finite_payoff_names_its_block_and_row(monkeypatch):
     config = _spread()
     chunks = [(0, 100, BLOCK_WIDTH), (1, 0, BLOCK_WIDTH), (2, 0, 50)]
     _poison(monkeypatch, 1, 2 * BLOCK_WIDTH - 50, BLOCK_WIDTH - 100 + 3)
-    pair = mlmc._pair_batch(config, mlmc._projected(config), BrownianFabric(3), 0,
-                            chunks)
+    drawn = mlmc._stream(config, BrownianFabric(3), 0).draw(chunks)
+    pair = mlmc._pair_batch(config, mlmc._projected(config), 0, drawn)
     with pytest.raises(NonFinite, match=r"^non-finite payoff at level 0, "
                                         r"block 1, row 3$"):
         mlmc._check_finite(0, chunks, pair)
@@ -281,19 +264,19 @@ def test_non_finite_payoff_address_is_the_first_in_block_order(monkeypatch):
     # Block 1's row 5 is stepped first, but block 0's row 3000 comes first in
     # block order.
     monkeypatch.setattr(workers, "available_cores", lambda: 2)
-    real = mlmc._drivers
+    real = blocks.Stream.draw
 
-    def poisoned(config, fabric, level, chunks, n, h, *args):
-        drivers = real(config, fabric, level, chunks, n, h, *args)
+    def poisoned(self, chunks, team=None):
+        drivers = real(self, chunks, team)
         at = 0
         for block, lo, hi in chunks:
             row = {0: 3000, 1: 5}.get(block, -1)
-            if level == 3 and lo <= row < hi:
+            if self.level == 3 and lo <= row < hi:
                 drivers[0][at + row - lo] = np.nan
             at += hi - lo
         return drivers
 
-    monkeypatch.setattr(mlmc, "_drivers", poisoned)
+    monkeypatch.setattr(blocks.Stream, "draw", poisoned)
     config = _spread(max_level=3, pilot_paths=2 * BLOCK_WIDTH)
     with pytest.raises(NonFinite, match=r"level 3, block 0, row 3000$"):
         mlmc_estimate(config, BrownianFabric(3), threads=2)
@@ -328,10 +311,14 @@ def test_pilot_and_final_pass_draw_every_row_once(config, threads, cap, monkeypa
     # equals that of a run that redraws every block from its first row.
     monkeypatch.setattr(workers, "available_cores", lambda: 2)
     monkeypatch.setattr(blocks, "_BATCH_NORMALS", cap)
-    real_increments = mlmc.increments
+    real_draw = blocks.Stream.draw
+
+    def redraw(self, batch, team=None):
+        self._cursors.clear()
+        return real_draw(self, batch, team)
+
     with monkeypatch.context() as patch:
-        patch.setattr(mlmc, "increments",
-                      lambda *args, cursors=None, **kwargs: real_increments(*args, **kwargs))
+        patch.setattr(blocks.Stream, "draw", redraw)
         redrawn = mlmc_estimate(config, BrownianFabric(7), threads=threads)
     drawn = _drawn_rows(monkeypatch)
     report = mlmc_estimate(config, BrownianFabric(7), threads=threads)

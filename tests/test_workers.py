@@ -255,8 +255,8 @@ def test_split_mix_under_thread_switching():
     # More workers than cores and a short switch interval: an overlap or a
     # lost chunk between the threads' column ranges would change the bits.
     fabric = BrownianFabric(83)
-    w, w_perp = blocks.increments(fabric, 6, [(0, 0, BLOCK_WIDTH)], 256, 1.0 / 256,
-                                  factors=2)
+    w, w_perp = blocks.Stream(fabric, 6, 256, 1.0 / 256,
+                              factors=2).draw([(0, 0, BLOCK_WIDTH)])
     expected = correlate(w, w_perp, -0.7)
     interval = sys.getswitchinterval()
     crew = Team(8)

@@ -26,8 +26,8 @@ from typing import Any, Callable, Iterable, Mapping
 import yaml
 
 from .convergence import REFERENCES, VARIANTS
-from .errors import ConfigError
-from .mlmc import PAYOFFS
+from .errors import ConfigError, DomainError
+from .mlmc import PAYOFFS, check_finest_grid
 from .models import (ModelTriple, ait_sahalia_model, cir_model,
                      ginzburg_landau_model, three_halves_model)
 from .projection import ProjectionPlan, classical_plan, manual_plan, plan_exponents
@@ -285,10 +285,10 @@ class MlmcSection(_Block):
             if first < i:
                 raise ConfigError(f"names the same mlmc_{tag} files as "
                                   f"epsilons[{first}]", f"{path}.epsilons[{i}]")
-        # The finest study or price grid; max_level first keeps the power small.
-        if self.max_level > 24 or self.refinement ** self.max_level > 2 ** 24:
-            raise ConfigError("refinement ** max_level must be <= 2 ** 24 steps",
-                              f"{path}.max_level")
+        try:
+            check_finest_grid(self.refinement, self.max_level)
+        except DomainError as exc:
+            raise ConfigError(exc.reason, f"{path}.{exc.field}") from None
         pilot_total = self.pilot_paths * (self.max_level + 1)
         if self.path_ceiling < pilot_total:
             raise ConfigError(f"must be >= pilot_paths * (max_level + 1) = "

@@ -11,7 +11,16 @@ class FellerViolation(SdeProjError):
 
 
 class DomainError(SdeProjError):
-    """Model parameter outside its admissible domain."""
+    """Model or engine parameter outside its admissible domain.
+
+    `field` names the offending argument when the rule is one a config block
+    shares, so that the block can report `reason` at its own dotted path.
+    """
+
+    def __init__(self, message: str, field: str = ""):
+        self.field = field
+        self.reason = message
+        super().__init__(f"{field}: {message}" if field else message)
 
 
 class RateUnavailable(SdeProjError):

@@ -39,6 +39,18 @@ def payoff_spread(x1: np.ndarray, x2: np.ndarray, strike: float) -> np.ndarray:
                       - strike, 0.0)
 
 
+def check_finest_grid(refinement: int, max_level: int) -> None:
+    """Refuse a finest level past 2**24 steps, the finest study or price grid.
+
+    Raises:
+        DomainError: naming `max_level`.
+    """
+    # max_level first keeps the power small.
+    if max_level > 24 or refinement ** max_level > 2 ** 24:
+        raise DomainError("refinement ** max_level must be <= 2 ** 24 steps",
+                          "max_level")
+
+
 @dataclass(frozen=True)
 class MlmcConfig:
     """Problem and tuning knobs for one multilevel run.
@@ -85,6 +97,7 @@ class MlmcConfig:
             raise DomainError("refinement must be >= 2")
         if self.max_level < 1:
             raise DomainError("max_level must be >= 1")
+        check_finest_grid(self.refinement, self.max_level)
         if self.pilot_paths < 2:
             raise DomainError("pilot_paths must be >= 2")
         if self.path_ceiling < self.pilot_paths * (self.max_level + 1):

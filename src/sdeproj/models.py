@@ -154,6 +154,26 @@ def _grid(lo: float = 1e-3, hi: float = 1e3, points: int = 20001) -> np.ndarray:
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
+def _power(s: float) -> Callable[[np.ndarray], np.ndarray]:
+    """y -> y**s, by binary powering when s is a positive integer.
+
+    Products and quotients round the same for a float and an array, while
+    `**` calls C `pow` on a float and a per-CPU SIMD loop on an array.
+    """
+    if not (s >= 1.0 and s.is_integer()):
+        return lambda y: y ** s
+    bits = bin(int(s))[3:]
+
+    def power(y):
+        out = y
+        for bit in bits:
+            out = out * out
+            if bit == "1":
+                out = out * y
+        return out
+    return power
+
+
 def _numeric_one_sided_k(f_prime: Callable) -> float:
     # Sup of f' over a dense log grid on [1e-3, 1e3] with a safety margin.
     m = float(np.max(f_prime(_grid())))
@@ -483,14 +503,24 @@ def ait_sahalia_model(a_minus1: float, a0: float, a1: float, a2: float,
     beta = (varrho - 1.0) / (rho - 1.0)
     gate = varrho + 1.0 > 2.0 * rho
     pref = 1.0 - rho
-    e1 = (-1.0 - rho) / (1.0 - rho)
-    e2 = -rho / (1.0 - rho)
     e3 = (varrho - rho) / (1.0 - rho)
     half_rg2 = 0.5 * rho * gamma * gamma
+    # The exponents 1 + 2s and 1 + s of a_minus1 and a0 share u = y**s, so
+    # the polynomial part nests around it.
+    power = _power(1.0 / (rho - 1.0))
+    if e3 == -1.0:
+        # varrho + 1 == 2 rho: the a2 term and the Ito term are both 1/y.
+        merged = a2 + half_rg2
+
+        def tail(y):
+            return merged / y
+    else:
+        def tail(y):
+            return a2 * y ** e3 + half_rg2 / y
 
     def f(y):
-        return pref * (a_minus1 * y ** e1 - a0 * y ** e2 + a1 * y
-                       - a2 * y ** e3 - half_rg2 / y)
+        u = power(y)
+        return pref * (y * (a1 + u * (a_minus1 * u - a0)) - tail(y))
 
     def f_prime(y):
         return (-a_minus1 * (1.0 + rho) * y ** alpha
@@ -567,7 +597,7 @@ def ginzburg_landau_model(lam: float, sigma: float, x0: float) -> ModelTriple:
     c = lam + 0.5 * sigma * sigma
 
     def f(y):
-        return -y ** 3 + c * y
+        return y * (c - y * y)
 
     def f_prime(y):
         return -3.0 * y * y + c

@@ -49,6 +49,14 @@ def test_config_validation():
         zcb_config(max_level=0)
     with pytest.raises(DomainError):
         zcb_config(pilot_paths=1)
+    # The finest level is bounded like the config's, before any draw: these
+    # used to fail in np.empty, at numpy's dimension limit and at 14.6 TiB.
+    with pytest.raises(DomainError, match="^max_level: "):
+        mlmc_estimate(zcb_config(epsilon=1e-2, max_level=300, pilot_paths=2),
+                      BrownianFabric(1))
+    with pytest.raises(DomainError, match="^max_level: "):
+        zcb_config(refinement=10 ** 12, max_level=1)
+    assert zcb_config(max_level=12).max_level == 12  # 4**12 == 2**24 steps
     with pytest.raises(DomainError):
         zcb_config(pilot_paths=100, max_level=5, path_ceiling=599)
     with pytest.raises(DomainError):

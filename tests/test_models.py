@@ -173,6 +173,32 @@ def test_ginzburg_landau_coefficients():
         ginzburg_landau_model(0.5, 1.0, 0.0)
 
 
+def _ait_sahalia_terms(a_minus1, a0, a1, a2, gamma, varrho, rho):
+    """The model and its transformed drift as a sum of power terms."""
+    def terms(y):
+        return (1.0 - rho) * (a_minus1 * y ** ((1.0 + rho) / (rho - 1.0))
+                              - a0 * y ** (rho / (rho - 1.0)) + a1 * y
+                              - a2 * y ** ((varrho - rho) / (1.0 - rho))
+                              - 0.5 * rho * gamma * gamma / y)
+    return ait_sahalia_model(a_minus1, a0, a1, a2, gamma, varrho, rho, 1.0), terms
+
+
+@pytest.mark.parametrize("triple, terms", [
+    # criterion 4: u = y * y, and the a2 and Ito terms merge (e3 = -1)
+    _ait_sahalia_terms(1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.5),
+    _ait_sahalia_terms(1.0, 1.0, 1.0, 1.0, 1.0, 3.0, 1.5),  # e3 = -3: apart
+    _ait_sahalia_terms(0.7, 0.3, 0.9, 1.3, 0.8, 2.5, 1.7),  # u = y ** (1/0.7)
+    (ginzburg_landau_model(0.5, 1.0, 1.0), lambda y: -y ** 3 + 1.0 * y),
+    (ginzburg_landau_model(0.0, 7.0, 1.0), lambda y: -y ** 3 + 24.5 * y),
+], ids=["as-criterion-4", "as-e3=-3", "as-fractional-s", "gl-c=1", "gl-c=24.5"])
+def test_nested_drift_matches_the_power_formula(triple, terms):
+    f = triple.transformed.f
+    ys = np.logspace(-3, 1)
+    np.testing.assert_allclose(f(ys), terms(ys), rtol=1e-13)
+    assert type(f(0.5)) is float
+    assert f(0.5) == pytest.approx(terms(0.5), rel=1e-13)
+
+
 def test_gamma_bar_clamps_to_nonnegative_states():
     gl = ginzburg_landau_model(0.5, 2.0, 1.0).transformed
     assert gl.gamma_bar(-3.0) == 0.0

@@ -286,14 +286,22 @@ def test_classical_plan_reduces_to_euler():
 
 
 def test_evolve_terminal_matches_simulate_path():
-    t = cir_model(0.5, 1.0, 0.5, 1.0).transformed
-    plan = plan_exponents(cir_model(0.5, 1.0, 0.5, 1.0, q=6.0).transformed)
-    grid = SchemeGrid(horizon=1.0, n=64)
-    incs = BrownianFabric(9).increments(0, 0, 64, grid.h)
-    path = simulate_path(t, grid, plan, incs)
-    batch = evolve_terminal(t, plan, 64, grid.h, incs[None, :])
-    assert batch.shape == (1,)
-    assert batch[0] == path[-1]
+    # One path stepped as floats equals its row of the batch, bit for bit:
+    # these drifts round alike for a float and an array because they call
+    # no `pow`, whose scalar and SIMD loops may differ in the last bit.
+    cir_plan = plan_exponents(cir_model(0.5, 1.0, 0.5, 1.0, q=6.0).transformed)
+    ait = ait_sahalia_model(1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.5, 1.0).transformed
+    gl = ginzburg_landau_model(0.5, 1.0, 1.0).transformed
+    grid = SchemeGrid(horizon=1.0, n=256)
+    fabric = BrownianFabric(9)
+    incs = np.stack([fabric.increments(p, 0, grid.n, grid.h) for p in range(200)])
+    for model, plan in [(cir_model(0.5, 1.0, 0.5, 1.0).transformed, cir_plan),
+                        (ait, manual_plan(ait, k=0.25, k_prime=0.125)),
+                        (gl, plan_exponents(gl))]:
+        batch = evolve_terminal(model, plan, grid.n, grid.h, incs)
+        assert batch.shape == (200,)
+        paths = [simulate_path(model, grid, plan, row)[-1] for row in incs]
+        assert np.array_equal(batch, paths), model.name
 
 
 def test_zero_diffusion_ignores_increment_signs():

@@ -172,8 +172,9 @@ def fold(values, stream: Stream, start: int, stop: int, totals, *,
 
     The row length `stream.n` picks how the team is used.  Blocks of at
     most `_BATCH_NORMALS` normals go in batches of whole blocks holding at
-    most that many; `team.size` batches run at once, each drawn, stepped and
-    reduced to `Moments` on one worker, and `values` gets no team.  Longer
+    most that many; up to `team.size` batches run at once (`Team.imap`),
+    each drawn, stepped and reduced to `Moments` on one worker, which takes
+    the next batch as soon as it is free, and `values` gets no team.  Longer
     rows take `team.size` blocks a batch, drawn in row slabs (`by_slabs`)
     whose streams the team fills at once, and stepped on the calling
     thread; `values` gets the team to split the correlation mix over.

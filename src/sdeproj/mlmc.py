@@ -28,7 +28,7 @@ from .models import ModelTriple
 # perfbench's tracer wraps `project` and `diffusion_bar` under this module.
 from .projection import _evolve, diffusion_bar, manual_plan, project  # noqa: F401
 from .reference import (ImplicitCirParams, _implicit_evolve,
-                        ginzburg_landau_exact, ginzburg_landau_terminal)
+                        ginzburg_landau_terminal)
 
 PAYOFFS = ("zcb", "spread")
 
@@ -413,7 +413,8 @@ def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
                    threads: int = 0) -> tuple[float, float]:
     """(price, standard error) of E[X_T] for the ginzburg-landau model, from
     `ginzburg_landau_terminal` on 2**fine_exponent steps (streams at level
-    `fine_exponent`).  With sigma = 0 the price is exact and no path is drawn.
+    `fine_exponent`).  With sigma = 0 the price is exact: the same function
+    on one row of zero increments, and no path is drawn.
 
     `threads` works as in `implicit_price`; the result is the same for
     every value.
@@ -426,8 +427,8 @@ def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
     n = 1 << fine_exponent
     times = np.linspace(0.0, horizon, n + 1)
     if sigma == 0.0:
-        value = ginzburg_landau_exact(lam, 0.0, x0, times, np.zeros((1, n + 1)))
-        return float(value[0, -1]), 0.0
+        value = ginzburg_landau_terminal(lam, 0.0, x0, times, np.zeros((1, n)))
+        return float(value[0]), 0.0
 
     def terminals(drawn, team):
         return ginzburg_landau_terminal(lam, sigma, x0, times, drawn[0])

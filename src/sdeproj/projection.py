@@ -312,9 +312,15 @@ def _evolve(model: TransformedModel, plan: ProjectionPlan, n: int, h: float,
     terminal states and, with an `integrand`, the left Riemann sum of
     integrand(state) * h (else None).  Step i reads the column
     `increments[:, i]`, contiguous in column-major blocks; the result does
-    not depend on the layout.  inf/NaN propagate for callers to flag."""
+    not depend on the layout.  inf/NaN propagate for callers to flag.
+
+    Every path starts at `model.y0`, so step 0's drift, diffusion and
+    integrand are computed once, on a one-element state that broadcasts
+    against the increments; the state has one entry per row from step 1
+    on.  One element, not a scalar: `**` on a float calls C `pow`, and on
+    an array numpy's SIMD loop, as on the rows (see `models._power`)."""
     incs = np.asarray(increments, dtype=float)
-    y = np.full(incs.shape[0], model.y0, dtype=float)
+    y = np.full(1 if n else incs.shape[0], model.y0, dtype=float)
     integral = None if integrand is None else np.zeros(incs.shape[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(n):

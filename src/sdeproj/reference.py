@@ -124,9 +124,10 @@ def _implicit_evolve(params: ImplicitCirParams, n: int, h: float,
                      increments: np.ndarray, integrand=None):
     """The implicit stepper over n steps, one path per row of `increments`:
     terminal states and, with an `integrand`, the left Riemann sum of
-    integrand(state) * h (else None)."""
+    integrand(state) * h (else None).  As in `projection._evolve`, step 0
+    starts from a one-element state, so its integrand is computed once."""
     incs = np.asarray(increments, dtype=float)
-    y = np.full(incs.shape[0], params.y0, dtype=float)
+    y = np.full(1 if n else incs.shape[0], params.y0, dtype=float)
     integral = None if integrand is None else np.zeros(incs.shape[0])
     for i in range(n):
         if integral is not None:

@@ -20,10 +20,16 @@ ufunc calls whose set-up holds the lock.  A batch of many small blocks
 gives long arrays and lets one thread step while another draws; a slab of
 long rows does not (stepping two blocks or two factors on two threads was
 slower than stepping both on one), so the calling thread steps it alone.
+
+`Team.imap` has no round barrier, so the threads drift out of step: one
+draws (lock released) while another steps.  Batches started together
+would draw together and then step together, handing the lock back and
+forth on every ufunc call, and a round would wait for its slowest batch.
 """
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 
 
@@ -98,22 +104,78 @@ class Team:
     def imap(self, fn, items):
         """Yield fn(item) for each of `items`, in order.
 
-        The items run in rounds of `size`: the first of a round on the
-        calling thread, the rest on the pool.  A round's results are all
-        yielded before the next round starts, so no more than `size` calls
-        are ever in flight.  An error is raised when its result is due,
-        after the round's other calls have finished.
-        """
-        from concurrent.futures import wait
+        The calling thread and the pool run free: each thread takes the next
+        item as soon as it is free, with no round to wait for, so at most
+        `size` calls run at once.  The calling thread runs items only while
+        it waits for the result that is due.  An item j starts only while
+        j < k + 2 * size, where k is the next result to yield, so finished
+        results wait in a bounded window.  Threads wait on a condition, not
+        by polling.
 
-        for lo in range(0, len(items), self.size):
-            pending = [self.submit(fn, item) for item in items[lo + 1:lo + self.size]]
+        After a call fails no item starts.  The first failing item's error
+        is raised when its result is due, once the calls already running
+        have finished.  A consumer that stops early also waits for them.
+        """
+        count, ahead = len(items), 2 * self.size
+        changed = threading.Condition()
+        results = {}  # item index -> (error or None, value)
+        state = {"next": 0, "due": 0, "stop": False}
+
+        def claim():
+            """The index of the item to start now, or None (lock held)."""
+            j = state["next"]
+            if state["stop"] or j >= count or j >= state["due"] + ahead:
+                return None
+            state["next"] = j + 1
+            return j
+
+        def run(j):
+            """Run item j and record its outcome; returns its error."""
             try:
-                yield fn(items[lo])
-                for future in pending:
-                    yield future.result()
-            finally:
-                wait(pending)
+                outcome = None, fn(items[j])
+            except BaseException as error:
+                outcome = error, None
+            with changed:
+                results[j] = outcome
+                state["stop"] = state["stop"] or outcome[0] is not None
+                changed.notify_all()
+            return outcome[0]
+
+        def work():
+            while True:
+                with changed:
+                    while (j := claim()) is None:
+                        if state["stop"] or state["next"] >= count:
+                            return
+                        changed.wait()
+                run(j)
+
+        crew = [self.submit(work) for _ in range(min(self.size, count) - 1)]
+        try:
+            for k in range(count):
+                while True:
+                    with changed:
+                        while k not in results and (j := claim()) is None:
+                            changed.wait()
+                        if k in results:
+                            error, value = results.pop(k)
+                            state["due"] = k + 1
+                            changed.notify_all()
+                            break
+                    interrupt = run(j)
+                    # An interrupt on this thread, unlike an error, is not
+                    # held until its item is due.
+                    if interrupt is not None and not isinstance(interrupt, Exception):
+                        raise interrupt
+                if error is not None:
+                    raise error
+                yield value
+        finally:
+            with changed:
+                state["stop"] = True
+                changed.notify_all()
+            for future in crew:
+                future.result()
 
     def close(self) -> None:
         if self._pool is not None:

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sdeproj import config
 from sdeproj.brownian import BrownianFabric
 from sdeproj.errors import (DomainError, MissingThreshold, NonFinite,
                             PlanInfeasible)
-from sdeproj.models import (TransformedModel, ait_sahalia_model, cir_model,
-                            ginzburg_landau_model)
-from sdeproj.projection import (ProjectionPlan, SchemeGrid, clamp_variant,
+from sdeproj.models import (SmoothCoefficient, TransformedModel,
+                            ait_sahalia_model, cir_model,
+                            ginzburg_landau_model, locally_smooth_model,
+                            three_halves_model)
+from sdeproj.projection import (ProjectionPlan, SchemeGrid, _advance, _evolve,
+                                clamp_variant,
                                 classical_plan, diffusion_bar,
                                 evolve_terminal, lipschitz_bound, manual_plan,
                                 plan_exponents, project, simulate_path,
@@ -302,6 +306,75 @@ def test_evolve_terminal_matches_simulate_path():
         assert batch.shape == (200,)
         paths = [simulate_path(model, grid, plan, row)[-1] for row in incs]
         assert np.array_equal(batch, paths), model.name
+
+
+def _full_length_evolve(model, plan, n, h, increments, integrand=None):
+    """`_evolve` as it was before step 0 was computed once: every row holds
+    the start value from step 0 on."""
+    incs = np.asarray(increments, dtype=float)
+    y = np.full(incs.shape[0], model.y0, dtype=float)
+    integral = None if integrand is None else np.zeros(incs.shape[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(n):
+            if integral is not None:
+                integral += integrand(y) * h
+            y = _advance(y, model, plan, n, h, incs[:, i])
+    return y, integral
+
+
+def _step_zero_cases():
+    """(label, triple, plan) for every family the config admits, an
+    ait-sahalia whose 1/(rho - 1) and a2 exponent are not integers (both
+    taken by `pow`), and a locally-smooth model (`pow` in f and its
+    inverse map)."""
+    smooth = SmoothCoefficient(fn=lambda x: 1.0 + 0.0 * x, deriv=lambda x: 0.0 * x,
+                               second=lambda x: 0.0 * x)
+    triples = {
+        "cir": cir_model(2.0, 1.0, 0.5, 1.0),
+        "three-halves": three_halves_model(1.0, 1.0, 1.0, 1.0),
+        "ait-sahalia": ait_sahalia_model(1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.5, 1.0),
+        "ait-sahalia-non-integral": ait_sahalia_model(1.0, 1.0, 1.0, 1.0, 1.0,
+                                                      2.5, 1.7, 0.8),
+        "ginzburg-landau": ginzburg_landau_model(0.5, 1.0, 1.0),
+        "locally-smooth": locally_smooth_model(smooth, smooth, 1.0, 0.75, 1.0),
+    }
+    assert set(config._FAMILIES) <= set(triples)
+    assert not (1.0 / (1.7 - 1.0)).is_integer()
+    plans = {"cir": manual_plan(triples["cir"].transformed, k=0.25, scale_lo=0.01),
+             "ait-sahalia": manual_plan(triples["ait-sahalia"].transformed,
+                                        k=0.25, k_prime=0.125)}
+    return [(label, triple, plans.get(label) or plan_exponents(triple.transformed))
+            for label, triple in triples.items()]
+
+
+@pytest.mark.parametrize("label, triple, plan", _step_zero_cases(),
+                         ids=[case[0] for case in _step_zero_cases()])
+def test_step_zero_from_y0_keeps_the_bits_of_full_length_rows(label, triple, plan):
+    # Step 0 is computed on one element and broadcast; the old loop computed
+    # it on every row.  Both must give the same bits, with and without an
+    # integrand, at any row count and number of steps.
+    model = triple.transformed
+    rng = np.random.default_rng(31)
+
+    def rate(y):
+        return triple.lamperti.inverse(np.maximum(y, 0.0))
+
+    for n in (1, 2, 5):
+        h = 1.0 / n
+        for rows in (1, 7, 4096, 1 << 17):
+            incs = np.asfortranarray(rng.standard_normal((rows, n)) * math.sqrt(h))
+            for integrand in (None, rate):
+                y, integral = _evolve(model, plan, n, h, incs, integrand)
+                old_y, old_integral = _full_length_evolve(model, plan, n, h, incs,
+                                                          integrand)
+                assert y.shape == (rows,)
+                np.testing.assert_array_equal(y, old_y, err_msg=f"{label} n={n}")
+                if integrand is None:
+                    assert integral is None
+                else:
+                    assert integral.shape == (rows,)
+                    np.testing.assert_array_equal(integral, old_integral)
+    assert _evolve(model, plan, 0, 1.0, np.empty((3, 0)))[0].shape == (3,)
 
 
 def test_zero_diffusion_ignores_increment_signs():

@@ -180,6 +180,36 @@ def test_implicit_users_give_the_where_formula_reports(monkeypatch):
     assert run() == lean
 
 
+def test_implicit_step_zero_from_y0_keeps_the_bits_of_full_length_rows():
+    # `_implicit_evolve` starts from a one-element state; the loop below is
+    # the old one, which held y0 on every row from step 0.
+    rng = np.random.default_rng(43)
+    for triple in (cir_model(2.0, 1.0, 0.5, 1.0), cir_model(1.0, 0.06, 0.04, 0.05)):
+        params = ImplicitCirParams.from_model(triple.transformed)
+
+        def rate(y, inverse=triple.lamperti.inverse):
+            return inverse(np.maximum(y, 0.0))
+
+        for n in (1, 2, 5):
+            h = 1.0 / n
+            for rows in (1, 7, 4096, 1 << 17):
+                incs = np.asfortranarray(rng.standard_normal((rows, n)) * math.sqrt(h))
+                for integrand in (None, rate):
+                    y = np.full(rows, params.y0)
+                    integral = np.zeros(rows)
+                    for i in range(n):
+                        integral += rate(y) * h
+                        y = implicit_cir_step(y, params, h, incs[:, i])
+                    got, got_integral = reference._implicit_evolve(params, n, h, incs,
+                                                                   integrand)
+                    assert got.shape == (rows,)
+                    np.testing.assert_array_equal(got, y)
+                    if integrand is None:
+                        assert got_integral is None
+                    else:
+                        np.testing.assert_array_equal(got_integral, integral)
+
+
 def test_path_and_terminal_agree():
     p = ImplicitCirParams.from_cir(0.5, 1.0, 0.5, 1.0)
     h = 1.0 / 32.0
@@ -301,6 +331,7 @@ def test_gl_exact_layout_independent():
     (0.5, 1.0, 1.0, 1.0),
     (0.0, 7.0, 1.0, 3.0),     # criterion 3's explosive parameters
     (-0.3, 0.2, 2.0, 1.5),
+    (0.5, 0.0, 1.0, 1.0),     # no noise: `gl_exact_price`'s exact price
 ])
 def test_gl_terminal_matches_full_solution(lam, sigma, x0, horizon):
     n = 256

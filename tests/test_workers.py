@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -159,17 +161,37 @@ def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):
         submitted.append(fn)
         return real_submit(self, fn, *args, **kwargs)
 
+    # A batch of whole blocks is drawn with no team and reduced to `Moments`
+    # by one `batch_moments` call: record the thread of each stage.
+    batch_threads = {"draw": set(), "reduce": set()}
+    real_draw, real_of = blocks.Stream.draw, blocks.Moments.of.__func__
+
+    def recording_draw(self, batch, team=None):
+        if team is None:
+            batch_threads["draw"].add(threading.current_thread())
+        return real_draw(self, batch, team)
+
+    def recording_of(cls, values):
+        batch_threads["reduce"].add(threading.current_thread())
+        return real_of(cls, values)
+
     monkeypatch.setattr(Team, "submit", counting_submit)
     prices = [implicit_price(SPREAD, BrownianFabric(13), paths=BLOCK_WIDTH + 100,
                              fine_exponent=6, threads=t) for t in (1, 2, 3)]
     assert prices[0] == prices[1] == prices[2]
+    monkeypatch.setattr(blocks.Stream, "draw", recording_draw)
+    monkeypatch.setattr(blocks.Moments, "of", classmethod(recording_of))
     reports = [mlmc_estimate(MANY_BLOCKS, BrownianFabric(13), threads=t)
                for t in (1, 2, 3)]
     assert reports[0] == reports[1] == reports[2]
     # Streams of slabs went to the pool, and so did pieces of the mix and
-    # whole batches of small blocks.
+    # the free-running `imap` workers.
     names = {getattr(fn, "func", fn).__name__ for fn in submitted}
-    assert names == {"fill", "mix", "batch_moments"}
+    assert names == {"fill", "mix", "work"}
+    # Whole batches were drawn and reduced on pool threads.
+    pool = (batch_threads["draw"] & batch_threads["reduce"]) \
+        - {threading.main_thread()}
+    assert pool, "no batch of whole blocks ran on a pool thread"
 
 
 @pytest.mark.parametrize("engine", [
@@ -249,6 +271,84 @@ def test_imap_yields_in_order_and_raises_at_the_failing_item():
         assert seen == [0, 1, 2, 3]
     finally:
         crew.close()
+
+
+def test_imap_runs_free_under_thread_switching():
+    # Random per-item sleeps and a short switch interval interleave the
+    # threads in many orders.  Every item from a random index on fails, so
+    # the first failing item is the one whose error must come out; some
+    # runs stop consuming early instead.
+    rng = random.Random(2024)
+    size = 3
+    before = threading.active_count()
+    crew = Team(size)
+    futures = []
+    real_submit = crew.submit
+
+    def recording_submit(fn, *args):
+        futures.append(real_submit(fn, *args))
+        return futures[-1]
+
+    crew.submit = recording_submit
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for trial in range(30):
+            count = rng.randrange(1, 50)
+            fail = rng.randrange(count) if trial % 3 == 1 else count
+            stop = rng.randrange(count) if trial % 3 == 2 else count
+            delays = [rng.uniform(5e-4, 3e-3) for _ in range(count)]
+            lock = threading.Lock()
+            log = {"running": 0, "peak": 0, "received": 0, "failed": False}
+            started, finished, ahead, late = [], [], [], []
+
+            def call(j):
+                with lock:
+                    log["running"] += 1
+                    log["peak"] = max(log["peak"], log["running"])
+                    started.append(j)
+                    if j >= log["received"] + 1 + 2 * size:
+                        ahead.append(j)
+                    if log["failed"]:
+                        late.append(threading.current_thread())
+                time.sleep(delays[j])
+                with lock:
+                    log["running"] -= 1
+                    finished.append(j)
+                    log["failed"] = log["failed"] or j >= fail
+                if j >= fail:
+                    raise KeyError(j)
+                return j * j
+
+            seen, raised = [], None
+            try:
+                for value in crew.imap(call, list(range(count))):
+                    with lock:
+                        log["received"] += 1
+                    seen.append(value)
+                    if len(seen) > stop:
+                        break
+            except KeyError as error:
+                raised = error.args[0]
+            expected = min(fail, stop + 1)
+            assert seen == [j * j for j in range(expected)]
+            assert raised == (fail if fail < count and stop >= fail else None)
+            assert log["peak"] <= size
+            assert not ahead, f"items {ahead} started past the run-ahead bound"
+            # A thread that saw a failure before its next claim starts
+            # nothing more; another can start one call while the error is
+            # on its way into the map.
+            assert len(late) == len(set(late)) <= size - 1
+            # Nothing runs once the map has returned, and nothing starts
+            # later: the pool's worker loops have all returned.
+            assert sorted(started) == sorted(finished)
+            assert all(future.done() for future in futures)
+            time.sleep(5e-3)
+            assert len(started) == len(finished) == len(set(started))
+    finally:
+        sys.setswitchinterval(interval)
+        crew.close()
+    assert threading.active_count() == before
 
 
 def test_split_mix_under_thread_switching():

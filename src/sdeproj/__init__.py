@@ -26,8 +26,8 @@ from .projection import (ProjectionPlan, SchemeGrid, clamp_variant,
                          lipschitz_bound, manual_plan, plan_exponents, project,
                          simulate_path, step)
 from .reference import (ImplicitCirParams, cir_zcb_closed_form,
-                        ginzburg_landau_exact, implicit_cir_path,
-                        implicit_cir_step, implicit_cir_terminal)
+                        implicit_cir_path, implicit_cir_step,
+                        implicit_cir_terminal)
 
 __version__ = "1.0.0"
 
@@ -53,7 +53,7 @@ __all__ = [
     "ProjectionPlan", "SchemeGrid", "clamp_variant", "classical_plan",
     "diffusion_bar", "evolve_terminal", "lipschitz_bound", "manual_plan",
     "plan_exponents", "project", "simulate_path", "step",
-    "ImplicitCirParams", "cir_zcb_closed_form", "ginzburg_landau_exact",
-    "implicit_cir_path", "implicit_cir_step", "implicit_cir_terminal",
+    "ImplicitCirParams", "cir_zcb_closed_form", "implicit_cir_path",
+    "implicit_cir_step", "implicit_cir_terminal",
     "SPEC_VERSION", "__version__",
 ]

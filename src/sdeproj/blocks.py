@@ -177,7 +177,9 @@ def fold(values, stream: Stream, start: int, stop: int, totals, *,
     the next batch as soon as it is free, and `values` gets no team.  Longer
     rows take `team.size` blocks a batch, drawn in row slabs (`by_slabs`)
     whose streams the team fills at once, and stepped on the calling
-    thread; `values` gets the team to split the correlation mix over.
+    thread; `values` gets the team to hand it work that releases the lock
+    while that thread steps: the correlation mix, split over the team, or
+    a convergence study's coupled grids, built on a pool thread.
     """
     per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * stream.n)
     todo = chunks(start, stop)

@@ -26,8 +26,8 @@ from typing import Any, Callable, Iterable, Mapping
 import yaml
 
 from .convergence import REFERENCES, VARIANTS
-from .errors import ConfigError, DomainError
-from .mlmc import PAYOFFS, check_finest_grid
+from .errors import ConfigError, DomainError, SdeProjError
+from .mlmc import PAYOFFS, MlmcConfig, check_finest_grid, check_lower_exponent
 from .models import (ModelTriple, ait_sahalia_model, cir_model,
                      ginzburg_landau_model, three_halves_model)
 from .projection import ProjectionPlan, classical_plan, manual_plan, plan_exponents
@@ -363,10 +363,9 @@ class ExperimentConfig(_Block):
         if price is not None and price.mode == "spread-mc":
             gates.append(("spread-mc mode", ("cir",), ("model", "model2")))
         if mlmc is not None:
+            factors = ("model", "model2") if mlmc.payoff == "spread" else ("model",)
             half_line = ("cir", "three-halves", "ait-sahalia")
-            gates.append(("the multilevel engine", half_line,
-                          ("model", "model2") if mlmc.payoff == "spread"
-                          else ("model",)))
+            gates.append(("the multilevel engine", half_line, factors))
         for engine, admitted, names in gates:
             for name in names:
                 family = getattr(self, name).family
@@ -374,6 +373,18 @@ class ExperimentConfig(_Block):
                     raise ConfigError(f"{engine} does not run the {family} family "
                                       f"(it needs {', '.join(admitted)})",
                                       f"{name}.family")
+        # The multilevel plans' lower exponent, checked on the built models:
+        # parameters the models refuse are the run's to report (exit 3).
+        if mlmc is not None:
+            try:
+                models = [getattr(self, name).build() for name in factors]
+            except SdeProjError:
+                return
+            try:
+                check_lower_exponent(models, MlmcConfig.k if scheme.k is None
+                                     else scheme.k)
+            except DomainError as exc:
+                raise ConfigError(exc.reason, f"scheme.{exc.field}") from None
 
 
 def from_mapping(mapping: Mapping) -> ExperimentConfig:

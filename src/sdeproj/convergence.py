@@ -139,9 +139,10 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             values are clamped to the cores available).  `blocks.fold`
             draws the fine grid's `blocks.Stream`: long rows in row slabs,
             one block per worker, each block's stream filled on its own
-            worker while the calling thread steps each slab; short ones in
-            batches of whole blocks stepped on the workers.  The report is
-            the same for every value.
+            worker, and then only the calling thread steps the slab while
+            one pool thread builds its coupled coarse grids; short ones in
+            batches of whole blocks stepped on the workers, each building
+            its own grids.  The report is the same for every value.
     """
     if reference not in REFERENCES:
         raise DomainError(f"unknown reference {reference!r}; expected one of {REFERENCES}")
@@ -169,10 +170,25 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
     h_fine = horizon / n_fine
     times = np.linspace(0.0, horizon, n_fine + 1)
 
+    def coupled(fine):
+        """The grids of the tested resolutions, finest first: each coarser
+        one extends the previous one's sums (`extend_coupling`) instead of
+        re-reading all of `fine`."""
+        grids = [couple_levels(fine, n_fine >> exps[-1])]
+        for n_prev, n_exp in zip(reversed(exps), reversed(exps[:-1])):
+            grids.append(extend_coupling(grids[-1], fine, n_fine >> n_prev,
+                                         n_fine >> n_exp))
+        return grids
+
     def values(drawn, team):
         """Per resolution, |reference - scheme| of each path `drawn` on the
-        fine grid; then per resolution, whether either value was capped."""
+        fine grid; then per resolution, whether either value was capped.
+
+        With a team, a pool thread builds the coupled grids while this one
+        steps the reference: the chain is large ufunc calls that release
+        the lock, the stepping many small ones that hold it."""
         (fine,) = drawn
+        pending = None if team is None else team.submit(coupled, fine)
         if reference == "closed-form":
             ref_vals = ginzburg_landau_terminal(model.meta["lam"], model.meta["sigma"],
                                                 model.meta["x0"], times, fine)
@@ -186,17 +202,13 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             ref_vals = _to_space(y, space, "raw", plan, h_fine, lamperti)
         ref_vals, ref_bad = _sanitize(ref_vals)
 
-        # Finest resolution first: each coarser grid extends the previous
-        # one's sums (`extend_coupling`) instead of re-reading all of `fine`.
+        grids = coupled(fine) if pending is None else pending.result()
         errors, capped = {}, {}
-        coarse = ratio = None
         for n_exp in reversed(exps):
             n = 1 << n_exp
             h = horizon / n
-            m = n_fine // n
-            coarse = (couple_levels(fine, m) if coarse is None
-                      else extend_coupling(coarse, fine, ratio, m))
-            ratio = m
+            # Popped, so each grid is freed once its pass is done.
+            coarse = grids.pop(0)
             if variant == "implicit-reference":
                 y = implicit_cir_terminal(implicit_params, h, coarse)
             else:

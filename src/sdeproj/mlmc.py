@@ -26,7 +26,8 @@ from .brownian import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
 from .errors import BudgetExceeded, DomainError, NonFinite
 from .models import ModelTriple
 # perfbench's tracer wraps `project` and `diffusion_bar` under this module.
-from .projection import _evolve, diffusion_bar, manual_plan, project  # noqa: F401
+from .projection import (_HP_TOL, _evolve, diffusion_bar, manual_plan,  # noqa: F401
+                         project)
 from .reference import (ImplicitCirParams, _implicit_evolve,
                         ginzburg_landau_terminal)
 
@@ -49,6 +50,21 @@ def check_finest_grid(refinement: int, max_level: int) -> None:
     if max_level > 24 or refinement ** max_level > 2 ** 24:
         raise DomainError("refinement ** max_level must be <= 2 ** 24 steps",
                           "max_level")
+
+
+def check_lower_exponent(models: Sequence[ModelTriple], k: float) -> None:
+    """Refuse a lower projection exponent `k` that some factor's plan cannot
+    take: `ProjectionPlan` needs 2*beta*k <= 1 for the factor's beta.
+
+    Raises:
+        DomainError: naming `k`.
+    """
+    for triple in models:
+        beta = triple.transformed.beta
+        if 2.0 * beta * k > 1.0 + _HP_TOL:
+            raise DomainError(f"2*beta*k = {2.0 * beta * k} exceeds 1 for the "
+                              f"{triple.transformed.name} model (beta = {beta})",
+                              "k")
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,7 @@ class MlmcConfig:
             raise DomainError("correlation must lie in [-1, 1]")
         if self.k <= 0 or self.scale_lo <= 0:
             raise DomainError("k and scale_lo must be positive")
+        check_lower_exponent(self.models, self.k)
 
 
 @dataclass(frozen=True)

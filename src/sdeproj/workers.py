@@ -20,6 +20,10 @@ ufunc calls whose set-up holds the lock.  A batch of many small blocks
 gives long arrays and lets one thread step while another draws; a slab of
 long rows does not (stepping two blocks or two factors on two threads was
 slower than stepping both on one), so the calling thread steps it alone.
+What a slab's stepping leaves of the lock goes to large ufunc calls: in a
+convergence study one pool thread builds the coupled coarse grids (a few
+dozen sums over whole columns) while the calling thread steps the fine
+reference.
 
 `Team.imap` has no round barrier, so the threads drift out of step: one
 draws (lock released) while another steps.  Batches started together

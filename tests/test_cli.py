@@ -138,6 +138,24 @@ def test_over_deep_multilevel_grid_exits_2(mlmc_block, tmp_path):
     assert not out.exists()
 
 
+def test_infeasible_multilevel_plan_exits_2(tmp_path):
+    # beta = 1.5 / 0.7 under the default k = 0.25: 2*beta*k exceeds 1, which
+    # the run used to find only after printing a header and creating `out`.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "ait.yaml", {
+        "model": {"family": "ait-sahalia",
+                  "params": {"a_minus1": 1.0, "a0": 1.0, "a1": 1.0, "a2": 1.0,
+                             "gamma": 1.0, "varrho": 2.5, "rho": 1.7, "x0": 1.0}},
+        "mlmc": {"payoff": "zcb", "epsilons": [1e-2], "max_level": 2,
+                 "pilot_paths": 100},
+        "out": str(out)})
+    result = invoke("mlmc", cfg)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("config error: scheme.k: 2*beta*k = ")
+    assert not out.exists()
+
+
 def test_model_error_exits_3(tmp_path):
     out = tmp_path / "run"
     mapping = conv_mapping(str(out))

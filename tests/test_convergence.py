@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from sdeproj import convergence
+from sdeproj import convergence, workers
 from sdeproj.brownian import BLOCK_WIDTH, BrownianFabric
 from sdeproj.convergence import VALUE_CAP, fit_rate, run_convergence_study
 from sdeproj.errors import DomainError
@@ -149,6 +151,55 @@ def test_chained_coupling_gives_the_report_of_one_coupling_per_resolution(
     calls.clear()
     assert study() == chained
     assert calls == [2, 32, 128] * 2
+
+
+def _slab_study(threads):
+    """A study of two blocks of 128-step rows: two row slabs."""
+    cir = cir_model(0.5, 1.0, 0.5, 1.0)
+    return run_convergence_study(cir.transformed, cir.lamperti,
+                                 plan_exponents(cir.transformed), [3, 4, 6],
+                                 BLOCK_WIDTH + 100, "implicit-fine-grid",
+                                 BrownianFabric(23), fine_exponent=7,
+                                 threads=threads)
+
+
+def test_slab_grids_are_built_on_a_pool_thread_only_with_a_team(monkeypatch):
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    seen = []
+
+    def recorded(real):
+        def call(*args):
+            seen.append(threading.current_thread())
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(convergence, "couple_levels",
+                        recorded(convergence.couple_levels))
+    monkeypatch.setattr(convergence, "extend_coupling",
+                        recorded(convergence.extend_coupling))
+    alone = _slab_study(1)
+    assert seen == [threading.current_thread()] * 6  # 3 grids, 2 slabs
+    seen.clear()
+    assert _slab_study(2) == alone
+    assert len(seen) == 6
+    assert threading.current_thread() not in seen
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_error_in_the_coupling_chain_leaves_the_study_unchanged(
+        threads, monkeypatch):
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    failure = RuntimeError("chain failed")
+
+    def fail(prev, fine, m_prev, m):
+        raise failure
+
+    monkeypatch.setattr(convergence, "extend_coupling", fail)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        _slab_study(threads)
+    assert raised.value is failure
+    assert threading.active_count() == before
 
 
 def test_spaces_give_distinct_errors():

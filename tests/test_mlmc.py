@@ -9,7 +9,7 @@ from sdeproj.brownian import BLOCK_WIDTH, BlockCursor, BrownianFabric
 from sdeproj.errors import BudgetExceeded, DomainError, NonFinite
 from sdeproj.mlmc import (MlmcConfig, allocate_paths, implicit_price,
                           level_sample, mlmc_estimate, payoff_spread)
-from sdeproj.models import cir_model, ginzburg_landau_model
+from sdeproj.models import ait_sahalia_model, cir_model, ginzburg_landau_model
 
 ZCB_CLOSED_FORM = 0.3721963545473621
 
@@ -65,6 +65,22 @@ def test_config_validation():
         zcb_config(k=0.0)
     with pytest.raises(DomainError):
         zcb_config(scale_lo=0.0)
+
+
+def test_config_refuses_a_lower_exponent_a_factor_cannot_take():
+    # ait-sahalia with varrho 2.5 and rho 1.7 has beta = 1.5 / 0.7, so the
+    # default k = 0.25 gives 2*beta*k > 1; the rule holds for every factor.
+    # The config itself is refused, so no estimate can start a draw with it.
+    ait = ait_sahalia_model(1.0, 1.0, 1.0, 1.0, 1.0, 2.5, 1.7, 1.0)
+    assert 2.0 * ait.transformed.beta * 0.25 > 1.0
+    with pytest.raises(DomainError, match="^k: 2\\*beta\\*k = "):
+        zcb_config(models=(ait,), epsilon=1e-2, max_level=2, pilot_paths=100)
+    two = (cir_model(1.0, 0.06, 0.04, 0.05), ait)
+    with pytest.raises(DomainError, match="^k: "):
+        zcb_config(models=two, payoff="spread", strike=0.001)
+    assert zcb_config(models=(ait,), k=0.2).k == 0.2  # 2*beta*k = 0.857...
+    # cir's beta = 2 puts the default k exactly on the bound.
+    assert zcb_config().k == 0.25
 
 
 def test_allocate_paths_single_level():

@@ -14,10 +14,10 @@ from sdeproj.mlmc import MlmcConfig, implicit_price
 from sdeproj.models import cir_model
 from sdeproj.projection import plan_exponents
 from sdeproj.reference import (ImplicitCirParams, cir_zcb_closed_form,
-                               ginzburg_landau_exact, ginzburg_landau_terminal,
-                               implicit_cir_path,
-                               implicit_cir_step, implicit_cir_terminal,
-                               running_sum)
+                               ginzburg_landau_terminal, implicit_cir_path,
+                               implicit_cir_step, implicit_cir_terminal)
+
+from oracles import ginzburg_landau_exact, running_sum
 
 
 def test_params_validation():

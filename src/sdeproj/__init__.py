@@ -15,7 +15,7 @@ from .convergence import (VALUE_CAP, ConvergenceRecord, ConvergenceReport,
 from .errors import (BudgetExceeded, ConfigError, DomainError, FellerViolation,
                      MissingThreshold, NonFinite, PlanInfeasible,
                      RateUnavailable, SdeProjError)
-from .mlmc import (MlmcConfig, MlmcLevel, MlmcReport, allocate_paths,
+from .mlmc import (MlmcConfig, MlmcLevel, MlmcReport, Problem, allocate_paths,
                    implicit_price, level_sample, mlmc_estimate, payoff_spread)
 from .models import (LampertiMap, ModelTriple, RateTable, RawModel,
                      SmoothCoefficient, TransformedModel, ait_sahalia_model,
@@ -44,8 +44,8 @@ __all__ = [
     "BudgetExceeded", "ConfigError", "DomainError", "FellerViolation",
     "MissingThreshold", "NonFinite", "PlanInfeasible", "RateUnavailable",
     "SdeProjError",
-    "MlmcConfig", "MlmcLevel", "MlmcReport", "allocate_paths", "implicit_price",
-    "level_sample", "mlmc_estimate", "payoff_spread",
+    "MlmcConfig", "MlmcLevel", "MlmcReport", "Problem", "allocate_paths",
+    "implicit_price", "level_sample", "mlmc_estimate", "payoff_spread",
     "LampertiMap", "ModelTriple", "RateTable", "RawModel", "SmoothCoefficient",
     "TransformedModel", "ait_sahalia_model", "cir_model",
     "ginzburg_landau_model", "guaranteed_rate", "locally_smooth_model",

@@ -21,7 +21,7 @@ from .brownian import BrownianFabric
 from .config import ExperimentConfig, epsilon_tag, load_config
 from .convergence import run_convergence_study
 from .errors import BudgetExceeded, ConfigError, SdeProjError
-from .mlmc import MlmcConfig, gl_exact_price, implicit_price, mlmc_estimate
+from .mlmc import MlmcConfig, Problem, gl_exact_price, implicit_price, mlmc_estimate
 from .reference import cir_zcb_closed_form
 
 _Z95 = 1.959963984540054
@@ -111,7 +111,7 @@ def convergence(config, out, seed, threads):
             cfg.study.paths, cfg.study.reference, fabric,
             horizon=cfg.study.horizon, fine_exponent=cfg.study.fine_exponent,
             space=cfg.study.space, readout=cfg.scheme.clamp,
-            variant=cfg.scheme.variant, seed=cfg.seed, threads=cfg.threads)
+            variant=cfg.scheme.variant, threads=cfg.threads)
 
         os.makedirs(cfg.out, exist_ok=True)
         _write_rows(os.path.join(cfg.out, "convergence.csv"),
@@ -152,9 +152,7 @@ def mlmc(config, out, seed, threads):
         triples = [cfg.model.build()]
         if sec.payoff == "spread":
             triples.append(cfg.model2.build())
-        # Only the scheme fields that are set: MlmcConfig holds the defaults.
-        scheme = {name: getattr(cfg.scheme, name) for name in ("k", "scale_lo")
-                  if getattr(cfg.scheme, name) is not None}
+        lower_clamp = cfg.scheme.lower_clamp()
         fabric = BrownianFabric(cfg.seed)
         os.makedirs(cfg.out, exist_ok=True)
         click.echo("epsilon estimator std_error rmse savings")
@@ -163,7 +161,7 @@ def mlmc(config, out, seed, threads):
                 models=tuple(triples), payoff=sec.payoff, horizon=sec.horizon,
                 epsilon=eps, refinement=sec.refinement, max_level=sec.max_level,
                 pilot_paths=sec.pilot_paths, path_ceiling=sec.path_ceiling,
-                strike=sec.strike, correlation=sec.correlation, **scheme)
+                strike=sec.strike, correlation=sec.correlation, **lower_clamp)
             report = mlmc_estimate(run_config, fabric, threads=cfg.threads)
             tag = epsilon_tag(eps)
             _write_rows(os.path.join(cfg.out, f"mlmc_{tag}.csv"),
@@ -202,11 +200,10 @@ def price(config, out, seed, threads):
                                        threads=cfg.threads)
             half = _Z95 * se
         else:
-            run_config = MlmcConfig(
+            problem = Problem(
                 models=(cfg.model.build(), cfg.model2.build()), payoff="spread",
-                horizon=pr.horizon, epsilon=1.0, strike=pr.strike,
-                correlation=pr.correlation)
-            value, se = implicit_price(run_config, BrownianFabric(cfg.seed),
+                horizon=pr.horizon, strike=pr.strike, correlation=pr.correlation)
+            value, se = implicit_price(problem, BrownianFabric(cfg.seed),
                                        paths=pr.paths,
                                        fine_exponent=pr.fine_exponent,
                                        threads=cfg.threads)

@@ -6,10 +6,12 @@ block is a frozen dataclass below, and each of its fields is declared once
 with `_field`: its reader (number, integer, string, list or nested block),
 its default (none: the field is required) and its bound, given as data:
 inclusive `lo`/`hi` limits, `positive`, or a tuple of `choices`.  A bound on
-a list field holds for every element.  One parser, `_parse`, reads every
-block, the top level included: each field through its reader and bound,
-then the unknown-field rule, then the block's cross-field rules in its
-`_check`.
+a list field holds for every element.  A field that is an engine's argument
+reads its bound, and its default where the engine has one, from the engine's
+declaration (`_engine_field`); cross-field rules call the engines' rule
+functions.  One parser, `_parse`, reads every block, the top level included:
+each field through its reader and bound, then the unknown-field rule, then
+the block's cross-field rules in its `_check`.
 
 Parsing is total: every diagnostic carries the dotted path of the offending
 field ("mlmc.epsilons[2]: must be positive").  A `null` value leaves an
@@ -19,15 +21,19 @@ validity is the constructors' business (exit 3).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Iterable, Mapping
 
 import yaml
 
-from .convergence import REFERENCES, VARIANTS
-from .errors import ConfigError, DomainError, SdeProjError
-from .mlmc import PAYOFFS, MlmcConfig, check_finest_grid, check_lower_exponent
+# CLAMPS, PAYOFFS, REFERENCES and VARIANTS are the config's vocabulary too.
+from .convergence import (CLAMPS, REFERENCES, STUDY_BOUNDS, VARIANTS,  # noqa: F401
+                          check_exponents, run_convergence_study)
+from .errors import ConfigError, DomainError, SdeProjError, check_bound
+from .mlmc import (PAYOFFS, PRICE_BOUNDS, MlmcConfig, Problem,  # noqa: F401
+                   check_levels, check_lower_exponent, check_strike, gl_exact_price)
 from .models import (ModelTriple, ait_sahalia_model, cir_model,
                      ginzburg_landau_model, three_halves_model)
 from .projection import ProjectionPlan, classical_plan, manual_plan, plan_exponents
@@ -41,7 +47,6 @@ _FAMILIES = {
     "ginzburg-landau": (ginzburg_landau_model, ("lambda", "sigma", "x0")),
 }
 FAMILIES = tuple(_FAMILIES)
-CLAMPS = ("raw", "bar", "tilde", "check", "double")
 PRICE_MODES = ("zcb-closed-form", "spread-mc", "gl-exact")
 
 
@@ -112,49 +117,59 @@ def _field(read: Callable[[Any, str], Any], default: Any = MISSING, *,
            factory: Any = MISSING, **bound):
     """Declare a config field: its reader, its default (`factory` makes a
     fresh one; neither: required) and its bound (`lo`, `hi`, `positive`,
-    `choices`; see `_check_bound`)."""
+    `choices`; see `errors.check_bound`)."""
     return field(default=default, default_factory=factory,
                  metadata={"read": read, "bound": bound})
 
 
-def _check_bound(value: Any, path: str, lo: float | None = None,
-                 hi: float | None = None, positive: bool = False,
-                 choices: tuple[str, ...] = ()) -> None:
-    """Refuse a read value outside its declared bound: inclusive limits
-    `lo` and `hi`, `positive` (above 0), or one of `choices`."""
-    if choices and value not in choices:
-        raise ConfigError(f"must be one of {', '.join(choices)}; got {value!r}", path)
-    if positive and value <= 0:
-        raise ConfigError("must be positive", path)
-    if lo is not None and hi is not None and not lo <= value <= hi:
-        raise ConfigError(f"must lie in [{lo}, {hi}]", path)
-    if lo is not None and value < lo:
-        raise ConfigError(f"must be >= {lo}", path)
-    if hi is not None and value > hi:
-        raise ConfigError(f"must be <= {hi}", path)
+def _engine_field(engine, read: Callable[[Any, str], Any], name: str,
+                  default: Any = MISSING, *, bounds: Mapping | None = None):
+    """Declare a config field that is `engine`'s argument `name`, with the
+    engine's bound and, unless one is given here, its default: a dataclass
+    declares both on its field, a function the bound in its table `bounds`
+    and the default in its signature (a keyword-only argument's)."""
+    if bounds is None:
+        declared = {f.name: f for f in fields(engine)}[name]
+        bound, engine_default = declared.metadata.get("bound", {}), declared.default
+    else:
+        bound, engine_default = bounds[name], engine.__kwdefaults__.get(name, MISSING)
+    return _field(read, engine_default if default is MISSING else default, **bound)
+
+
+_mlmc_arg = functools.partial(_engine_field, MlmcConfig)
+_price_arg = functools.partial(_engine_field, gl_exact_price, bounds=PRICE_BOUNDS)
+_study_arg = functools.partial(_engine_field, run_convergence_study,
+                               bounds=STUDY_BOUNDS)
 
 
 def _parse(cls, mapping: Any, path: str):
-    """Read block `cls` from `mapping` at dotted `path` ("" at the top)."""
+    """Read block `cls` from `mapping` at dotted `path` ("" at the top).  A
+    `DomainError` from a bound or a rule names a field of the block, and is
+    reported at its dotted path."""
     _mapping(mapping, path)
     given = {}
-    for f in fields(cls):
-        at = f"{path}.{f.name}" if path else f.name
-        value = mapping.get(f.name, MISSING)
-        if value is MISSING and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError("required field is missing", at)
-        if value is MISSING or (value is None and (
-                f.default is None or f.default_factory is not MISSING)):
-            continue
-        given[f.name] = value = f.metadata["read"](value, at)
-        if f.metadata["bound"]:
-            items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
-            for i, item in items:
-                _check_bound(item, at if i is None else f"{at}[{i}]",
-                             **f.metadata["bound"])
-    _refuse_unknown(mapping, (f.name for f in fields(cls)), path)
-    block = cls(**given)
-    block._check(path)
+    try:
+        for f in fields(cls):
+            at = f"{path}.{f.name}" if path else f.name
+            value = mapping.get(f.name, MISSING)
+            if value is MISSING and f.default is MISSING \
+                    and f.default_factory is MISSING:
+                raise ConfigError("required field is missing", at)
+            if value is MISSING or (value is None and (
+                    f.default is None or f.default_factory is not MISSING)):
+                continue
+            given[f.name] = value = f.metadata["read"](value, at)
+            if f.metadata["bound"]:
+                items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+                for i, item in items:
+                    check_bound(item, f.name if i is None else f"{f.name}[{i}]",
+                                **f.metadata["bound"])
+        _refuse_unknown(mapping, (f.name for f in fields(cls)), path)
+        block = cls(**given)
+        block._check(path)
+    except DomainError as exc:
+        raise ConfigError(exc.reason, f"{path}.{exc.field}" if path
+                          else exc.field) from None
     return block
 
 
@@ -222,23 +237,29 @@ class SchemeConfig(_Block):
     and to `MlmcConfig`'s defaults for MLMC runs.
     """
 
-    variant: str = _field(_string, "modified", choices=VARIANTS)
-    k: float | None = _field(_number, None, positive=True)
+    variant: str = _study_arg(_string, "variant")
+    k: float | None = _mlmc_arg(_number, "k", None)
     k_prime: float | None = _field(_number, None, positive=True)
-    scale_lo: float | None = _field(_number, None, positive=True)
+    scale_lo: float | None = _mlmc_arg(_number, "scale_lo", None)
     scale_hi: float | None = _field(_number, None, positive=True)
-    clamp: str = _field(_string, "raw", choices=CLAMPS)
+    clamp: str = _study_arg(_string, "readout")
 
     def build_plan(self, triple: ModelTriple) -> ProjectionPlan:
         if self.variant == "classical":
             return classical_plan()
-        scale_lo = 1.0 if self.scale_lo is None else self.scale_lo
-        scale_hi = 1.0 if self.scale_hi is None else self.scale_hi
+        # Only the scales that are set: the planners hold the defaults.
+        scales = {name: getattr(self, name) for name in ("scale_lo", "scale_hi")
+                  if getattr(self, name) is not None}
         if self.k is not None or self.k_prime is not None:
             return manual_plan(triple.transformed, k=self.k, k_prime=self.k_prime,
-                               scale_lo=scale_lo, scale_hi=scale_hi)
-        return plan_exponents(triple.transformed, scale_lo=scale_lo,
-                              scale_hi=scale_hi)
+                               **scales)
+        return plan_exponents(triple.transformed, **scales)
+
+    def lower_clamp(self) -> dict:
+        """`MlmcConfig`'s lower-clamp arguments: `k` and `scale_lo` as set
+        here, else its defaults."""
+        return {name: getattr(MlmcConfig, name) if getattr(self, name) is None
+                else getattr(self, name) for name in ("k", "scale_lo")}
 
 
 @dataclass(frozen=True, eq=True)
@@ -246,35 +267,29 @@ class StudyConfig(_Block):
     """Convergence-study block: tested resolutions and the reference choice."""
 
     exponents: tuple[int, ...] = _field(_list(_integer))
-    reference: str = _field(_string, choices=REFERENCES)
-    paths: int = _field(_integer, 10000, lo=1)
-    fine_exponent: int = _field(_integer, 12, hi=24)
-    horizon: float = _field(_number, 1.0, positive=True)
-    space: str = _field(_string, "x", choices=("x", "y"))
+    reference: str = _study_arg(_string, "reference")
+    paths: int = _study_arg(_integer, "paths", 10000)
+    fine_exponent: int = _study_arg(_integer, "fine_exponent")
+    horizon: float = _study_arg(_number, "horizon")
+    space: str = _study_arg(_string, "space")
 
     def _check(self, path: str) -> None:
-        exponents = self.exponents
-        if not exponents or list(exponents) != sorted(set(exponents)):
-            raise ConfigError("must be nonempty and strictly increasing",
-                              f"{path}.exponents")
-        if exponents[0] < 1 or exponents[-1] >= self.fine_exponent:
-            raise ConfigError("must satisfy 1 <= N < fine_exponent",
-                              f"{path}.exponents")
+        check_exponents(self.exponents, self.fine_exponent)
 
 
 @dataclass(frozen=True, eq=True)
 class MlmcSection(_Block):
     """Multilevel block: payoff, level geometry and the target accuracies."""
 
-    payoff: str = _field(_string, choices=PAYOFFS)
-    epsilons: tuple[float, ...] = _field(_list(_number), positive=True)
-    refinement: int = _field(_integer, 4, lo=2)
-    max_level: int = _field(_integer, 5, lo=1)
-    pilot_paths: int = _field(_integer, 1000, lo=2)
-    horizon: float = _field(_number, 1.0, positive=True)
-    strike: float | None = _field(_number, None)
-    correlation: float = _field(_number, 0.0, lo=-1, hi=1)
-    path_ceiling: int = _field(_integer, 2 ** 31)
+    payoff: str = _mlmc_arg(_string, "payoff")
+    epsilons: tuple[float, ...] = _mlmc_arg(_list(_number), "epsilon")
+    refinement: int = _mlmc_arg(_integer, "refinement")
+    max_level: int = _mlmc_arg(_integer, "max_level")
+    pilot_paths: int = _mlmc_arg(_integer, "pilot_paths")
+    horizon: float = _mlmc_arg(_number, "horizon", 1.0)
+    strike: float | None = _mlmc_arg(_number, "strike")
+    correlation: float = _mlmc_arg(_number, "correlation")
+    path_ceiling: int = _mlmc_arg(_integer, "path_ceiling")
 
     def _check(self, path: str) -> None:
         if not self.epsilons:
@@ -285,16 +300,9 @@ class MlmcSection(_Block):
             if first < i:
                 raise ConfigError(f"names the same mlmc_{tag} files as "
                                   f"epsilons[{first}]", f"{path}.epsilons[{i}]")
-        try:
-            check_finest_grid(self.refinement, self.max_level)
-        except DomainError as exc:
-            raise ConfigError(exc.reason, f"{path}.{exc.field}") from None
-        pilot_total = self.pilot_paths * (self.max_level + 1)
-        if self.path_ceiling < pilot_total:
-            raise ConfigError(f"must be >= pilot_paths * (max_level + 1) = "
-                              f"{pilot_total}", f"{path}.path_ceiling")
-        if self.payoff == "spread" and self.strike is None:
-            raise ConfigError("spread payoff needs a strike", f"{path}.strike")
+        check_levels(self.refinement, self.max_level, self.pilot_paths,
+                     self.path_ceiling)
+        check_strike(self.payoff, self.strike)
 
 
 @dataclass(frozen=True, eq=True)
@@ -302,11 +310,11 @@ class PriceSection(_Block):
     """Single-value pricing block."""
 
     mode: str = _field(_string, choices=PRICE_MODES)
-    paths: int = _field(_integer, 100000, lo=2)
-    fine_exponent: int = _field(_integer, 12, lo=1, hi=24)
-    horizon: float = _field(_number, 1.0, positive=True)
-    strike: float | None = _field(_number, None)
-    correlation: float = _field(_number, 0.0, lo=-1, hi=1)
+    paths: int = _price_arg(_integer, "paths", 100000)
+    fine_exponent: int = _price_arg(_integer, "fine_exponent")
+    horizon: float = _price_arg(_number, "horizon")
+    strike: float | None = _engine_field(Problem, _number, "strike")
+    correlation: float = _engine_field(Problem, _number, "correlation")
 
     def _check(self, path: str) -> None:
         if self.mode == "spread-mc" and self.strike is None:
@@ -380,11 +388,7 @@ class ExperimentConfig(_Block):
                 models = [getattr(self, name).build() for name in factors]
             except SdeProjError:
                 return
-            try:
-                check_lower_exponent(models, MlmcConfig.k if scheme.k is None
-                                     else scheme.k)
-            except DomainError as exc:
-                raise ConfigError(exc.reason, f"scheme.{exc.field}") from None
+            check_lower_exponent(models, scheme.lower_clamp()["k"], "scheme.k")
 
 
 def from_mapping(mapping: Mapping) -> ExperimentConfig:

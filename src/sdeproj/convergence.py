@@ -22,7 +22,7 @@ import numpy as np
 
 from .blocks import Moments, Stream, fold
 from .brownian import BrownianFabric, couple_levels, extend_coupling
-from .errors import DomainError
+from .errors import DomainError, check_bounds
 from .models import LampertiMap, TransformedModel
 from .projection import ProjectionPlan, clamp_variant, evolve_terminal
 # perfbench's tracer wraps `implicit_cir_step` under this module.
@@ -33,6 +33,22 @@ VALUE_CAP = 2.0 ** 20
 
 REFERENCES = ("closed-form", "implicit-fine-grid", "modified-scheme-fine-grid")
 VARIANTS = ("modified", "classical", "implicit-reference")
+CLAMPS = ("raw", "bar", "tilde", "check", "double")  # `clamp_variant`'s read-outs
+# `run_convergence_study`'s argument bounds (`errors.check_bound`'s
+# keywords), which the study and scheme config blocks read.
+STUDY_BOUNDS = {"reference": {"choices": REFERENCES}, "variant": {"choices": VARIANTS},
+                "readout": {"choices": CLAMPS}, "space": {"choices": ("x", "y")},
+                "paths": {"lo": 1}, "fine_exponent": {"hi": 24},
+                "horizon": {"positive": True}}
+
+
+def check_exponents(exponents: Sequence[int], fine_exponent: int) -> None:
+    """Refuse tested resolutions that are not strictly increasing in
+    1 <= N < fine_exponent (`DomainError` naming `exponents`)."""
+    if not exponents or list(exponents) != sorted(set(exponents)):
+        raise DomainError("must be nonempty and strictly increasing", "exponents")
+    if not 1 <= exponents[0] or not exponents[-1] < fine_exponent:
+        raise DomainError("must satisfy 1 <= N < fine_exponent", "exponents")
 
 
 @dataclass(frozen=True)
@@ -111,7 +127,7 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
                           paths: int, reference: str, fabric: BrownianFabric,
                           *, horizon: float = 1.0, fine_exponent: int = 12,
                           space: str = "x", readout: str = "raw",
-                          variant: str = "modified", seed: int | None = None,
+                          variant: str = "modified",
                           threads: int = 0) -> ConvergenceReport:
     """Measure strong errors over resolutions 2^N for N in `exponents`.
 
@@ -134,7 +150,6 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             plan accordingly) and differ only in the recorded label;
             "implicit-reference" steps the tested resolutions with the
             drift-implicit square-root scheme instead.
-        seed: recorded in the report; defaults to the fabric's master seed.
         threads: worker threads (0, the default, means all cores; larger
             values are clamped to the cores available).  `blocks.fold`
             draws the fine grid's `blocks.Stream`: long rows in row slabs,
@@ -144,19 +159,11 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
             batches of whole blocks stepped on the workers, each building
             its own grids.  The report is the same for every value.
     """
-    if reference not in REFERENCES:
-        raise DomainError(f"unknown reference {reference!r}; expected one of {REFERENCES}")
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if space not in ("x", "y"):
-        raise DomainError(f"space must be 'x' or 'y', got {space!r}")
+    check_bounds(STUDY_BOUNDS, reference=reference, variant=variant,
+                 readout=readout, space=space, paths=paths,
+                 fine_exponent=fine_exponent, horizon=horizon)
     exps = [int(n) for n in exponents]
-    if not exps or sorted(set(exps)) != exps:
-        raise DomainError("exponents must be strictly increasing and nonempty")
-    if exps[0] < 1 or exps[-1] >= fine_exponent:
-        raise DomainError("exponents must satisfy 1 <= N < fine_exponent")
-    if paths < 1:
-        raise DomainError("paths must be >= 1")
+    check_exponents(exps, fine_exponent)
 
     family = model.meta.get("family")
     if reference == "closed-form" and family != "ginzburg-landau":
@@ -168,7 +175,9 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
 
     n_fine = 1 << fine_exponent
     h_fine = horizon / n_fine
-    times = np.linspace(0.0, horizon, n_fine + 1)
+    # Only the closed-form reference reads the time grid.
+    times = (np.linspace(0.0, horizon, n_fine + 1) if reference == "closed-form"
+             else None)
 
     def coupled(fine):
         """The grids of the tested resolutions, finest first: each coarser
@@ -257,6 +266,4 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
     }
     return ConvergenceReport(
         records=tuple(records), rate=rate, intercept=intercept,
-        r_squared=r_squared,
-        seed=fabric.master_seed if seed is None else seed,
-        metadata=metadata)
+        r_squared=r_squared, seed=fabric.master_seed, metadata=metadata)

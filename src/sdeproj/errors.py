@@ -1,5 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one bound checker."""
 from __future__ import annotations
+
+from typing import Any, Mapping
 
 
 class SdeProjError(Exception):
@@ -21,6 +23,30 @@ class DomainError(SdeProjError):
         self.field = field
         self.reason = message
         super().__init__(f"{field}: {message}" if field else message)
+
+
+def check_bound(value: Any, field: str, lo: float | None = None,
+                hi: float | None = None, positive: bool = False,
+                choices: tuple[str, ...] = ()) -> None:
+    """Refuse `value` outside its bound with a `DomainError` naming `field`:
+    inclusive limits `lo` and `hi`, `positive` (above 0), or one of
+    `choices`.  NaN fails every numeric bound."""
+    if choices and value not in choices:
+        raise DomainError(f"must be one of {', '.join(choices)}; got {value!r}", field)
+    if positive and not value > 0:
+        raise DomainError("must be positive", field)
+    if lo is not None and hi is not None and not lo <= value <= hi:
+        raise DomainError(f"must lie in [{lo}, {hi}]", field)
+    if lo is not None and not lo <= value:
+        raise DomainError(f"must be >= {lo}", field)
+    if hi is not None and not value <= hi:
+        raise DomainError(f"must be <= {hi}", field)
+
+
+def check_bounds(bounds: Mapping[str, Mapping], **values: Any) -> None:
+    """`check_bound` each of `values`, in order, against its entry in `bounds`."""
+    for name, value in values.items():
+        check_bound(value, name, **bounds[name])
 
 
 class RateUnavailable(SdeProjError):

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Sequence
 
 import numpy as np
 
 from .blocks import Moments, Stream, fold
 from .brownian import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
-from .errors import BudgetExceeded, DomainError, NonFinite
+from .errors import BudgetExceeded, DomainError, NonFinite, check_bound, check_bounds
 from .models import ModelTriple
 # perfbench's tracer wraps `project` and `diffusion_bar` under this module.
 from .projection import (_HP_TOL, _evolve, diffusion_bar, manual_plan,  # noqa: F401
@@ -32,6 +32,10 @@ from .reference import (ImplicitCirParams, _implicit_evolve,
                         ginzburg_landau_terminal)
 
 PAYOFFS = ("zcb", "spread")
+# The argument bounds of `implicit_price` and `gl_exact_price`
+# (`errors.check_bound`'s keywords), which the price config block reads.
+PRICE_BOUNDS = {"paths": {"lo": 2}, "fine_exponent": {"lo": 1, "hi": 24},
+                "horizon": {"positive": True}}
 
 
 def payoff_spread(x1: np.ndarray, x2: np.ndarray, strike: float) -> np.ndarray:
@@ -40,88 +44,104 @@ def payoff_spread(x1: np.ndarray, x2: np.ndarray, strike: float) -> np.ndarray:
                       - strike, 0.0)
 
 
-def check_finest_grid(refinement: int, max_level: int) -> None:
-    """Refuse a finest level past 2**24 steps, the finest study or price grid.
-
-    Raises:
-        DomainError: naming `max_level`.
-    """
+def check_levels(refinement: int, max_level: int, pilot_paths: int,
+                 path_ceiling: int) -> None:
+    """Refuse a finest level past 2**24 steps, the finest study or price grid
+    (`DomainError` naming `max_level`), and a path ceiling below the pilot
+    phase's total (naming `path_ceiling`)."""
     # max_level first keeps the power small.
     if max_level > 24 or refinement ** max_level > 2 ** 24:
         raise DomainError("refinement ** max_level must be <= 2 ** 24 steps",
                           "max_level")
+    pilot_total = pilot_paths * (max_level + 1)
+    if not path_ceiling >= pilot_total:
+        raise DomainError(f"must be >= pilot_paths * (max_level + 1) = "
+                          f"{pilot_total}", "path_ceiling")
 
 
-def check_lower_exponent(models: Sequence[ModelTriple], k: float) -> None:
+def check_lower_exponent(models: Sequence[ModelTriple], k: float,
+                         name: str = "k") -> None:
     """Refuse a lower projection exponent `k` that some factor's plan cannot
     take: `ProjectionPlan` needs 2*beta*k <= 1 for the factor's beta.
 
     Raises:
-        DomainError: naming `k`.
+        DomainError: naming `name`, the caller's name for `k`.
     """
     for triple in models:
         beta = triple.transformed.beta
-        if 2.0 * beta * k > 1.0 + _HP_TOL:
+        if not 2.0 * beta * k <= 1.0 + _HP_TOL:
             raise DomainError(f"2*beta*k = {2.0 * beta * k} exceeds 1 for the "
                               f"{triple.transformed.name} model (beta = {beta})",
-                              "k")
+                              name)
 
 
-@dataclass(frozen=True)
-class MlmcConfig:
-    """Problem and tuning knobs for one multilevel run.
+def check_strike(payoff: str, strike: float | None) -> None:
+    """Refuse a spread payoff without a strike (`DomainError` naming `strike`)."""
+    if payoff == "spread" and strike is None:
+        raise DomainError("spread payoff needs a strike", "strike")
+
+
+def _bounded(default: Any = MISSING, **bound):
+    """A field with its bound (`errors.check_bound`'s keywords) as metadata."""
+    return field(default=default, metadata={"bound": bound})
+
+
+@dataclass(frozen=True, kw_only=True)
+class Problem:
+    """What `implicit_price` prices and `mlmc_estimate` estimates.
+    Construction checks each field's bound, declared in its metadata where
+    the config blocks read it, then the cross-field rules.
 
     Attributes:
         models: one factor for "zcb", two for "spread".
         payoff: "zcb" or "spread".
         horizon: maturity T.
+        strike: spread strike (spread only).
+        correlation: correlation between the two driving motions.
+    """
+
+    models: tuple[ModelTriple, ...]
+    payoff: str = _bounded(choices=PAYOFFS)
+    horizon: float = _bounded(positive=True)
+    strike: float | None = None
+    correlation: float = _bounded(0.0, lo=-1, hi=1)
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_bound(getattr(self, f.name), f.name, **f.metadata.get("bound", {}))
+        expected = 1 if self.payoff == "zcb" else 2
+        if len(self.models) != expected:
+            raise DomainError(f"{self.payoff!r} payoff needs exactly {expected} "
+                              f"model(s)", "models")
+        check_strike(self.payoff, self.strike)
+
+
+@dataclass(frozen=True, kw_only=True)
+class MlmcConfig(Problem):
+    """A problem and the tuning of one multilevel run.
+
+    Attributes:
         epsilon: target root-mean-square error.
         refinement: steps multiplier between levels.
         max_level: finest level L; level l uses refinement**l steps.
         pilot_paths: paths per level in the variance-estimation phase.
         path_ceiling: hard cap on the total allocated paths.
-        strike: spread strike (spread only).
-        correlation: correlation between the two driving motions.
         k: lower projection exponent for the factors' plans.
         scale_lo: multiplicative loosening of the lower clamp.
     """
 
-    models: tuple[ModelTriple, ...]
-    payoff: str
-    horizon: float
-    epsilon: float
-    refinement: int = 4
-    max_level: int = 5
-    pilot_paths: int = 1000
+    epsilon: float = _bounded(positive=True)
+    refinement: int = _bounded(4, lo=2)
+    max_level: int = _bounded(5, lo=1)
+    pilot_paths: int = _bounded(1000, lo=2)
     path_ceiling: int = 2 ** 31
-    strike: float | None = None
-    correlation: float = 0.0
-    k: float = 0.25
-    scale_lo: float = 0.01
+    k: float = _bounded(0.25, positive=True)
+    scale_lo: float = _bounded(0.01, positive=True)
 
     def __post_init__(self):
-        if self.payoff not in PAYOFFS:
-            raise DomainError(f"payoff must be one of {PAYOFFS}, got {self.payoff!r}")
-        expected = 1 if self.payoff == "zcb" else 2
-        if len(self.models) != expected:
-            raise DomainError(f"{self.payoff!r} payoff needs exactly {expected} model(s)")
-        if self.payoff == "spread" and self.strike is None:
-            raise DomainError("spread payoff needs a strike")
-        if self.horizon <= 0 or self.epsilon <= 0:
-            raise DomainError("horizon and epsilon must be positive")
-        if self.refinement < 2:
-            raise DomainError("refinement must be >= 2")
-        if self.max_level < 1:
-            raise DomainError("max_level must be >= 1")
-        check_finest_grid(self.refinement, self.max_level)
-        if self.pilot_paths < 2:
-            raise DomainError("pilot_paths must be >= 2")
-        if self.path_ceiling < self.pilot_paths * (self.max_level + 1):
-            raise DomainError("path_ceiling cannot be below the pilot phase total")
-        if not -1.0 <= self.correlation <= 1.0:
-            raise DomainError("correlation must lie in [-1, 1]")
-        if self.k <= 0 or self.scale_lo <= 0:
-            raise DomainError("k and scale_lo must be positive")
+        super().__post_init__()
+        check_levels(self.refinement, self.max_level, self.pilot_paths,
+                     self.path_ceiling)
         check_lower_exponent(self.models, self.k)
 
 
@@ -163,12 +183,10 @@ def allocate_paths(variances: Sequence[float], step_sizes: Sequence[float],
     h = np.asarray(step_sizes, dtype=float)
     if v.shape != h.shape or v.ndim != 1:
         raise ValueError("variances and step_sizes must be matching 1-d sequences")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    check_bound(epsilon, "epsilon", positive=True)
+    check_bound(floor, "floor", lo=1)
     if np.any(v < 0) or np.any(h <= 0):
         raise DomainError("variances must be >= 0 and step sizes > 0")
-    if floor < 1:
-        raise DomainError("floor must be >= 1")
     total = float(np.sum(np.sqrt(v / h)))
     if total == 0.0:
         return np.full(v.shape, floor, dtype=np.int64)
@@ -190,7 +208,7 @@ def _stream(config: MlmcConfig, fabric: BrownianFabric, level: int) -> Stream:
     return Stream(fabric, level, n, config.horizon / n, len(config.models))
 
 
-def _correlated(config: MlmcConfig, drivers: tuple, team=None) -> tuple:
+def _correlated(config: Problem, drivers: tuple, team=None) -> tuple:
     """The drawn `drivers` with a spread's second factor mixed into its
     correlated motion, split over `team` if one is given."""
     if config.payoff == "zcb":
@@ -200,7 +218,7 @@ def _correlated(config: MlmcConfig, drivers: tuple, team=None) -> tuple:
     return (w, correlate(w, w_perp, config.correlation, out=w_perp, team=team))
 
 
-def _payoff_values(config: MlmcConfig, steppers: tuple,
+def _payoff_values(config: Problem, steppers: tuple,
                    drivers: tuple[np.ndarray, ...], n: int, h: float) -> np.ndarray:
     """Payoffs for a batch of paths at one resolution; `steppers[f]` is factor
     f's `_evolve` or `_implicit_evolve` with its model bound.  A rate is the
@@ -264,10 +282,8 @@ def level_sample(config: MlmcConfig, fabric: BrownianFabric, level: int,
     estimator itself consumes whole blocks (this call generates the path's
     block prefix).
     """
-    if level < 0 or level > config.max_level:
-        raise DomainError(f"level must be in [0, {config.max_level}]")
-    if path < 0:
-        raise DomainError("path must be nonnegative")
+    check_bound(level, "level", lo=0, hi=config.max_level)
+    check_bound(path, "path", lo=0)
     block, row = divmod(path, BLOCK_WIDTH)
     chunks = [(block, row, row + 1)]
     pair = _pair_batch(config, _projected(config), level,
@@ -395,11 +411,11 @@ def _mean_and_error(values, stream: Stream, paths: int,
     return moments.mean, math.sqrt(moments.var / paths)
 
 
-def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
+def implicit_price(problem: Problem, fabric: BrownianFabric, *, paths: int,
                    fine_exponent: int = 12, threads: int = 0) -> tuple[float, float]:
     """High-resolution benchmark price from the drift-implicit stepper.
 
-    Prices the configured payoff with 2**fine_exponent implicit steps per
+    Prices the problem's payoff with 2**fine_exponent implicit steps per
     path, using addresses disjoint from the multilevel levels (the grid
     exponent is the stream level tag).  Returns (price, standard error).
 
@@ -409,19 +425,18 @@ def implicit_price(config: MlmcConfig, fabric: BrownianFabric, *, paths: int,
     every (factor, block) stream filled at once and the correlation mix
     split over the workers.  The result is the same for every value.
     """
-    if paths < 2:
-        raise DomainError("paths must be >= 2")
+    check_bounds(PRICE_BOUNDS, paths=paths, fine_exponent=fine_exponent)
     steppers = tuple(functools.partial(_implicit_evolve,
                                        ImplicitCirParams.from_model(t.transformed))
-                     for t in config.models)
+                     for t in problem.models)
     n = 1 << fine_exponent
-    h = config.horizon / n
+    h = problem.horizon / n
 
     def payoffs(drivers, team):
-        return _payoff_values(config, steppers,
-                              _correlated(config, drivers, team), n, h)
+        return _payoff_values(problem, steppers,
+                              _correlated(problem, drivers, team), n, h)
 
-    stream = Stream(fabric, fine_exponent, n, h, len(config.models))
+    stream = Stream(fabric, fine_exponent, n, h, len(problem.models))
     return _mean_and_error(payoffs, stream, paths, threads)
 
 
@@ -436,10 +451,11 @@ def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
     `threads` works as in `implicit_price`; the result is the same for
     every value.
     """
+    check_bounds(PRICE_BOUNDS, paths=paths, fine_exponent=fine_exponent,
+                 horizon=horizon)
     meta = triple.transformed.meta
-    if meta.get("family") != "ginzburg-landau" or paths < 2:
-        raise DomainError("the exact price needs a ginzburg-landau model and "
-                          "paths >= 2")
+    if meta.get("family") != "ginzburg-landau":
+        raise DomainError("the exact price needs a ginzburg-landau model")
     lam, sigma, x0 = meta["lam"], meta["sigma"], meta["x0"]
     n = 1 << fine_exponent
     times = np.linspace(0.0, horizon, n + 1)

@@ -1,17 +1,21 @@
 import copy
 import math
+import os
 from dataclasses import MISSING, fields
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from sdeproj import convergence, mlmc
+from sdeproj.brownian import BrownianFabric
 from sdeproj.cli import main
 from sdeproj.config import (CLAMPS, FAMILIES, PAYOFFS, PRICE_MODES,
                             REFERENCES, VARIANTS, ExperimentConfig,
                             ModelConfig, SchemeConfig, from_mapping, loads)
-from sdeproj.errors import ConfigError
-from sdeproj.projection import ProjectionPlan
+from sdeproj.errors import ConfigError, DomainError
+from sdeproj.models import cir_model, ginzburg_landau_model
+from sdeproj.projection import ProjectionPlan, plan_exponents
 
 
 def cir_block(**extra):
@@ -448,3 +452,215 @@ def test_mlmc_runs_that_cannot_finish_cleanly_are_refused(mlmc_block, path, tmp_
     assert result.stdout == ""
     assert result.stderr.startswith(f"config error: {path}: ")
     assert not out.exists()
+
+
+# MINIMAL with the two-factor multilevel payoff and price mode.
+SPREAD = dict(copy.deepcopy(MINIMAL),
+              mlmc={"payoff": "spread", "epsilons": [1e-3], "strike": 0.001},
+              price={"mode": "spread-mc", "strike": 0.001})
+DIAGNOSTICS = os.path.join(os.path.dirname(__file__), "data",
+                           "config_diagnostics.txt")
+
+
+def single_fault_variants(base):
+    """(label, mapping) for every single-fault variant of `base`: per
+    declared field, each bound probe, a wrong type, the field deleted and an
+    unknown sibling."""
+    for at, f in declared_fields():
+        dotted = ".".join(at + (f.name,))
+        block = base
+        for key in at:
+            block = block.get(key, {})
+        listed = isinstance(block.get(f.name), list)
+        variants = [(f"= {value!r}", [value] if listed else value)
+                    for value, _ in bound_probes(f)]
+        variants += [("= True", True), ("deleted", MISSING),
+                     ("unknown sibling", "sibling")]
+        for label, value in variants:
+            mapping = copy.deepcopy(base)
+            target = mapping
+            for key in at:
+                target = target.setdefault(key, {})
+            if label == "unknown sibling":
+                target[f"{f.name}_typo"] = value
+            elif value is MISSING:
+                target.pop(f.name, None)
+            else:
+                target[f.name] = value
+            yield f"{dotted} {label}", mapping
+
+
+def diagnostic_lines():
+    """One line per single-fault variant of MINIMAL and SPREAD: its label
+    and `str(ConfigError)`, or "admitted"."""
+    lines = []
+    for name, base in (("minimal", MINIMAL), ("spread", SPREAD)):
+        for label, mapping in single_fault_variants(base):
+            try:
+                from_mapping(mapping)
+                outcome = "admitted"
+            except ConfigError as exc:
+                outcome = str(exc)
+            lines.append(f"{name} {label} -> {outcome}")
+    return lines
+
+
+def test_every_single_fault_diagnostic_is_pinned():
+    """Regenerate the file with
+    `PYTHONPATH=src:tests python -c "import test_config as t;
+    open(t.DIAGNOSTICS, 'w').write('\\n'.join(t.diagnostic_lines()) + '\\n')"`
+    only when a message or dotted path is meant to change."""
+    with open(DIAGNOSTICS, encoding="utf-8") as handle:
+        pinned = handle.read().splitlines()
+    assert diagnostic_lines() == pinned
+
+
+class Drawn(Exception):
+    """Raised by the patched `fold`: the engine admitted its arguments."""
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """The engines' `fold` raises `Drawn` instead of drawing a path."""
+    def drawn(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(mlmc, "fold", drawn)
+    monkeypatch.setattr(convergence, "fold", drawn)
+
+
+CIR = cir_model(2.0, 1.0, 0.5, 1.0)
+
+
+def _multilevel(**arg):
+    return mlmc.MlmcConfig(**dict(dict(models=(CIR,), payoff="zcb", horizon=1.0,
+                                       epsilon=1e-3), **arg))
+
+
+def _estimate(**arg):
+    return mlmc.mlmc_estimate(_multilevel(**arg), BrownianFabric(0))
+
+
+def _problem(**arg):
+    return mlmc.Problem(**dict(dict(models=(CIR,), payoff="zcb", horizon=1.0), **arg))
+
+
+def _study(**arg):
+    return convergence.run_convergence_study(**dict(dict(
+        model=CIR.transformed, lamperti=CIR.lamperti,
+        plan=plan_exponents(CIR.transformed), exponents=[3], paths=2,
+        reference="implicit-fine-grid", fabric=BrownianFabric(0), fine_exponent=4),
+        **arg))
+
+
+def _implicit_price(**arg):
+    return mlmc.implicit_price(_multilevel(), BrownianFabric(0),
+                               **dict(dict(paths=2, fine_exponent=4), **arg))
+
+
+def _gl_price(**arg):
+    return mlmc.gl_exact_price(ginzburg_landau_model(0.5, 1.0, 1.0),
+                               BrownianFabric(0),
+                               **dict(dict(paths=2, fine_exponent=4), **arg))
+
+
+# Config field whose bound an engine declares -> (a library call that takes
+# the field's value as one keyword argument, that argument's name).
+SHARED_RULES = {
+    "scheme.variant": (_study, "variant"),
+    "scheme.k": (_multilevel, "k"),
+    "scheme.scale_lo": (_multilevel, "scale_lo"),
+    "scheme.clamp": (_study, "readout"),
+    "study.reference": (_study, "reference"),
+    "study.paths": (_study, "paths"),
+    "study.fine_exponent": (_study, "fine_exponent"),
+    "study.horizon": (_study, "horizon"),
+    "study.space": (_study, "space"),
+    "mlmc.payoff": (_multilevel, "payoff"),
+    "mlmc.epsilons": (_multilevel, "epsilon"),
+    "mlmc.refinement": (_multilevel, "refinement"),
+    "mlmc.max_level": (_multilevel, "max_level"),
+    "mlmc.pilot_paths": (_multilevel, "pilot_paths"),
+    "mlmc.horizon": (_multilevel, "horizon"),
+    "mlmc.correlation": (_multilevel, "correlation"),
+    "price.paths": (_implicit_price, "paths"),
+    "price.fine_exponent": (_implicit_price, "fine_exponent"),
+    "price.horizon": (_gl_price, "horizon"),
+    "price.correlation": (_problem, "correlation"),
+}
+CONFIG_ONLY_BOUNDS = {"model.family", "model2.family", "scheme.k_prime",
+                      "scheme.scale_hi", "price.mode", "seed", "threads"}
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, argument, value", [
+    (_estimate, "epsilon", NAN),
+    (_estimate, "horizon", NAN),
+    (_estimate, "k", NAN),
+    (_study, "horizon", -1.0),
+    (_study, "horizon", NAN),
+    (_study, "fine_exponent", 25),
+    (_implicit_price, "fine_exponent", -1),
+    (_implicit_price, "fine_exponent", 25),
+    (_gl_price, "fine_exponent", -1),
+    (_gl_price, "fine_exponent", 25),
+    (_gl_price, "horizon", -1.0),
+], ids=["mlmc-epsilon-nan", "mlmc-horizon-nan", "mlmc-k-nan", "study-horizon-neg",
+        "study-horizon-nan", "study-fine-25", "implicit-fine-neg", "implicit-fine-25",
+        "gl-fine-neg", "gl-fine-25", "gl-horizon-neg"])
+def test_library_refuses_out_of_domain_arguments_before_any_draw(
+        call, argument, value, no_draw):
+    # Each of these used to be admitted, and then failed late or not at all.
+    with pytest.raises(DomainError) as err:
+        call(**{argument: value})
+    assert err.value.field == argument
+
+
+def test_engine_rules_are_one_rule_set_for_config_and_library(no_draw):
+    """Each bound an engine declares refuses the value just past it both in
+    the config (at the field's dotted path) and in the library (naming the
+    argument), and admits the value on it in both."""
+    bounded = set()
+    for at, f in declared_fields():
+        dotted = ".".join(at + (f.name,))
+        if not f.metadata["bound"]:
+            continue
+        bounded.add(dotted)
+        if dotted not in SHARED_RULES:
+            continue
+        call, argument = SHARED_RULES[dotted]
+        block = MINIMAL
+        for key in at:
+            block = block.get(key, {})
+        listed = isinstance(block.get(f.name), list)
+        for value, accepted in bound_probes(f):
+            mapping = copy.deepcopy(MINIMAL)
+            target = mapping
+            for key in at:
+                target = target.setdefault(key, {})
+            target[f.name] = [value] if listed else value
+            if accepted:
+                from_mapping(mapping)
+                try:
+                    call(**{argument: value})
+                except Drawn:
+                    pass
+                continue
+            with pytest.raises(ConfigError) as config_err:
+                from_mapping(mapping)
+            assert config_err.value.path == dotted + ("[0]" if listed else "")
+            with pytest.raises(DomainError) as library_err:
+                call(**{argument: value})
+            assert library_err.value.field == argument, (dotted, value)
+            assert library_err.value.reason == str(config_err.value).split(": ", 1)[1]
+    assert bounded == set(SHARED_RULES) | CONFIG_ONLY_BOUNDS
+    # Every bound an engine declares is probed from some config field.
+    probed = {}
+    for call, argument in SHARED_RULES.values():
+        probed.setdefault(call, set()).add(argument)
+    assert probed[_multilevel] | probed[_problem] == {
+        f.name for f in fields(mlmc.MlmcConfig) if f.metadata.get("bound")}
+    assert probed[_study] == set(convergence.STUDY_BOUNDS)
+    assert probed[_implicit_price] | probed[_gl_price] == set(mlmc.PRICE_BOUNDS)

@@ -62,10 +62,10 @@ class Stream:
         `factors - 1`: one column-major array per factor, stacked in chunk
         order.
 
-        Each chunk's rows are drawn straight into its rows of its factor's
-        array by its block's cursor if that stopped at the chunk's first row,
-        else by a new one advanced to that row.  A `workers.Team` fills every
-        (factor, chunk) stream of the batch at once, each on one thread.
+        Each chunk's rows are drawn, times sqrt(h), by its block's cursor if
+        that stopped at the chunk's first row, else by a new one advanced to
+        it, straight into its rows of its factor's array.  A `workers.Team`
+        fills every (factor, chunk) stream of the batch at once, one a thread.
         """
         spans = rows(batch)
         out = tuple(np.empty((spans[-1].stop, self.n), order=_LAYOUT)
@@ -82,9 +82,7 @@ class Stream:
                     if lo:
                         cursor.fill(None, lo)
                 keep = hi < BLOCK_WIDTH
-                part = out[factor][span]
-                cursor.fill(part, keep=keep)
-                part *= self._scale
+                cursor.fill(out[factor][span], keep=keep, scale=self._scale)
                 if keep:
                     self._cursors[(factor, block)] = cursor
 

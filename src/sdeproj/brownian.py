@@ -33,9 +33,9 @@ BLOCK_WIDTH = 4096
 
 # Normals drawn per generator call when filling a block.  Successive calls
 # continue one Philox stream, so the chunk size never changes a value; it
-# only bounds the row-major staging buffer (512 KiB on each drawing thread).
+# only bounds the row-major staging buffer (2 MiB on each drawing thread).
 # Capping elements rather than rows keeps short blocks at a single call.
-_CHUNK_NORMALS = 1 << 16
+_CHUNK_NORMALS = 1 << 18
 
 # Elements per column chunk of an in-place `correlate` (a 256 KiB scratch).
 _MIX_NORMALS = 1 << 15
@@ -160,15 +160,16 @@ def _thread_generator(state: dict) -> np.random.Generator:
 
 
 def _fill(rng: np.random.Generator, out: np.ndarray | None, rows: int = 0,
-          n: int = 0) -> None:
+          n: int = 0, scale: float = 1.0) -> None:
     """Draw `out`'s rows in order from `rng`, as one `standard_normal(out.shape)`
-    call would, into `out` of any layout.  With `out` None, draw (rows, n)
-    normals and drop them."""
+    call would, into `out` of any layout, each normal times `scale`.  With
+    `out` None, draw (rows, n) normals and drop them."""
     if out is not None:
         rows, n = out.shape
         if out.flags.c_contiguous:
             # One column, one row or a row-major array: drawn in place.
             rng.standard_normal(out=out)
+            out *= scale
             return
     step = max(1, _CHUNK_NORMALS // max(1, n))
     staging = np.empty((min(step, rows), n))
@@ -176,6 +177,7 @@ def _fill(rng: np.random.Generator, out: np.ndarray | None, rows: int = 0,
         chunk = staging[:rows - lo]
         rng.standard_normal(out=chunk)
         if out is not None:
+            chunk *= scale  # in cache, not in a second pass over the block
             out[lo:lo + chunk.shape[0]] = chunk
 
 
@@ -197,18 +199,18 @@ class BlockCursor:
         self._state = _start(key)
 
     def fill(self, out: np.ndarray | None, rows: int = 0, *,
-             keep: bool = True) -> None:
+             keep: bool = True, scale: float = 1.0) -> None:
         """Draw the stream's next rows into `out`, shape (rows, n) in any
-        layout; with `out` None, skip `rows` rows.  Without `keep` the
-        cursor is spent: it saves no state (a few microseconds) and must not
-        fill again."""
+        layout, each normal times `scale`; with `out` None, skip `rows`
+        rows.  Without `keep` the cursor is spent: it saves no state (a few
+        microseconds) and must not fill again."""
         if out is not None:
             rows = out.shape[0]
             if out.shape[1] != self.n:
                 raise ValueError(f"rows of this stream hold {self.n} normals, "
                                  f"not {out.shape[1]}")
         rng = _thread_generator(self._state)
-        _fill(rng, out, rows, self.n)
+        _fill(rng, out, rows, self.n, scale)
         self.row += rows
         self._state = rng.bit_generator.state if keep else None
 

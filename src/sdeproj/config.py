@@ -5,13 +5,13 @@ one block per command (`study` for convergence, `mlmc`, `price`).  Each
 block is a frozen dataclass below, and each of its fields is declared once
 with `_field`: its reader (number, integer, string, list or nested block),
 its default (none: the field is required) and its bound, given as data:
-inclusive `lo`/`hi` limits, `positive`, or a tuple of `choices`.  A bound on
-a list field holds for every element.  A field that is an engine's argument
-reads its bound, and its default where the engine has one, from the engine's
-declaration (`_engine_field`); cross-field rules call the engines' rule
-functions.  One parser, `_parse`, reads every block, the top level included:
-each field through its reader and bound, then the unknown-field rule, then
-the block's cross-field rules in its `_check`.
+inclusive `lo`/`hi` limits, `positive`, `finite`, or a tuple of `choices`.
+A bound on a list field holds for every element.  A field that is an
+engine's argument reads its bound, and its default where the engine has
+one, from the engine's declaration (`_engine_field`); cross-field rules
+call the engines' rule functions.  One parser, `_parse`, reads every block,
+the top level included: each field through its reader and bound, then the
+unknown-field rule, then the block's cross-field rules in its `_check`.
 
 Parsing is total: every diagnostic carries the dotted path of the offending
 field ("mlmc.epsilons[2]: must be positive").  A `null` value leaves an
@@ -117,7 +117,7 @@ def _field(read: Callable[[Any, str], Any], default: Any = MISSING, *,
            factory: Any = MISSING, **bound):
     """Declare a config field: its reader, its default (`factory` makes a
     fresh one; neither: required) and its bound (`lo`, `hi`, `positive`,
-    `choices`; see `errors.check_bound`)."""
+    `choices`, `finite`; see `errors.check_bound`)."""
     return field(default=default, default_factory=factory,
                  metadata={"read": read, "bound": bound})
 

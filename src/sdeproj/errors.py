@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one bound checker."""
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 
@@ -27,12 +28,14 @@ class DomainError(SdeProjError):
 
 def check_bound(value: Any, field: str, lo: float | None = None,
                 hi: float | None = None, positive: bool = False,
-                choices: tuple[str, ...] = ()) -> None:
+                choices: tuple[str, ...] = (), finite: bool = False) -> None:
     """Refuse `value` outside its bound with a `DomainError` naming `field`:
-    inclusive limits `lo` and `hi`, `positive` (above 0), or one of
-    `choices`.  NaN fails every numeric bound."""
+    inclusive limits `lo` and `hi`, `positive` (above 0), `finite` (an unset
+    None passes), or one of `choices`.  NaN fails every numeric bound."""
     if choices and value not in choices:
         raise DomainError(f"must be one of {', '.join(choices)}; got {value!r}", field)
+    if finite and value is not None and not math.isfinite(value):
+        raise DomainError("must be finite", field)
     if positive and not value > 0:
         raise DomainError("must be positive", field)
     if lo is not None and hi is not None and not lo <= value <= hi:

@@ -103,7 +103,7 @@ class Problem:
     models: tuple[ModelTriple, ...]
     payoff: str = _bounded(choices=PAYOFFS)
     horizon: float = _bounded(positive=True)
-    strike: float | None = None
+    strike: float | None = _bounded(None, finite=True)
     correlation: float = _bounded(0.0, lo=-1, hi=1)
 
     def __post_init__(self):

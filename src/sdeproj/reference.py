@@ -8,6 +8,7 @@ price under square-root short rates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,42 @@ class ImplicitCirParams:
                    c=model.gamma_const, y0=model.y0)
 
 
+def _coefficients(params: ImplicitCirParams, h: float) -> tuple[float, float, float]:
+    """The constants of `_implicit_step`: (c, 2 (1 - b h), a h / (1 - b h))."""
+    if h <= 0:
+        raise DomainError("h must be positive")
+    denom = 1.0 - params.b * h
+    return params.c, 2.0 * denom, params.a * h / denom
+
+
+# Python's operators, which leave numpy scalars their own arithmetic and
+# warnings, in the form of ufuncs called with an output.
+_OPERATORS = tuple(lambda a, b, out, op=op: op(a, b)
+                   for op in (operator.mul, operator.add, operator.truediv))
+
+
+def _implicit_step(y, dw, c: float, two_denom: float, t: float, out=None,
+                   s=None, root=None):
+    """The step of `implicit_cir_step` from `y` with increments `dw`, into
+    `out` through the scratch `s` and `root` (arrays of the broadcast shape;
+    `out` may be `y`), or, with no buffers, by operators into new values.
+    `fmin` skips NaN, so a NaN row hides no s < 0 row."""
+    mul, add, div = _OPERATORS if out is None else (np.multiply, np.add, np.divide)
+    # Each buffer argument is read before its name is rebound.
+    s = div(add(y, mul(c, dw, s), s), two_denom, s)
+    root = np.sqrt(add(mul(s, s, root), t, root), out=root)
+    if not np.fmin.reduce(s, axis=None, initial=np.inf) < 0.0:
+        return add(s, root, out)
+    # The sum is overwritten on the s < 0 rows; at s = -inf it is inf - inf.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if np.ndim(s) == 0:
+            return t / (root - s)
+        out = add(s, root, out)
+        neg = np.less(s, 0.0)
+        out[neg] = t / (root[neg] - s[neg])
+    return out
+
+
 def implicit_cir_step(y: np.ndarray | float, params: ImplicitCirParams,
                       h: float, dw: np.ndarray | float) -> np.ndarray | float:
     """One drift-implicit step: solves y' = y + (a/y' + b y') h + c dw, y' > 0.
@@ -74,26 +111,10 @@ def implicit_cir_step(y: np.ndarray | float, params: ImplicitCirParams,
     cancellation-safe form t / (sqrt(s^2 + t) - s); the others pay for one
     sum.  With a > 0 the result is strictly positive for every input.
 
-    Returns an array for array inputs and a numpy scalar for scalar or 0-d
-    inputs.
+    Returns, from `_implicit_step`, an array for array inputs and a numpy
+    scalar for scalar or 0-d inputs.
     """
-    if h <= 0:
-        raise DomainError("h must be positive")
-    denom = 1.0 - params.b * h
-    s = (y + params.c * dw) / (2.0 * denom)
-    t = params.a * h / denom
-    root = np.sqrt(s * s + t)
-    neg = np.less(s, 0.0)
-    if not neg.any():
-        return s + root
-    # The sum is overwritten on the s < 0 rows; at s = -inf it is inf - inf.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if neg.ndim == 0:
-            return t / (root - s)
-        rows = np.nonzero(neg)
-        out = s + root
-        out[rows] = t / (root[rows] - s[rows])
-    return out
+    return _implicit_step(y, dw, *_coefficients(params, h))
 
 
 def implicit_cir_path(params: ImplicitCirParams, h: float,
@@ -110,11 +131,9 @@ def implicit_cir_path(params: ImplicitCirParams, h: float,
     if incs.ndim != 1:
         raise ValueError("increments must be one-dimensional")
     out = np.empty(incs.shape[0] + 1)
-    out[0] = params.y0
-    y = params.y0
-    for i in range(incs.shape[0]):
-        y = implicit_cir_step(y, params, h, incs[i])
-        out[i + 1] = y
+    out[0] = y = params.y0
+    for i, dw in enumerate(incs):
+        out[i + 1] = y = implicit_cir_step(y, params, h, dw)
     return out
 
 
@@ -123,14 +142,17 @@ def _implicit_evolve(params: ImplicitCirParams, n: int, h: float,
     """The implicit stepper over n steps, one path per row of `increments`:
     terminal states and, with an `integrand`, the left Riemann sum of
     integrand(state) * h (else None).  As in `projection._evolve`, step 0
-    starts from a one-element state, so its integrand is computed once."""
+    starts from a one-element state, so its integrand is computed once; each
+    step runs `_implicit_step` in place on three row buffers."""
     incs = np.asarray(increments, dtype=float)
+    coefficients = _coefficients(params, h)
     y = np.full(1 if n else incs.shape[0], params.y0, dtype=float)
     integral = None if integrand is None else np.zeros(incs.shape[0])
+    out, s, root = (np.empty(incs.shape[0]) for _ in range(3))
     for i in range(n):
         if integral is not None:
             integral += integrand(y) * h
-        y = implicit_cir_step(y, params, h, incs[:, i])
+        y = _implicit_step(y, incs[:, i], *coefficients, out, s, root)
     return y, integral
 
 

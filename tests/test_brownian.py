@@ -168,6 +168,32 @@ def test_block_normals_column_major_single_stream(rows, n):
     assert np.array_equal(increments, reference * 0.5)
 
 
+@pytest.mark.parametrize("rows, n", [
+    (BLOCK_WIDTH, 1),                                 # one column: in place
+    (1, 9),                                           # one row: in place
+    (700, _CHUNK_NORMALS // 97),                      # eight staging chunks
+    (7, 5),
+])
+def test_scaled_fill_equals_scaled_block_normals(rows, n):
+    fabric = BrownianFabric(59)
+    scale = math.sqrt(0.3)
+    expected = fabric.block_normals(4, 2, n, factor=1, rows=rows) * scale
+    wide = np.empty((rows + 9, n), order="F")
+    for out in (np.empty((rows, n)), np.empty((rows, n), order="F"), wide[4:4 + rows]):
+        fabric.block_cursor(4, 2, n, factor=1).fill(out, keep=False, scale=scale)
+        assert np.array_equal(out, expected)
+    # Resumed mid-block, after skipped rows and after scaled ones.
+    cut = rows // 3
+    skipped = fabric.block_cursor(4, 2, n, factor=1)
+    skipped.fill(None, cut)
+    drawn = fabric.block_cursor(4, 2, n, factor=1)
+    drawn.fill(np.empty((cut, n), order="F"), scale=scale)
+    for cursor in (skipped, drawn):
+        rest = np.empty((rows - cut, n), order="F")
+        cursor.fill(rest, scale=scale)
+        assert np.array_equal(rest, expected[cut:])
+
+
 def _fresh_block(fabric, level, block, n, factor, rows):
     key = np.array([_splitmix64(fabric.master_seed),
                     _pack(_TAG_BLOCK, level, factor, block)], dtype=np.uint64)

@@ -583,10 +583,12 @@ SHARED_RULES = {
     "mlmc.pilot_paths": (_multilevel, "pilot_paths"),
     "mlmc.horizon": (_multilevel, "horizon"),
     "mlmc.correlation": (_multilevel, "correlation"),
+    "mlmc.strike": (_multilevel, "strike"),
     "price.paths": (_implicit_price, "paths"),
     "price.fine_exponent": (_implicit_price, "fine_exponent"),
     "price.horizon": (_gl_price, "horizon"),
     "price.correlation": (_problem, "correlation"),
+    "price.strike": (_problem, "strike"),
 }
 CONFIG_ONLY_BOUNDS = {"model.family", "model2.family", "scheme.k_prime",
                       "scheme.scale_hi", "price.mode", "seed", "threads"}
@@ -664,3 +666,23 @@ def test_engine_rules_are_one_rule_set_for_config_and_library(no_draw):
         f.name for f in fields(mlmc.MlmcConfig) if f.metadata.get("bound")}
     assert probed[_study] == set(convergence.STUDY_BOUNDS)
     assert probed[_implicit_price] | probed[_gl_price] == set(mlmc.PRICE_BOUNDS)
+
+
+def test_library_refuses_a_non_finite_strike_before_any_draw(no_draw):
+    # Both used to be admitted: the price came out (0.0, 0.0), and the
+    # estimate raised NonFinite after drawing its pilot.
+    spread = dict(models=(CIR, CIR), payoff="spread", horizon=1.0)
+    calls = [
+        lambda: mlmc.implicit_price(mlmc.Problem(strike=math.inf, **spread),
+                                    BrownianFabric(0), paths=8, fine_exponent=3),
+        lambda: mlmc.mlmc_estimate(mlmc.MlmcConfig(strike=NAN, epsilon=1e-3,
+                                                   max_level=2, pilot_paths=100,
+                                                   **spread), BrownianFabric(0)),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.field == "strike"
+        assert err.value.reason == "must be finite"
+    # A zcb problem sets no strike, and has none to check.
+    assert mlmc.Problem(models=(CIR,), payoff="zcb", horizon=1.0).strike is None

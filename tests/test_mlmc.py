@@ -312,12 +312,12 @@ def _drawn_rows(monkeypatch):
     drawn = {}
     real = BlockCursor.fill
 
-    def logged(self, out, rows=0, *, keep=True):
+    def logged(self, out, rows=0, **options):
         word = int(self._state["state"]["key"][1])
         address = ((word >> 52) & 0xFF, (word >> 44) & 0xFF, word & ((1 << 44) - 1))
         drawn.setdefault(address, []).append(
             (self.row, self.row + (rows if out is None else out.shape[0])))
-        return real(self, out, rows, keep=keep)
+        return real(self, out, rows, **options)
 
     monkeypatch.setattr(BlockCursor, "fill", logged)
     return drawn

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdeproj import blocks, convergence, reference
 from sdeproj.brownian import BLOCK_WIDTH, BrownianFabric
 from sdeproj.errors import DomainError
 from sdeproj.mlmc import MlmcConfig, implicit_price
 from sdeproj.models import cir_model
-from sdeproj.projection import plan_exponents
+from sdeproj.projection import manual_plan
 from sdeproj.reference import (ImplicitCirParams, cir_zcb_closed_form,
                                ginzburg_landau_terminal, implicit_cir_path,
                                implicit_cir_step, implicit_cir_terminal)
@@ -155,29 +158,49 @@ def test_step_bits_on_strided_and_contiguous_columns():
 
 
 def test_implicit_users_give_the_where_formula_reports(monkeypatch):
+    # Near the boundary (2 kappa theta / xi^2 = 1.02, x0 = 1e-4), so that
+    # the runs on `edge` step rows with s < 0, where the two forms differ in
+    # their last bits; the study's report shows it (a kernel without the
+    # s < 0 form fails here).
+    edge = cir_model(1.0, 0.01, 0.14, 1e-4)
     spread = MlmcConfig(models=(cir_model(1.0, 0.06, 0.04, 0.05),
                                 cir_model(0.8, 0.05, 0.016, 0.06)),
                         payoff="spread", horizon=1.0, epsilon=1e-4,
                         strike=0.001, correlation=-0.7)
-    zcb = MlmcConfig(models=(cir_model(2.0, 1.0, 0.5, 1.0),), payoff="zcb",
-                     horizon=1.0, epsilon=1e-3)
-    cir = cir_model(0.5, 1.0, 0.5, 1.0)
-    plan = plan_exponents(cir.transformed)
+    zcb = MlmcConfig(models=(edge,), payoff="zcb", horizon=1.0, epsilon=1e-3)
+    plan = manual_plan(edge.transformed, k=0.25)
 
     def run():
         return (
             implicit_price(spread, BrownianFabric(3), paths=BLOCK_WIDTH + 50,
                            fine_exponent=6, threads=2),
+            implicit_price(dataclasses.replace(spread, models=(edge, edge)),
+                           BrownianFabric(3), paths=600, fine_exponent=6),
             implicit_price(zcb, BrownianFabric(3), paths=600, fine_exponent=6),
             convergence.run_convergence_study(
-                cir.transformed, cir.lamperti, plan, [2, 4], 700,
+                edge.transformed, edge.lamperti, plan, [2, 4], 2000,
                 "implicit-fine-grid", BrownianFabric(3), fine_exponent=7,
                 variant="implicit-reference"))
 
+    negative = []
+
+    def where_kernel(y, dw, c, two_denom, t, out=None, s=None, root=None):
+        """The where formula in the place of the shared kernel, written into
+        the kernel's `out`."""
+        s = (y + c * dw) / two_denom
+        negative.append(bool(np.any(s < 0.0)))
+        root = np.sqrt(s * s + t)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            value = np.where(s >= 0.0, s + root, t / (root - s))
+        if out is None:
+            return value
+        out[...] = value
+        return out
+
     lean = run()
-    monkeypatch.setattr(reference, "implicit_cir_step", _where_step)
-    monkeypatch.setattr(convergence, "implicit_cir_step", _where_step)
+    monkeypatch.setattr(reference, "_implicit_step", where_kernel)
     assert run() == lean
+    assert any(negative)
 
 
 def test_implicit_step_zero_from_y0_keeps_the_bits_of_full_length_rows():
@@ -208,6 +231,39 @@ def test_implicit_step_zero_from_y0_keeps_the_bits_of_full_length_rows():
                         assert got_integral is None
                     else:
                         np.testing.assert_array_equal(got_integral, integral)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.sampled_from([1, 7, BLOCK_WIDTH, BLOCK_WIDTH + 50]),
+       n=st.integers(1, 5), a=st.sampled_from([0.0, 1e-3, 0.21875]),
+       y0=st.sampled_from([0.01, 1.0]), spread=st.sampled_from([0.5, 8.0]),
+       seed=st.integers(0, 2 ** 32 - 1), poison=st.booleans(),
+       at=st.integers(0, 4))
+def test_implicit_evolve_has_the_bits_of_the_step_iterated(rows, n, a, y0, spread,
+                                                           seed, poison, at):
+    # a = 0 gives t = 0; a wide spread of increments gives rows with s < 0.
+    params = ImplicitCirParams(a=a, b=-0.25, c=0.5, y0=y0)
+    h = 1.0 / n
+    rng = np.random.default_rng(seed)
+    incs = np.asfortranarray(rng.standard_normal((rows, n)) * spread * math.sqrt(h))
+    if poison:
+        # A NaN row in the same step as a row with s < 0: a minimum over
+        # the rows would be NaN and hide the negative one.
+        incs[0, at % n] = math.nan
+        incs[-1, at % n] = -1e3
+    rate = np.sqrt
+    with np.errstate(all="ignore"):
+        got, got_integral = reference._implicit_evolve(params, n, h, incs, rate)
+        terminal, none = reference._implicit_evolve(params, n, h, incs)
+        for step in (implicit_cir_step, _where_step):
+            y = np.full(rows, params.y0)
+            integral = np.zeros(rows)
+            for i in range(n):
+                integral += rate(y) * h
+                y = step(y, params, h, incs[:, i])
+            assert got.tobytes() == terminal.tobytes() == y.tobytes()
+            assert got_integral.tobytes() == integral.tobytes()
+    assert none is None
 
 
 def test_path_and_terminal_agree():

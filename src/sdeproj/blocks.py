@@ -8,8 +8,9 @@ them), steps and reduces it to one `Moments` per chunk, so no block
 outlives its batch.  It opens the worker team and alone decides how it is
 used, from the row length: batches of short rows run on the workers, and a
 batch of long rows is drawn and stepped in row slabs (`by_slabs`), each
-slab holding a share of every block's rows, at most one block's worth, with
-its blocks' streams filled at once on the team."""
+slab holding a share of every block's rows, at most the rows one stepping
+call covers (`Stream.slab_rows`), with its blocks' streams filled at once
+on the team."""
 from __future__ import annotations
 
 import math
@@ -49,18 +50,27 @@ class Stream:
     by (factor, block), so one stream serves a pilot and its final pass
     without drawing a row twice.  Draws running at once must take
     different blocks, as `fold`'s do.
+
+    A `stacked` stream draws every factor into one array, for an engine
+    whose one kernel call steps all factors' rows; `fold` then cuts long
+    rows into slabs of at most `slab_rows` = BLOCK_WIDTH // factors rows,
+    so one slab is BLOCK_WIDTH stacked rows.
     """
 
     def __init__(self, fabric: BrownianFabric, level: int, n: int, h: float,
-                 factors: int = 1):
+                 factors: int = 1, *, stacked: bool = False):
         self.fabric, self.level, self.n, self.factors = fabric, level, n, factors
+        self.stacked = stacked
+        self.slab_rows = BLOCK_WIDTH // factors if stacked else BLOCK_WIDTH
         self._scale = math.sqrt(h)
         self._cursors = {}
 
     def draw(self, batch, team=None) -> tuple[np.ndarray, ...]:
         """Brownian increments of the batch's rows for factors 0, 1, ...,
         `factors - 1`: one column-major array per factor, stacked in chunk
-        order.
+        order, or, for a `stacked` stream, one column-major
+        (factors × rows, n) array that holds factor f's rows in its f-th
+        row block.
 
         Each chunk's rows are drawn, times sqrt(h), by its block's cursor if
         that stopped at the chunk's first row, else by a new one advanced to
@@ -68,8 +78,13 @@ class Stream:
         fills every (factor, chunk) stream of the batch at once, one a thread.
         """
         spans = rows(batch)
-        out = tuple(np.empty((spans[-1].stop, self.n), order=_LAYOUT)
-                    for _ in range(self.factors))
+        count = spans[-1].stop
+        if self.stacked:
+            whole = np.empty((self.factors * count, self.n), order=_LAYOUT)
+            out = tuple(whole[f * count:(f + 1) * count] for f in range(self.factors))
+        else:
+            out = tuple(np.empty((count, self.n), order=_LAYOUT)
+                        for _ in range(self.factors))
         streams = [(factor, chunk, span) for factor in range(self.factors)
                    for chunk, span in zip(batch, spans)]
 
@@ -90,48 +105,52 @@ class Stream:
             fill(0, len(streams))
         else:
             team.run_split(fill, len(streams))
-        return out
+        return (whole,) if self.stacked else out
 
 
-def slabs(batch) -> list[list[tuple[int, tuple[int, int, int]]]]:
-    """Cut each chunk of `batch` into as many row spans as there are chunks,
-    one per slab.
+def slabs(batch, count: int | None = None) -> list[list[tuple[int, tuple[int, int, int]]]]:
+    """Cut each chunk of `batch` into `count` row spans (default: as many
+    as there are chunks), one per slab.
 
     Slab s lists (chunk index, (block, row_lo, row_hi)) for the s-th span of
-    every chunk that has one.  Span sizes differ by at most one row, and
-    chunk c puts its longer spans in slabs c, c + 1, ..., so no slab holds
-    more rows than the longest chunk: k whole blocks give k slabs of
-    BLOCK_WIDTH rows.
+    every chunk that has one.  A chunk's span sizes differ by at most one
+    row, and the longer spans are dealt to the slabs in turn, chunk after
+    chunk, so no slab holds more than ceil(rows / count) of the batch's
+    rows: k whole blocks cut into k slabs give k slabs of BLOCK_WIDTH rows.
     """
-    count = len(batch)
+    count = count or len(batch)
     out = [[] for _ in range(count)]
+    turn = 0  # the slab that takes the next longer span
     for c, (block, lo, hi) in enumerate(batch):
         base, extra = divmod(hi - lo, count)
         for s in range(count):
-            size = base + ((s - c) % count < extra)
+            size = base + ((s - turn) % count < extra)
             if size:
                 out[s].append((c, (block, lo, lo + size)))
                 lo += size
+        turn = (turn + extra) % count
     return out
 
 
-def by_slabs(values, batch, dtypes) -> tuple[np.ndarray, ...]:
+def by_slabs(values, batch, dtypes, slab_rows: int = BLOCK_WIDTH) -> tuple[np.ndarray, ...]:
     """`values(batch)`, computed on the row slabs of the batch in turn.
 
     `values(chunks)` returns one array per entry of `dtypes`, each with one
     entry per row of `chunks`, chunk after chunk; each path's values must
-    depend on its own increments only.  Each slab's values are copied to
-    their rows, so the result is what one `values(batch)` call would give,
-    while only one slab of increments is held at a time.  The result is
-    allocated before the first slab is drawn: allocated after, it would sit
-    among the freed slab temporaries and keep the next slab from reusing
-    their memory.
+    depend on its own increments only.  The batch is cut into the fewest
+    slabs, and at least one per chunk, that hold at most `slab_rows` rows
+    each.  Each slab's values are copied to their rows, so the result is
+    what one `values(batch)` call would give, while only one slab of
+    increments is held at a time.  The result is allocated before the first
+    slab is drawn: allocated after, it would sit among the freed slab
+    temporaries and keep the next slab from reusing their memory.
     """
-    if len(batch) == 1:
-        return values(batch)
     spans = rows(batch)
+    count = max(len(batch), -(-spans[-1].stop // slab_rows))
+    if count == 1:
+        return values(batch)
     out = tuple(np.empty(spans[-1].stop, dtype) for dtype in dtypes)
-    for slab in filter(None, slabs(batch)):
+    for slab in filter(None, slabs(batch, count)):
         # A call, so the slab's values are freed before the next slab.
         _place(out, values([chunk for _, chunk in slab]), slab, spans, batch)
     return out
@@ -174,10 +193,13 @@ def fold(values, stream: Stream, start: int, stop: int, totals, *,
     each drawn, stepped and reduced to `Moments` on one worker, which takes
     the next batch as soon as it is free, and `values` gets no team.  Longer
     rows take `team.size` blocks a batch, drawn in row slabs (`by_slabs`)
-    whose streams the team fills at once, and stepped on the calling
-    thread; `values` gets the team to hand it work that releases the lock
-    while that thread steps: the correlation mix, split over the team, or
-    a convergence study's coupled grids, built on a pool thread.
+    of at most `stream.slab_rows` rows each, whose streams the team fills
+    at once, and stepped on the calling thread.  At every team size, a
+    slab of a `stacked` stream is then at most BLOCK_WIDTH stacked rows:
+    with two factors, half a block of each.  `values` gets the team to
+    hand it work that releases the lock while that thread steps: the
+    correlation mix, split over the team, or a convergence study's
+    coupled grids, built on a pool thread.
     """
     per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * stream.n)
     todo = chunks(start, stop)
@@ -192,7 +214,7 @@ def fold(values, stream: Stream, start: int, stop: int, totals, *,
                 # The increments are a call argument only, so each slab is
                 # released before the next one is drawn.
                 joined = by_slabs(lambda part: values(stream.draw(part, team), team),
-                                  batch, [float] * len(totals))
+                                  batch, [float] * len(totals), stream.slab_rows)
             if check is not None:
                 check(batch, joined)
             return [[Moments.of(v[r]) for v in joined] for r in rows(batch)]

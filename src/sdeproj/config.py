@@ -36,7 +36,8 @@ from .mlmc import (PAYOFFS, PRICE_BOUNDS, MlmcConfig, Problem,  # noqa: F401
                    check_levels, check_lower_exponent, check_strike, gl_exact_price)
 from .models import (ModelTriple, ait_sahalia_model, cir_model,
                      ginzburg_landau_model, three_halves_model)
-from .projection import ProjectionPlan, classical_plan, manual_plan, plan_exponents
+from .projection import (ProjectionPlan, check_readout, classical_plan, manual_plan,
+                         plan_exponents)
 
 # Family -> (model constructor, its positional parameter names).
 _FAMILIES = {
@@ -381,8 +382,16 @@ class ExperimentConfig(_Block):
                     raise ConfigError(f"{engine} does not run the {family} family "
                                       f"(it needs {', '.join(admitted)})",
                                       f"{name}.family")
-        # The multilevel plans' lower exponent, checked on the built models:
-        # parameters the models refuse are the run's to report (exit 3).
+        # The study's read-out and the multilevel plans' lower exponent,
+        # checked on the built models and plan: parameters they refuse are
+        # the run's to report (exit 3).
+        if study is not None:
+            try:
+                plan = scheme.build_plan(self.model.build())
+            except SdeProjError:
+                pass
+            else:
+                check_readout(scheme.clamp, plan, "scheme.clamp")
         if mlmc is not None:
             try:
                 models = [getattr(self, name).build() for name in factors]

@@ -24,7 +24,7 @@ from .blocks import Moments, Stream, fold
 from .brownian import BrownianFabric, couple_levels, extend_coupling
 from .errors import DomainError, check_bounds
 from .models import LampertiMap, TransformedModel
-from .projection import ProjectionPlan, clamp_variant, evolve_terminal
+from .projection import ProjectionPlan, check_readout, clamp_variant, evolve_terminal
 # perfbench's tracer wraps `implicit_cir_step` under this module.
 from .reference import (ImplicitCirParams, ginzburg_landau_terminal,  # noqa: F401
                         implicit_cir_step, implicit_cir_terminal)
@@ -145,7 +145,9 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
         fabric: increment source; the study consumes block streams at level
             `fine_exponent`.
         space: "x" compares in original coordinates, "y" in transformed ones.
-        readout: terminal clamp variant applied to the scheme output.
+        readout: terminal clamp variant applied to the scheme output.  One
+            whose threshold `plan` lacks is refused before any path is
+            drawn (`projection.check_readout`).
         variant: "modified" and "classical" both step with `plan` (build the
             plan accordingly) and differ only in the recorded label;
             "implicit-reference" steps the tested resolutions with the
@@ -164,6 +166,7 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
                  fine_exponent=fine_exponent, horizon=horizon)
     exps = [int(n) for n in exponents]
     check_exponents(exps, fine_exponent)
+    check_readout(readout, plan)
 
     family = model.meta.get("family")
     if reference == "closed-form" and family != "ginzburg-landau":

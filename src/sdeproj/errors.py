@@ -60,7 +60,7 @@ class PlanInfeasible(SdeProjError):
     """Moment exponents too weak to yield a positive convergence rate."""
 
 
-class MissingThreshold(SdeProjError):
+class MissingThreshold(DomainError):
     """Read-out clamp requested a threshold the plan does not carry."""
 
 

@@ -220,16 +220,23 @@ def _correlated(config: Problem, drivers: tuple, team=None) -> tuple:
 
 def _payoff_values(config: Problem, steppers: tuple,
                    drivers: tuple[np.ndarray, ...], n: int, h: float) -> np.ndarray:
-    """Payoffs for a batch of paths at one resolution; `steppers[f]` is factor
-    f's `_evolve` or `_implicit_evolve` with its model bound.  A rate is the
-    inverse Lamperti image of max(state, 0); implicit states are never < 0."""
+    """Payoffs for a batch of paths at one resolution.  `steppers[j]` steps
+    `drivers[j]`: either one stepper per factor (`_evolve` with its model
+    bound), or one `_implicit_evolve` for every factor's rows, stacked in
+    row blocks.  A rate is the inverse Lamperti image of max(state, 0);
+    implicit states are never < 0."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rates = [lambda y, inverse=t.lamperti.inverse: inverse(np.maximum(y, 0.0))
                  for t in config.models]
         if config.payoff == "zcb":
             return np.exp(-steppers[0](n, h, drivers[0], rates[0])[1])
-        x1, x2 = (rate(run(n, h, drv)[0])
-                  for run, rate, drv in zip(steppers, rates, drivers))
+        if len(steppers) == 1:
+            states = np.split(steppers[0](n, h, drivers[0])[0], len(config.models))
+            x1, x2 = (rate(y) for rate, y in zip(rates, states))
+        else:
+            # Each factor's states are freed once its rate is taken.
+            x1, x2 = (rate(run(n, h, drv)[0])
+                      for run, rate, drv in zip(steppers, rates, drivers))
         return payoff_spread(x1, x2, config.strike)
 
 
@@ -419,6 +426,12 @@ def implicit_price(problem: Problem, fabric: BrownianFabric, *, paths: int,
     path, using addresses disjoint from the multilevel levels (the grid
     exponent is the stream level tag).  Returns (price, standard error).
 
+    Every factor's increments are drawn into one `stacked` `blocks.Stream`
+    array, factor f's rows in row block f; the correlation is mixed in
+    place on the row blocks, and one `_implicit_evolve` call steps every
+    factor's rows at once, so a row slab of long rows holds BLOCK_WIDTH
+    stacked rows, half a block of each factor of a spread.
+
     `threads` works as in `mlmc_estimate` (0, the default, means all
     cores): `blocks.fold` steps short rows in batches of whole blocks on the
     workers, and draws long ones in row slabs, one block per worker, with
@@ -426,17 +439,18 @@ def implicit_price(problem: Problem, fabric: BrownianFabric, *, paths: int,
     split over the workers.  The result is the same for every value.
     """
     check_bounds(PRICE_BOUNDS, paths=paths, fine_exponent=fine_exponent)
-    steppers = tuple(functools.partial(_implicit_evolve,
-                                       ImplicitCirParams.from_model(t.transformed))
-                     for t in problem.models)
+    stepper = functools.partial(_implicit_evolve, [
+        ImplicitCirParams.from_model(t.transformed) for t in problem.models])
+    factors = len(problem.models)
     n = 1 << fine_exponent
     h = problem.horizon / n
 
-    def payoffs(drivers, team):
-        return _payoff_values(problem, steppers,
-                              _correlated(problem, drivers, team), n, h)
+    def payoffs(drawn, team):
+        # The mix writes into the second row block: `drawn` is correlated.
+        _correlated(problem, np.split(drawn[0], factors), team)
+        return _payoff_values(problem, (stepper,), drawn, n, h)
 
-    stream = Stream(fabric, fine_exponent, n, h, len(problem.models))
+    stream = Stream(fabric, fine_exponent, n, h, factors, stacked=True)
     return _mean_and_error(payoffs, stream, paths, threads)
 
 

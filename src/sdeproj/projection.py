@@ -336,6 +336,28 @@ def evolve_terminal(model: TransformedModel, plan: ProjectionPlan, n: int,
     return _evolve(model, plan, n, h, increments)[0]
 
 
+# The plan's threshold exponents that each read-out clamp reads.
+_READOUT_THRESHOLDS = {"raw": (), "bar": (), "tilde": ("eta_exponent",),
+                       "check": ("zeta_exponent",),
+                       "double": ("eta_exponent", "zeta_exponent")}
+
+
+def check_readout(variant: str, plan: ProjectionPlan, name: str = "readout") -> None:
+    """Refuse a read-out clamp `variant` whose threshold `plan` lacks, so a
+    study refuses it before it draws a path.
+
+    Raises:
+        MissingThreshold: naming `name`, the caller's name for the read-out.
+        ValueError: an unknown variant.
+    """
+    if variant not in _READOUT_THRESHOLDS:
+        raise ValueError(f"unknown read-out variant {variant!r}")
+    missing = [e for e in _READOUT_THRESHOLDS[variant] if getattr(plan, e) is None]
+    if missing:
+        raise MissingThreshold(f"the plan lacks {' and '.join(missing)}, which "
+                               f"the {variant} read-out needs", name)
+
+
 def clamp_variant(y: np.ndarray | float, variant: str, plan: ProjectionPlan,
                   h: float) -> np.ndarray | float:
     """Read-out clamp applied to terminal states before mapping back.
@@ -345,23 +367,16 @@ def clamp_variant(y: np.ndarray | float, variant: str, plan: ProjectionPlan,
     zeta = h ** zeta_exponent), "double" (both thresholds).
 
     Raises:
-        MissingThreshold: the plan lacks the required threshold exponent.
+        MissingThreshold: the plan lacks the required threshold exponent
+            (`check_readout`).
     """
+    check_readout(variant, plan)
     if variant == "raw":
         return y
     if variant == "bar":
         return np.maximum(y, 0.0)
     if variant == "tilde":
-        if plan.eta_exponent is None:
-            raise MissingThreshold("plan has no lower read-out threshold")
         return np.maximum(y, h ** plan.eta_exponent)
     if variant == "check":
-        if plan.zeta_exponent is None:
-            raise MissingThreshold("plan has no upper read-out threshold")
         return np.minimum(y, h ** plan.zeta_exponent)
-    if variant == "double":
-        if plan.eta_exponent is None or plan.zeta_exponent is None:
-            raise MissingThreshold("plan lacks a read-out threshold")
-        return np.minimum(np.maximum(y, h ** plan.eta_exponent),
-                          h ** plan.zeta_exponent)
-    raise ValueError(f"unknown read-out variant {variant!r}")
+    return np.minimum(np.maximum(y, h ** plan.eta_exponent), h ** plan.zeta_exponent)

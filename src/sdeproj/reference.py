@@ -79,11 +79,11 @@ _OPERATORS = tuple(lambda a, b, out, op=op: op(a, b)
                    for op in (operator.mul, operator.add, operator.truediv))
 
 
-def _implicit_step(y, dw, c: float, two_denom: float, t: float, out=None,
-                   s=None, root=None):
+def _implicit_step(y, dw, c, two_denom, t, out=None, s=None, root=None):
     """The step of `implicit_cir_step` from `y` with increments `dw`, into
     `out` through the scratch `s` and `root` (arrays of the broadcast shape;
     `out` may be `y`), or, with no buffers, by operators into new values.
+    The coefficients (`_coefficients`) are scalars or one entry per row.
     `fmin` skips NaN, so a NaN row hides no s < 0 row."""
     mul, add, div = _OPERATORS if out is None else (np.multiply, np.add, np.divide)
     # Each buffer argument is read before its name is rebound.
@@ -97,7 +97,7 @@ def _implicit_step(y, dw, c: float, two_denom: float, t: float, out=None,
             return t / (root - s)
         out = add(s, root, out)
         neg = np.less(s, 0.0)
-        out[neg] = t / (root[neg] - s[neg])
+        out[neg] = (t[neg] if np.ndim(t) else t) / (root[neg] - s[neg])
     return out
 
 
@@ -137,21 +137,39 @@ def implicit_cir_path(params: ImplicitCirParams, h: float,
     return out
 
 
-def _implicit_evolve(params: ImplicitCirParams, n: int, h: float,
-                     increments: np.ndarray, integrand=None):
+def _implicit_evolve(params, n: int, h: float, increments: np.ndarray,
+                     integrand=None):
     """The implicit stepper over n steps, one path per row of `increments`:
     terminal states and, with an `integrand`, the left Riemann sum of
-    integrand(state) * h (else None).  As in `projection._evolve`, step 0
-    starts from a one-element state, so its integrand is computed once; each
-    step runs `_implicit_step` in place on three row buffers."""
+    integrand(state) * h (else None).
+
+    `params` is one `ImplicitCirParams`, or a sequence of them, one per
+    factor, for increments that stack the factors' rows in as many equal
+    row blocks (`blocks.Stream`'s `stacked` draw).  Every step is then one
+    `_implicit_step` call over all rows, with one coefficient per row; each
+    row keeps the bits it has when its factor is stepped alone.  One
+    factor keeps scalar coefficients and starts step 0 from a one-element
+    state, as `projection._evolve` does, so its integrand is computed once.
+    Each step runs in place on three row buffers, and the integral is
+    summed through the free scratch buffer, with no per-step temporary of
+    the driver's own."""
     incs = np.asarray(increments, dtype=float)
-    coefficients = _coefficients(params, h)
-    y = np.full(1 if n else incs.shape[0], params.y0, dtype=float)
-    integral = None if integrand is None else np.zeros(incs.shape[0])
-    out, s, root = (np.empty(incs.shape[0]) for _ in range(3))
+    rows = incs.shape[0]
+    factors = (params,) if isinstance(params, ImplicitCirParams) else tuple(params)
+    if len(factors) == 1:
+        coefficients = _coefficients(factors[0], h)
+        y = np.full(1 if n else rows, factors[0].y0)
+    else:
+        # c, two_denom, t and y0 as columns: each factor's values repeated
+        # over its row block.
+        *coefficients, y = np.repeat([(*_coefficients(p, h), p.y0) for p in factors],
+                                     rows // len(factors), axis=0).T.copy()
+    integral = None if integrand is None else np.zeros(rows)
+    out, s, root = (np.empty(rows) for _ in range(3))
     for i in range(n):
         if integral is not None:
-            integral += integrand(y) * h
+            # `s` is free until the step writes it.
+            integral += np.multiply(integrand(y), h, out=s)
         y = _implicit_step(y, incs[:, i], *coefficients, out, s, root)
     return y, integral
 

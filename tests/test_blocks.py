@@ -51,6 +51,8 @@ class _Paths:
     """Stands in for a `Stream` of rows of `n` steps: draws each row's path
     index, and records which teams fill its draws."""
 
+    slab_rows = BLOCK_WIDTH
+
     def __init__(self, n):
         self.n = n
         self.teams = set()
@@ -101,23 +103,30 @@ def test_walk_yields_each_chunk_in_block_order(blocks, size, monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(spans=st.lists(st.tuples(st.integers(0, BLOCK_WIDTH - 1),
-                                st.integers(1, BLOCK_WIDTH)), min_size=1, max_size=6))
-def test_slabs_cut_every_chunk_in_row_order_and_stay_within_the_longest_chunk(spans):
+                                st.integers(1, BLOCK_WIDTH)), min_size=1, max_size=6),
+       count=st.integers(1, 13))
+def test_slabs_cut_every_chunk_in_row_order_and_stay_within_the_longest_chunk(spans,
+                                                                              count):
+    # By default as many slabs as chunks, none longer than the longest
+    # chunk; with a `count`, none longer than an even share of the rows.
     batch = [(block, min(lo, BLOCK_WIDTH - size), min(lo, BLOCK_WIDTH - size) + size)
              for block, (lo, size) in enumerate(spans)]
-    cut = slabs(batch)
-    assert len(cut) == len(batch)
-    for slab in cut:
-        assert sum(hi - lo for _, (_, lo, hi) in slab) <= max(hi - lo for _, lo, hi in batch)
-        assert [c for c, _ in slab] == sorted(c for c, _ in slab)
-        assert all(lo < hi for _, (_, lo, hi) in slab)
-    for c, (block, lo, hi) in enumerate(batch):
-        pieces = [piece for slab in cut for i, piece in slab if i == c]
-        assert pieces[0][1] == lo and pieces[-1][2] == hi
-        assert all(p[0] == block for p in pieces)
-        assert all(a[2] == b[1] for a, b in zip(pieces, pieces[1:]))
-        sizes = [p[2] - p[1] for p in pieces]
-        assert max(sizes) - min(sizes) <= 1
+    total = sum(hi - lo for _, lo, hi in batch)
+    assert len(slabs(batch)) == len(batch)
+    assert len(slabs(batch, count)) == count
+    for cut, most in ((slabs(batch), max(hi - lo for _, lo, hi in batch)),
+                      (slabs(batch, count), -(-total // count))):
+        for slab in cut:
+            assert sum(hi - lo for _, (_, lo, hi) in slab) <= most
+            assert [c for c, _ in slab] == sorted(c for c, _ in slab)
+            assert all(lo < hi for _, (_, lo, hi) in slab)
+        for c, (block, lo, hi) in enumerate(batch):
+            pieces = [piece for slab in cut for i, piece in slab if i == c]
+            assert pieces[0][1] == lo and pieces[-1][2] == hi
+            assert all(p[0] == block for p in pieces)
+            assert all(a[2] == b[1] for a, b in zip(pieces, pieces[1:]))
+            sizes = [p[2] - p[1] for p in pieces]
+            assert max(sizes) - min(sizes) <= 1
 
 
 def _block_rows(fabric, level, batch, n, factor):
@@ -160,6 +169,43 @@ def test_slab_draws_equal_the_rows_of_whole_blocks(batch, n, size):
     # A chunk left short of its block's end keeps its cursors there.
     assert sorted(stream._cursors) == sorted((factor, block) for block, _, hi in batch
                                              for factor in (0, 1) if hi < BLOCK_WIDTH)
+
+
+@pytest.mark.parametrize("batch", [
+    [(0, 0, BLOCK_WIDTH)],                                   # one block
+    [(3, 0, BLOCK_WIDTH), (4, 0, 1001)],                     # a partial last block
+    [(0, 5, BLOCK_WIDTH), (1, 0, BLOCK_WIDTH), (2, 0, 7)],  # rows not divisible by 3
+], ids=["1", "2-partial", "3-uneven"])
+@pytest.mark.parametrize("size", [None, 3])
+def test_stacked_slab_draws_hold_each_factor_in_its_row_block(batch, size):
+    # A stacked stream's slabs are at most BLOCK_WIDTH stacked rows, and
+    # factor f's rows of each slab are the f-th row block, whichever thread
+    # fills them: the threads write disjoint rows of one array, interleaved
+    # as often as the interpreter allows.
+    n = 5
+    fabric = BrownianFabric(29)
+    stream = Stream(fabric, 5, n, 1.0, factors=2, stacked=True)
+    team = None if size is None else Team(size)
+    shapes = []
+
+    def factors(chunk_list):
+        (drawn,) = stream.draw(chunk_list, team)
+        assert drawn.flags.f_contiguous
+        shapes.append(drawn.shape)
+        return np.split(drawn, 2)
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        got = by_slabs(factors, batch, [(float, n)] * 2, stream.slab_rows)
+    finally:
+        sys.setswitchinterval(interval)
+        if team is not None:
+            team.close()
+    assert stream.slab_rows == BLOCK_WIDTH // 2
+    assert all(rows <= BLOCK_WIDTH and width == n for rows, width in shapes)
+    for factor, drawn in enumerate(got):
+        assert np.array_equal(drawn, _block_rows(fabric, 5, batch, n, factor))
 
 
 _EXPECTED = [BrownianFabric(31).block_normals(2, 4, 16, factor=factor) * 0.5

@@ -156,6 +156,20 @@ def test_infeasible_multilevel_plan_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_unservable_readout_exits_2_before_any_draw(tmp_path):
+    # A manual plan carries no read-out thresholds, so the double clamp
+    # cannot read out; the run used to find it only after stepping every
+    # path, and exited 3.
+    out = tmp_path / "run"
+    mapping = conv_mapping(str(out), exponents=[3, 4, 5], fine_exponent=7)
+    mapping["scheme"] = {"k": 0.25, "k_prime": 0.25, "clamp": "double"}
+    result = invoke("convergence", write_config(tmp_path, "clamp.yaml", mapping))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("config error: scheme.clamp: the plan lacks ")
+    assert not out.exists()
+
+
 def test_model_error_exits_3(tmp_path):
     out = tmp_path / "run"
     mapping = conv_mapping(str(out))

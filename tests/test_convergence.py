@@ -6,7 +6,7 @@ import pytest
 from sdeproj import convergence, workers
 from sdeproj.brownian import BLOCK_WIDTH, BrownianFabric
 from sdeproj.convergence import VALUE_CAP, fit_rate, run_convergence_study
-from sdeproj.errors import DomainError
+from sdeproj.errors import DomainError, MissingThreshold
 from sdeproj.models import cir_model, ginzburg_landau_model
 from sdeproj.projection import classical_plan, manual_plan, plan_exponents
 
@@ -279,3 +279,21 @@ def test_study_validation():
     with pytest.raises(DomainError):
         run_convergence_study(gl.transformed, gl.lamperti, gplan, [3, 4], 8,
                               "implicit-fine-grid", fabric, fine_exponent=8)
+
+
+@pytest.mark.parametrize("readout", ["tilde", "check", "double"])
+def test_a_readout_the_plan_cannot_serve_is_refused_before_any_draw(readout,
+                                                                    monkeypatch):
+    # A manual plan has neither read-out threshold.
+    cir = cir_model(0.375, 1.0, 0.5, 1.0)
+    plan = manual_plan(cir.transformed, k=0.25, k_prime=0.25)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(convergence, "fold", refuse)
+    with pytest.raises(MissingThreshold) as caught:
+        run_convergence_study(cir.transformed, cir.lamperti, plan, [3, 4], 2000,
+                              "implicit-fine-grid", BrownianFabric(0),
+                              fine_exponent=7, readout=readout)
+    assert caught.value.field == "readout"

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdeproj import blocks, mlmc, workers
-from sdeproj.blocks import chunks
-from sdeproj.brownian import BLOCK_WIDTH, BlockCursor, BrownianFabric
+from sdeproj import blocks, correlate, mlmc, reference, workers
+from sdeproj.blocks import Moments, chunks, rows
+from sdeproj.brownian import _CHUNK_NORMALS, BLOCK_WIDTH, BlockCursor, BrownianFabric
 from sdeproj.errors import BudgetExceeded, DomainError, NonFinite
 from sdeproj.mlmc import (MlmcConfig, allocate_paths, implicit_price,
                           level_sample, mlmc_estimate, payoff_spread)
@@ -220,6 +221,64 @@ def test_implicit_price_benchmark():
                                fine_exponent=6)
     assert se > 0.0
     assert abs(price - ZCB_CLOSED_FORM) <= 4.0 * se
+
+
+def _per_factor_price(problem, fabric, paths, fine_exponent):
+    """`implicit_price` as it stood before the factors were stacked: each
+    factor drawn into its own array and stepped alone, one `Moments` per
+    chunk merged in block order."""
+    n = 1 << fine_exponent
+    h = problem.horizon / n
+    todo = chunks(0, paths)
+    w, w_perp = blocks.Stream(fabric, fine_exponent, n, h, 2).draw(todo)
+    correlate(w, w_perp, problem.correlation, out=w_perp)
+    terminals = [reference._implicit_evolve(
+        reference.ImplicitCirParams.from_model(t.transformed), n, h, drv)[0]
+        for t, drv in zip(problem.models, (w, w_perp))]
+    x1, x2 = (t.lamperti.inverse(y) for t, y in zip(problem.models, terminals))
+    values = payoff_spread(x1, x2, problem.strike)
+    moments = Moments()
+    for span in rows(todo):
+        moments.merge(Moments.of(values[span]))
+    return moments.mean, math.sqrt(moments.var / paths)
+
+
+def test_stacked_price_has_the_bits_of_the_factors_stepped_alone(monkeypatch):
+    # Near its boundary (2 kappa theta / xi^2 = 1.02, x0 = 1e-4), the first
+    # factor steps rows with s < 0 that the second factor's rows do not
+    # have.  Two blocks and a partial one, in slabs at fine exponent 6.
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    problem = mlmc.Problem(models=(cir_model(1.0, 0.01, 0.14, 1e-4),
+                                   cir_model(0.8, 0.05, 0.016, 0.06)),
+                           payoff="spread", horizon=1.0, strike=0.001,
+                           correlation=-0.7)
+    paths = 2 * BLOCK_WIDTH + 100
+    expected = _per_factor_price(problem, BrownianFabric(23), paths, 6)
+    for threads in (1, 2, 3):
+        assert implicit_price(problem, BrownianFabric(23), paths=paths,
+                              fine_exponent=6, threads=threads) == expected
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_spread_price_holds_half_a_block_of_each_factor(threads, monkeypatch):
+    # Two blocks of 256 steps: one block's stacked increments, 8 MiB, plus a
+    # staging buffer on each drawing thread and 1 MiB.  Each factor's whole
+    # block (16 MiB for the pair) does not fit.
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    problem = mlmc.Problem(models=(cir_model(1.0, 0.06, 0.04, 0.05),
+                                   cir_model(0.8, 0.05, 0.016, 0.06)),
+                           payoff="spread", horizon=1.0, strike=0.001,
+                           correlation=-0.7)
+    n = 1 << 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        implicit_price(problem, BrownianFabric(5), paths=2 * BLOCK_WIDTH,
+                       fine_exponent=8, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= BLOCK_WIDTH * n * 8 + threads * _CHUNK_NORMALS * 8 + (1 << 20)
 
 
 def test_implicit_price_validation():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -264,6 +265,62 @@ def test_implicit_evolve_has_the_bits_of_the_step_iterated(rows, n, a, y0, sprea
             assert got.tobytes() == terminal.tobytes() == y.tobytes()
             assert got_integral.tobytes() == integral.tobytes()
     assert none is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.sampled_from([1, 7, BLOCK_WIDTH, BLOCK_WIDTH + 50]),
+       n=st.integers(1, 4), a=st.tuples(*[st.sampled_from([0.0, 1e-3, 0.21875])] * 2),
+       negative=st.sampled_from([0, 1]), spread=st.sampled_from([0.5, 8.0]),
+       seed=st.integers(0, 2 ** 32 - 1), poison=st.booleans(), at=st.integers(0, 3))
+def test_stacked_stepping_has_the_bits_of_each_factor_stepped_alone(
+        rows, n, a, negative, spread, seed, poison, at):
+    # One call over both factors' rows, with per-row coefficients, against
+    # each factor stepped alone with scalar ones.  Only factor `negative`
+    # has rows with s < 0: its increments are wide and one is -1e3, while
+    # the other's are tiny against y0 = 1.  a = 0 gives t = 0.
+    params = [ImplicitCirParams(a=a[0], b=-0.25, c=0.5, y0=0.01),
+              ImplicitCirParams(a=a[1], b=-1.0, c=0.125, y0=1.0)]
+    params[1 - negative] = dataclasses.replace(params[1 - negative], y0=1.0)
+    h = 1.0 / n
+    rng = np.random.default_rng(seed)
+    incs = [rng.standard_normal((rows, n)) * math.sqrt(h) * scale
+            for scale in ((spread, 1e-3) if negative == 0 else (1e-3, spread))]
+    incs[negative][-1, at % n] = -1e3
+    if poison:
+        # A NaN row of the other factor in the same step: a minimum over
+        # the rows would be NaN and hide the negative one.
+        incs[1 - negative][0, at % n] = math.nan
+    stacked = np.asfortranarray(np.concatenate(incs))
+    with np.errstate(all="ignore"):
+        got, got_integral = reference._implicit_evolve(params, n, h, stacked, np.sqrt)
+        alone = [reference._implicit_evolve(p, n, h, np.asfortranarray(inc), np.sqrt)
+                 for p, inc in zip(params, incs)]
+    assert got.tobytes() == np.concatenate([y for y, _ in alone]).tobytes()
+    assert got_integral.tobytes() == np.concatenate([i for _, i in alone]).tobytes()
+
+
+@pytest.mark.parametrize("integrand", [None, np.square], ids=["terminal", "integral"])
+def test_implicit_driver_holds_its_buffers_and_no_per_step_temporary(integrand):
+    # The driver's traced peak is the same at every n: out, s, root and the
+    # integral, plus the integrand's own result, and no product or operand
+    # of a step.  Tiny increments keep every s >= 0, so the s < 0 form
+    # allocates nothing either.
+    params = ImplicitCirParams.from_cir(1.0, 0.06, 0.04, 0.05)
+    rng = np.random.default_rng(3)
+    row = BLOCK_WIDTH * 8
+    peaks = []
+    for n in (4, 64):
+        incs = np.asfortranarray(rng.standard_normal((BLOCK_WIDTH, n)) * 1e-3 / n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reference._implicit_evolve(params, n, 1.0 / n, incs, integrand)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1024
+    buffers = 3 if integrand is None else 5
+    assert peaks[1] <= buffers * row + 4096, peaks
 
 
 def test_path_and_terminal_agree():

@@ -215,9 +215,9 @@ def test_two_factor_slab_walks_give_the_same_report_for_every_thread_count(
     slabbed = []
     real_by_slabs = blocks.by_slabs
 
-    def counting_by_slabs(values, batch, dtypes):
+    def counting_by_slabs(values, batch, *args):
         slabbed.append(len(batch))
-        return real_by_slabs(values, batch, dtypes)
+        return real_by_slabs(values, batch, *args)
 
     monkeypatch.setattr(blocks, "by_slabs", counting_by_slabs)
     interval = sys.getswitchinterval()

@@ -165,6 +165,26 @@ def _place(out, parts, slab, spans, batch) -> None:
         at += hi - lo
 
 
+def walk(step, y, increments: np.ndarray, h: float, integrand=None, scratch=None):
+    """A scheme stepped over the n columns of `increments`, one path a row,
+    by `y = step(y, increments[:, i])`: terminal states and, with an
+    `integrand`, the left Riemann sum of integrand(state) * h (else None).
+
+    `y` is the step-0 state: one element when every path starts at one
+    value, so step 0 and its integrand term are computed once and broadcast.
+    Each term is made in `scratch`, a row that `step` leaves free between
+    steps, else in one of the driver's own: no per-step temporary."""
+    incs = np.asarray(increments, dtype=float)
+    rows, n = incs.shape
+    integral = None if integrand is None else np.zeros(rows)
+    scratch = np.empty(rows) if scratch is None and integrand is not None else scratch
+    for i in range(n):
+        if integral is not None:
+            integral += np.multiply(integrand(y), h, out=scratch)
+        y = step(y, incs[:, i])
+    return (y if n else np.resize(y, rows)), integral
+
+
 def rows(batch) -> list[slice]:
     """The slice of each chunk's rows in arrays stacked in chunk order."""
     out, at = [], 0

@@ -241,13 +241,13 @@ def _payoff_values(config: Problem, steppers: tuple,
 
 
 def _pair_batch(config: MlmcConfig, steppers: tuple, level: int, drivers: tuple,
-                team=None) -> tuple[np.ndarray, np.ndarray]:
+                team=None) -> tuple[np.ndarray, ...]:
     """(fine payoff, coarse payoff) at one level for the paths of `drivers`,
     drawn from the level's stream and correlated with `team` (see
     `_correlated`); not checked for finiteness.
 
     The coarse payoff reruns the scheme on the summed increments of the same
-    Brownian path; level 0 has no coarse half and returns zeros there.  Each
+    Brownian path; level 0 has no coarse half and returns (fine payoff,).  Each
     path's payoffs are elementwise in its own increments, so they do not
     depend on which rows share the call: `blocks.fold` calls this on whole
     batches or on their row slabs.
@@ -258,7 +258,7 @@ def _pair_batch(config: MlmcConfig, steppers: tuple, level: int, drivers: tuple,
     drivers = _correlated(config, drivers, team)
     fine = _payoff_values(config, steppers, drivers, n_fine, h_fine)
     if level == 0:
-        return fine, np.zeros_like(fine)
+        return (fine,)
     coarse_drivers = tuple(couple_levels(d, m) for d in drivers)
     return fine, _payoff_values(config, steppers, coarse_drivers,
                                 n_fine // m, h_fine * m)
@@ -296,7 +296,7 @@ def level_sample(config: MlmcConfig, fabric: BrownianFabric, level: int,
     pair = _pair_batch(config, _projected(config), level,
                        _stream(config, fabric, level).draw(chunks))
     _check_finite(level, chunks, pair)
-    return float(pair[0][0]), float(pair[1][0])
+    return float(pair[0][0]), float(pair[1][0]) if level else 0.0
 
 
 def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
@@ -336,8 +336,8 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
         """Fold paths [count, target) of `level` into its moments, in block
         order (`blocks.fold`)."""
         def values(drivers, team):
-            fine, coarse = _pair_batch(config, steppers, level, drivers, team)
-            return (fine,) if level == 0 else (fine - coarse, fine)
+            pair = _pair_batch(config, steppers, level, drivers, team)
+            return pair if level == 0 else (pair[0] - pair[1], pair[0])
 
         totals = (diffs[0],) if level == 0 else (diffs[level], fines[level])
         fold(values, streams[level], diffs[level].count, target, totals,

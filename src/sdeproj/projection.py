@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import walk
 from .errors import DomainError, MissingThreshold, NonFinite, PlanInfeasible
 from .models import TransformedModel
 
@@ -308,26 +309,14 @@ def simulate_path(model: TransformedModel, grid: SchemeGrid,
 
 def _evolve(model: TransformedModel, plan: ProjectionPlan, n: int, h: float,
             increments: np.ndarray, integrand=None):
-    """The projected stepper over n steps, one path per row of `increments`:
-    terminal states and, with an `integrand`, the left Riemann sum of
-    integrand(state) * h (else None).  Step i reads the column
-    `increments[:, i]`, contiguous in column-major blocks; the result does
-    not depend on the layout.  inf/NaN propagate for callers to flag.
-
-    Every path starts at `model.y0`, so step 0's drift, diffusion and
-    integrand are computed once, on a one-element state that broadcasts
-    against the increments; the state has one entry per row from step 1
-    on.  One element, not a scalar: `**` on a float calls C `pow`, and on
-    an array numpy's SIMD loop, as on the rows (see `models._power`)."""
-    incs = np.asarray(increments, dtype=float)
-    y = np.full(1 if n else incs.shape[0], model.y0, dtype=float)
-    integral = None if integrand is None else np.zeros(incs.shape[0])
+    """The projected stepper over the n columns of `increments`
+    (`blocks.walk`): terminal states and the integrand's left Riemann sum
+    (else None).  inf/NaN propagate for callers to flag.  The step-0 state
+    is one element, not a scalar: `**` on a float calls C `pow`, and on an
+    array numpy's SIMD loop, as on the rows (see `models._power`)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(n):
-            if integral is not None:
-                integral += integrand(y) * h
-            y = _advance(y, model, plan, n, h, incs[:, i])
-    return y, integral
+        return walk(lambda y, dw: _advance(y, model, plan, n, h, dw),
+                    np.full(1, model.y0, dtype=float), increments, h, integrand)
 
 
 def evolve_terminal(model: TransformedModel, plan: ProjectionPlan, n: int,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import walk
 from .errors import DomainError
 
 __all__ = [
@@ -79,26 +80,27 @@ _OPERATORS = tuple(lambda a, b, out, op=op: op(a, b)
                    for op in (operator.mul, operator.add, operator.truediv))
 
 
-def _implicit_step(y, dw, c, two_denom, t, out=None, s=None, root=None):
+def _implicit_step(y, dw, c, two_denom, t, out=None, s=None, mask=None):
     """The step of `implicit_cir_step` from `y` with increments `dw`, into
-    `out` through the scratch `s` and `root` (arrays of the broadcast shape;
-    `out` may be `y`), or, with no buffers, by operators into new values.
-    The coefficients (`_coefficients`) are scalars or one entry per row.
-    `fmin` skips NaN, so a NaN row hides no s < 0 row."""
+    `out` through the scratch `s` and the bool row `mask` (arrays of the
+    broadcast shape; `out` may be `y`), or, with no buffers, by operators
+    into new values.  The coefficients (`_coefficients`) are scalars or one
+    entry per row.  `fmin` skips NaN, so a NaN row hides no s < 0 row."""
     mul, add, div = _OPERATORS if out is None else (np.multiply, np.add, np.divide)
-    # Each buffer argument is read before its name is rebound.
+    # Each buffer argument is read before its name is rebound, and `y`
+    # before the root is made in `out`.
     s = div(add(y, mul(c, dw, s), s), two_denom, s)
-    root = np.sqrt(add(mul(s, s, root), t, root), out=root)
+    root = np.sqrt(add(mul(s, s, out), t, out), out=out)
     if not np.fmin.reduce(s, axis=None, initial=np.inf) < 0.0:
-        return add(s, root, out)
-    # The sum is overwritten on the s < 0 rows; at s = -inf it is inf - inf.
+        return add(s, root, root)
+    # In place: s + root, or t / (root - s) with root - s in `s` where s < 0.
     with np.errstate(invalid="ignore", divide="ignore"):
         if np.ndim(s) == 0:
             return t / (root - s)
-        out = add(s, root, out)
-        neg = np.less(s, 0.0)
-        out[neg] = (t[neg] if np.ndim(t) else t) / (root[neg] - s[neg])
-    return out
+        neg = np.less(s, 0.0, out=mask)
+        np.subtract(root, s, out=s, where=neg)
+        np.divide(t, s, out=root, where=neg)
+        return np.add(s, root, out=root, where=np.logical_not(neg, out=neg))
 
 
 def implicit_cir_step(y: np.ndarray | float, params: ImplicitCirParams,
@@ -139,39 +141,27 @@ def implicit_cir_path(params: ImplicitCirParams, h: float,
 
 def _implicit_evolve(params, n: int, h: float, increments: np.ndarray,
                      integrand=None):
-    """The implicit stepper over n steps, one path per row of `increments`:
-    terminal states and, with an `integrand`, the left Riemann sum of
-    integrand(state) * h (else None).
+    """The implicit stepper over the n columns of `increments`
+    (`blocks.walk`): each step runs `_implicit_step` in place on the rows
+    `out`, `s` and `mask`, and the integrand's terms are made in `s`.
 
-    `params` is one `ImplicitCirParams`, or a sequence of them, one per
-    factor, for increments that stack the factors' rows in as many equal
-    row blocks (`blocks.Stream`'s `stacked` draw).  Every step is then one
-    `_implicit_step` call over all rows, with one coefficient per row; each
-    row keeps the bits it has when its factor is stepped alone.  One
-    factor keeps scalar coefficients and starts step 0 from a one-element
-    state, as `projection._evolve` does, so its integrand is computed once.
-    Each step runs in place on three row buffers, and the integral is
-    summed through the free scratch buffer, with no per-step temporary of
-    the driver's own."""
-    incs = np.asarray(increments, dtype=float)
-    rows = incs.shape[0]
+    `params` is one `ImplicitCirParams`, for scalar coefficients and a
+    one-element step-0 state, or a sequence of them, one per factor, for
+    increments that stack the factors' rows in as many equal row blocks
+    (`blocks.Stream`'s `stacked` draw).  The coefficients and the state are
+    then columns, and each row keeps the bits it has when its factor is
+    stepped alone."""
+    rows = len(increments)
     factors = (params,) if isinstance(params, ImplicitCirParams) else tuple(params)
     if len(factors) == 1:
-        coefficients = _coefficients(factors[0], h)
-        y = np.full(1 if n else rows, factors[0].y0)
+        coefficients, y = _coefficients(factors[0], h), np.full(1, factors[0].y0)
     else:
-        # c, two_denom, t and y0 as columns: each factor's values repeated
-        # over its row block.
+        # c, two_denom, t and y0, each factor's values over its row block.
         *coefficients, y = np.repeat([(*_coefficients(p, h), p.y0) for p in factors],
                                      rows // len(factors), axis=0).T.copy()
-    integral = None if integrand is None else np.zeros(rows)
-    out, s, root = (np.empty(rows) for _ in range(3))
-    for i in range(n):
-        if integral is not None:
-            # `s` is free until the step writes it.
-            integral += np.multiply(integrand(y), h, out=s)
-        y = _implicit_step(y, incs[:, i], *coefficients, out, s, root)
-    return y, integral
+    out, s, mask = np.empty(rows), np.empty(rows), np.empty(rows, bool)
+    return walk(lambda y, dw: _implicit_step(y, dw, *coefficients, out, s, mask),
+                y, increments, h, integrand, s)
 
 
 def implicit_cir_terminal(params: ImplicitCirParams, h: float,

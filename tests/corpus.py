@@ -44,6 +44,9 @@ ZCB_MODEL = cir_model(2.0, 1.0, 0.5, 1.0)
 CIR = cir_model(0.5, 1.0, 0.5, 1.0)
 AIT = ait_sahalia_model(1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.5, 1.0)
 GL = ginzburg_landau_model(0.5, 1.0, 1.0)
+# Near the boundary (2 kappa theta / xi^2 = 1.02): the implicit stepper
+# meets rows with s < 0 in most steps.
+EDGE = cir_model(1.0, 0.01, 0.14, 1e-4)
 # Pilot and final targets end mid-block.
 SPREAD = MlmcConfig(models=SPREAD_MODELS, payoff="spread", horizon=1.0,
                     epsilon=1e-4, strike=0.001, correlation=-0.7, max_level=3,
@@ -203,6 +206,9 @@ def cases() -> dict:
                 lambda threads, problem=problem, exponent=exponent: implicit_price(
                     problem, BrownianFabric(7), paths=BLOCK_WIDTH + 50,
                     fine_exponent=exponent, threads=threads))
+    table["implicit-zcb-edge-6"] = lambda threads: implicit_price(
+        Problem(models=(EDGE,), payoff="zcb", horizon=1.0), BrownianFabric(7),
+        paths=BLOCK_WIDTH + 50, fine_exponent=6, threads=threads)
     for config in (SPREAD, ZCB):
         for level, path in ((0, 0), (2, 5000), (3, 4099)):
             table[f"level-sample-{config.payoff}-{level}-{path}"] = (

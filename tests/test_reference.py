@@ -16,7 +16,7 @@ from sdeproj.brownian import BLOCK_WIDTH, BrownianFabric
 from sdeproj.errors import DomainError
 from sdeproj.mlmc import MlmcConfig, implicit_price
 from sdeproj.models import cir_model
-from sdeproj.projection import manual_plan
+from sdeproj.projection import _evolve, manual_plan
 from sdeproj.reference import (ImplicitCirParams, cir_zcb_closed_form,
                                ginzburg_landau_terminal, implicit_cir_path,
                                implicit_cir_step, implicit_cir_terminal)
@@ -185,7 +185,7 @@ def test_implicit_users_give_the_where_formula_reports(monkeypatch):
 
     negative = []
 
-    def where_kernel(y, dw, c, two_denom, t, out=None, s=None, root=None):
+    def where_kernel(y, dw, c, two_denom, t, out=None, s=None, mask=None):
         """The where formula in the place of the shared kernel, written into
         the kernel's `out`."""
         s = (y + c * dw) / two_denom
@@ -299,28 +299,74 @@ def test_stacked_stepping_has_the_bits_of_each_factor_stepped_alone(
     assert got_integral.tobytes() == np.concatenate([i for _, i in alone]).tobytes()
 
 
-@pytest.mark.parametrize("integrand", [None, np.square], ids=["terminal", "integral"])
-def test_implicit_driver_holds_its_buffers_and_no_per_step_temporary(integrand):
-    # The driver's traced peak is the same at every n: out, s, root and the
-    # integral, plus the integrand's own result, and no product or operand
-    # of a step.  Tiny increments keep every s >= 0, so the s < 0 form
-    # allocates nothing either.
+_TIGHT = cir_model(1.0, 0.06, 0.04, 0.05)
+
+
+def _zcb_rate(y, inverse=_TIGHT.lamperti.inverse):
+    return inverse(np.maximum(y, 0.0))
+
+
+def _traced_peak(run) -> int:
+    """Traced bytes allocated at the peak of `run()`, beyond those live
+    before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scheme, integrand", [
+    ("implicit", None), ("implicit", np.square), ("projected", _zcb_rate),
+], ids=["terminal", "integral", "projected-zcb"])
+def test_implicit_driver_holds_its_buffers_and_no_per_step_temporary(scheme, integrand):
+    # The driver's traced peak is the same at every n: for the implicit
+    # scheme, its row buffers and the integral, plus the integrand's own
+    # result, and no product or operand of a step.  Tiny increments keep
+    # every s >= 0.  The projected step allocates, but only within a step,
+    # and its zcb integral's terms are made in one row of the driver's.
     params = ImplicitCirParams.from_cir(1.0, 0.06, 0.04, 0.05)
+    plan = manual_plan(_TIGHT.transformed, k=0.25, scale_lo=0.01)
     rng = np.random.default_rng(3)
     row = BLOCK_WIDTH * 8
     peaks = []
     for n in (4, 64):
         incs = np.asfortranarray(rng.standard_normal((BLOCK_WIDTH, n)) * 1e-3 / n)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            reference._implicit_evolve(params, n, 1.0 / n, incs, integrand)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 1024
+        if scheme == "implicit":
+            peaks.append(_traced_peak(lambda: reference._implicit_evolve(
+                params, n, 1.0 / n, incs, integrand)))
+        else:
+            peaks.append(_traced_peak(lambda: _evolve(
+                _TIGHT.transformed, plan, n, 1.0 / n, incs, integrand)))
+    assert peaks[1] <= peaks[0] + 1024, peaks
+    if scheme == "implicit":
+        buffers = 3 if integrand is None else 5
+        assert peaks[1] <= buffers * row + 4096, peaks
+
+
+@pytest.mark.parametrize("integrand", [None, np.square], ids=["terminal", "integral"])
+def test_implicit_driver_writes_the_s_below_zero_rows_in_place(integrand):
+    # The boundary model of `test_implicit_users_give_the_where_formula_reports`
+    # (2 kappa theta / xi^2 = 1.02) meets rows with s < 0 in most steps.
+    # They are written in place through the driver's bool row, so the peak
+    # is the one of tiny increments, where every s >= 0, and stays within
+    # the bound of the test above plus that bool row.
+    edge = ImplicitCirParams.from_model(cir_model(1.0, 0.01, 0.14, 1e-4).transformed)
+    rng = np.random.default_rng(5)
+    n, h = 64, 1.0 / 64
+    wide = np.asfortranarray(rng.standard_normal((BLOCK_WIDTH, n)) * math.sqrt(h))
+    y, negative = np.full(BLOCK_WIDTH, edge.y0), 0
+    for i in range(n):
+        negative += bool(np.any(y + edge.c * wide[:, i] < 0.0))
+        y = implicit_cir_step(y, edge, h, wide[:, i])
+    assert negative > n // 2
+    peaks = [_traced_peak(lambda: reference._implicit_evolve(edge, n, h, incs, integrand))
+             for incs in (wide * 1e-6, wide)]
+    assert peaks[1] <= peaks[0] + 1024, peaks
     buffers = 3 if integrand is None else 5
-    assert peaks[1] <= buffers * row + 4096, peaks
+    assert peaks[1] <= buffers * BLOCK_WIDTH * 8 + BLOCK_WIDTH + 4096, peaks
 
 
 def test_path_and_terminal_agree():

@@ -51,40 +51,32 @@ class Stream:
     without drawing a row twice.  Draws running at once must take
     different blocks, as `fold`'s do.
 
-    A `stacked` stream draws every factor into one array, for an engine
-    whose one kernel call steps all factors' rows; `fold` then cuts long
-    rows into slabs of at most `slab_rows` = BLOCK_WIDTH // factors rows,
-    so one slab is BLOCK_WIDTH stacked rows.
+    Every factor is drawn into one array, so one kernel call can step all
+    factors' rows; `fold` cuts long rows into slabs of at most `slab_rows`
+    = BLOCK_WIDTH // factors rows, so one slab is BLOCK_WIDTH stacked rows.
     """
 
     def __init__(self, fabric: BrownianFabric, level: int, n: int, h: float,
-                 factors: int = 1, *, stacked: bool = False):
+                 factors: int = 1):
         self.fabric, self.level, self.n, self.factors = fabric, level, n, factors
-        self.stacked = stacked
-        self.slab_rows = BLOCK_WIDTH // factors if stacked else BLOCK_WIDTH
+        self.slab_rows = BLOCK_WIDTH // factors
         self._scale = math.sqrt(h)
         self._cursors = {}
 
-    def draw(self, batch, team=None) -> tuple[np.ndarray, ...]:
-        """Brownian increments of the batch's rows for factors 0, 1, ...,
-        `factors - 1`: one column-major array per factor, stacked in chunk
-        order, or, for a `stacked` stream, one column-major
-        (factors × rows, n) array that holds factor f's rows in its f-th
-        row block.
+    def draw(self, batch, team=None) -> np.ndarray:
+        """Brownian increments of the batch's rows, one column-major
+        (factors × rows, n) array whose f-th row block holds factor f's
+        rows, stacked in chunk order.
 
         Each chunk's rows are drawn, times sqrt(h), by its block's cursor if
         that stopped at the chunk's first row, else by a new one advanced to
-        it, straight into its rows of its factor's array.  A `workers.Team`
-        fills every (factor, chunk) stream of the batch at once, one a thread.
+        it, straight into its rows of its factor's row block.  A
+        `workers.Team` fills every (factor, chunk) stream of the batch at
+        once, one a thread.
         """
         spans = rows(batch)
-        count = spans[-1].stop
-        if self.stacked:
-            whole = np.empty((self.factors * count, self.n), order=_LAYOUT)
-            out = tuple(whole[f * count:(f + 1) * count] for f in range(self.factors))
-        else:
-            out = tuple(np.empty((count, self.n), order=_LAYOUT)
-                        for _ in range(self.factors))
+        out = np.empty((self.factors * spans[-1].stop, self.n), order=_LAYOUT)
+        factors = np.split(out, self.factors)
         streams = [(factor, chunk, span) for factor in range(self.factors)
                    for chunk, span in zip(batch, spans)]
 
@@ -97,7 +89,7 @@ class Stream:
                     if lo:
                         cursor.fill(None, lo)
                 keep = hi < BLOCK_WIDTH
-                cursor.fill(out[factor][span], keep=keep, scale=self._scale)
+                cursor.fill(factors[factor][span], keep=keep, scale=self._scale)
                 if keep:
                     self._cursors[(factor, block)] = cursor
 
@@ -105,7 +97,7 @@ class Stream:
             fill(0, len(streams))
         else:
             team.run_split(fill, len(streams))
-        return (whole,) if self.stacked else out
+        return out
 
 
 def slabs(batch, count: int | None = None) -> list[list[tuple[int, tuple[int, int, int]]]]:
@@ -215,11 +207,10 @@ def fold(values, stream: Stream, start: int, stop: int, totals, *,
     rows take `team.size` blocks a batch, drawn in row slabs (`by_slabs`)
     of at most `stream.slab_rows` rows each, whose streams the team fills
     at once, and stepped on the calling thread.  At every team size, a
-    slab of a `stacked` stream is then at most BLOCK_WIDTH stacked rows:
-    with two factors, half a block of each.  `values` gets the team to
-    hand it work that releases the lock while that thread steps: the
-    correlation mix, split over the team, or a convergence study's
-    coupled grids, built on a pool thread.
+    slab is then at most BLOCK_WIDTH stacked rows: with two factors, half a
+    block of each.  `values` gets the team to hand it work that releases
+    the lock while that thread steps: the correlation mix, split over the
+    team, or a convergence study's coupled grids, built on a pool thread.
     """
     per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * stream.n)
     todo = chunks(start, stop)

@@ -192,14 +192,14 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
                                          n_fine >> n_exp))
         return grids
 
-    def values(drawn, team):
-        """Per resolution, |reference - scheme| of each path `drawn` on the
-        fine grid; then per resolution, whether either value was capped.
+    def values(fine, team):
+        """Per resolution, |reference - scheme| of each path drawn in `fine`
+        on the fine grid; then per resolution, whether either value was
+        capped.
 
         With a team, a pool thread builds the coupled grids while this one
         steps the reference: the chain is large ufunc calls that release
         the lock, the stepping many small ones that hold it."""
-        (fine,) = drawn
         pending = None if team is None else team.submit(coupled, fine)
         if reference == "closed-form":
             ref_vals = ginzburg_landau_terminal(model.meta["lam"], model.meta["sigma"],

@@ -208,40 +208,41 @@ def _stream(config: MlmcConfig, fabric: BrownianFabric, level: int) -> Stream:
     return Stream(fabric, level, n, config.horizon / n, len(config.models))
 
 
-def _correlated(config: Problem, drivers: tuple, team=None) -> tuple:
-    """The drawn `drivers` with a spread's second factor mixed into its
-    correlated motion, split over `team` if one is given."""
-    if config.payoff == "zcb":
-        return drivers
-    w, w_perp = drivers
-    # Mixed into w_perp's own storage: no third block-sized array.
-    return (w, correlate(w, w_perp, config.correlation, out=w_perp, team=team))
+def _correlated(config: Problem, drivers: np.ndarray, team=None) -> np.ndarray:
+    """The drawn `drivers` (`Stream.draw`), with a spread's second row block
+    mixed in place into its correlated motion, split over `team` if one is
+    given."""
+    if config.payoff != "zcb":
+        w, w_perp = np.split(drivers, 2)
+        # Mixed into w_perp's own storage: no third block-sized array.
+        correlate(w, w_perp, config.correlation, out=w_perp, team=team)
+    return drivers
 
 
-def _payoff_values(config: Problem, steppers: tuple,
-                   drivers: tuple[np.ndarray, ...], n: int, h: float) -> np.ndarray:
-    """Payoffs for a batch of paths at one resolution.  `steppers[j]` steps
-    `drivers[j]`: either one stepper per factor (`_evolve` with its model
-    bound), or one `_implicit_evolve` for every factor's rows, stacked in
-    row blocks.  A rate is the inverse Lamperti image of max(state, 0);
-    implicit states are never < 0."""
+def _payoff_values(config: Problem, steppers: tuple, drivers: np.ndarray,
+                   n: int, h: float) -> np.ndarray:
+    """Payoffs for a batch of paths at one resolution, from `drivers` that
+    stack every factor's rows in row blocks.  Either each of `steppers`
+    steps its factor's row block (`_evolve` with its model bound), or one
+    `_implicit_evolve` steps them all.  A rate is the inverse Lamperti image
+    of max(state, 0); implicit states are never < 0."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rates = [lambda y, inverse=t.lamperti.inverse: inverse(np.maximum(y, 0.0))
                  for t in config.models]
         if config.payoff == "zcb":
-            return np.exp(-steppers[0](n, h, drivers[0], rates[0])[1])
+            return np.exp(-steppers[0](n, h, drivers, rates[0])[1])
         if len(steppers) == 1:
-            states = np.split(steppers[0](n, h, drivers[0])[0], len(config.models))
+            states = np.split(steppers[0](n, h, drivers)[0], len(config.models))
             x1, x2 = (rate(y) for rate, y in zip(rates, states))
         else:
             # Each factor's states are freed once its rate is taken.
-            x1, x2 = (rate(run(n, h, drv)[0])
-                      for run, rate, drv in zip(steppers, rates, drivers))
+            x1, x2 = (rate(run(n, h, drv)[0]) for run, rate, drv
+                      in zip(steppers, rates, np.split(drivers, len(steppers))))
         return payoff_spread(x1, x2, config.strike)
 
 
-def _pair_batch(config: MlmcConfig, steppers: tuple, level: int, drivers: tuple,
-                team=None) -> tuple[np.ndarray, ...]:
+def _pair_batch(config: MlmcConfig, steppers: tuple, level: int,
+                drivers: np.ndarray, team=None) -> tuple[np.ndarray, ...]:
     """(fine payoff, coarse payoff) at one level for the paths of `drivers`,
     drawn from the level's stream and correlated with `team` (see
     `_correlated`); not checked for finiteness.
@@ -259,8 +260,7 @@ def _pair_batch(config: MlmcConfig, steppers: tuple, level: int, drivers: tuple,
     fine = _payoff_values(config, steppers, drivers, n_fine, h_fine)
     if level == 0:
         return (fine,)
-    coarse_drivers = tuple(couple_levels(d, m) for d in drivers)
-    return fine, _payoff_values(config, steppers, coarse_drivers,
+    return fine, _payoff_values(config, steppers, couple_levels(drivers, m),
                                 n_fine // m, h_fine * m)
 
 
@@ -426,11 +426,11 @@ def implicit_price(problem: Problem, fabric: BrownianFabric, *, paths: int,
     path, using addresses disjoint from the multilevel levels (the grid
     exponent is the stream level tag).  Returns (price, standard error).
 
-    Every factor's increments are drawn into one `stacked` `blocks.Stream`
-    array, factor f's rows in row block f; the correlation is mixed in
-    place on the row blocks, and one `_implicit_evolve` call steps every
-    factor's rows at once, so a row slab of long rows holds BLOCK_WIDTH
-    stacked rows, half a block of each factor of a spread.
+    Every factor's increments are drawn into one `blocks.Stream` array,
+    factor f's rows in row block f; the correlation is mixed in place on
+    the row blocks, and one `_implicit_evolve` call steps every factor's
+    rows at once, so a row slab of long rows holds BLOCK_WIDTH stacked
+    rows, half a block of each factor of a spread.
 
     `threads` works as in `mlmc_estimate` (0, the default, means all
     cores): `blocks.fold` steps short rows in batches of whole blocks on the
@@ -441,16 +441,14 @@ def implicit_price(problem: Problem, fabric: BrownianFabric, *, paths: int,
     check_bounds(PRICE_BOUNDS, paths=paths, fine_exponent=fine_exponent)
     stepper = functools.partial(_implicit_evolve, [
         ImplicitCirParams.from_model(t.transformed) for t in problem.models])
-    factors = len(problem.models)
     n = 1 << fine_exponent
     h = problem.horizon / n
 
     def payoffs(drawn, team):
-        # The mix writes into the second row block: `drawn` is correlated.
-        _correlated(problem, np.split(drawn[0], factors), team)
-        return _payoff_values(problem, (stepper,), drawn, n, h)
+        return _payoff_values(problem, (stepper,), _correlated(problem, drawn, team),
+                              n, h)
 
-    stream = Stream(fabric, fine_exponent, n, h, factors, stacked=True)
+    stream = Stream(fabric, fine_exponent, n, h, len(problem.models))
     return _mean_and_error(payoffs, stream, paths, threads)
 
 
@@ -478,7 +476,7 @@ def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
         return float(value[0]), 0.0
 
     def terminals(drawn, team):
-        return ginzburg_landau_terminal(lam, sigma, x0, times, drawn[0])
+        return ginzburg_landau_terminal(lam, sigma, x0, times, drawn)
 
     return _mean_and_error(terminals, Stream(fabric, fine_exponent, n, horizon / n),
                            paths, threads)

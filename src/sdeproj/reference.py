@@ -148,8 +148,8 @@ def _implicit_evolve(params, n: int, h: float, increments: np.ndarray,
     `params` is one `ImplicitCirParams`, for scalar coefficients and a
     one-element step-0 state, or a sequence of them, one per factor, for
     increments that stack the factors' rows in as many equal row blocks
-    (`blocks.Stream`'s `stacked` draw).  The coefficients and the state are
-    then columns, and each row keeps the bits it has when its factor is
+    (as `blocks.Stream.draw` gives them).  The coefficients and the state
+    are then columns, and each row keeps the bits it has when its factor is
     stepped alone."""
     rows = len(increments)
     factors = (params,) if isinstance(params, ImplicitCirParams) else tuple(params)

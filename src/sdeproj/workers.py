@@ -29,6 +29,9 @@ reference.
 draws (lock released) while another steps.  Batches started together
 would draw together and then step together, handing the lock back and
 forth on every ufunc call, and a round would wait for its slowest batch.
+Nor does it bound how far the threads run ahead of the next result to
+merge: each result waits in its own slot until it is due, and a batch's
+result is a few `Moments`.
 """
 from __future__ import annotations
 
@@ -108,76 +111,58 @@ class Team:
     def imap(self, fn, items):
         """Yield fn(item) for each of `items`, in order.
 
-        The calling thread and the pool run free: each thread takes the next
-        item as soon as it is free, with no round to wait for, so at most
-        `size` calls run at once.  The calling thread runs items only while
-        it waits for the result that is due.  An item j starts only while
-        j < k + 2 * size, where k is the next result to yield, so finished
-        results wait in a bounded window.  Threads wait on a condition, not
-        by polling.
+        Each item has a result slot, a `Future`, and the calling thread and
+        the pool take (item, slot) claims from one shared iterator, in
+        order: each thread takes the next claim as soon as it is free, with
+        no round to wait for, so at most `size` calls run at once.  The
+        calling thread runs claims only while the slot that is due is not
+        filled, and drops each slot once its result is yielded.
 
-        After a call fails no item starts.  The first failing item's error
-        is raised when its result is due, once the calls already running
-        have finished.  A consumer that stops early also waits for them.
+        The first failure drains the claims, so no item starts after it.
+        Its error is raised when its result is due, once the calls already
+        running have finished.  A consumer that stops early also waits for
+        them.  An interrupt raised by an item on the calling thread is not
+        held until that item is due: it propagates at once.
         """
-        count, ahead = len(items), 2 * self.size
-        changed = threading.Condition()
-        results = {}  # item index -> (error or None, value)
-        state = {"next": 0, "due": 0, "stop": False}
+        from concurrent.futures import Future
 
-        def claim():
-            """The index of the item to start now, or None (lock held)."""
-            j = state["next"]
-            if state["stop"] or j >= count or j >= state["due"] + ahead:
-                return None
-            state["next"] = j + 1
-            return j
+        slots = [Future() for _ in items]
+        claims = zip(items, slots)
+        lock = threading.Lock()
 
-        def run(j):
-            """Run item j and record its outcome; returns its error."""
+        def drain():
+            with lock:
+                for _ in claims:
+                    pass
+
+        def run_next(caught) -> bool:
+            """Run the next claim, if one is left, holding any `caught`
+            error in its slot; False if none is left."""
+            with lock:
+                claim = next(claims, None)
+            if claim is None:
+                return False
+            item, slot = claim
             try:
-                outcome = None, fn(items[j])
-            except BaseException as error:
-                outcome = error, None
-            with changed:
-                results[j] = outcome
-                state["stop"] = state["stop"] or outcome[0] is not None
-                changed.notify_all()
-            return outcome[0]
+                slot.set_result(fn(item))
+            except caught as error:
+                slot.set_exception(error)
+                drain()
+            return True
 
         def work():
-            while True:
-                with changed:
-                    while (j := claim()) is None:
-                        if state["stop"] or state["next"] >= count:
-                            return
-                        changed.wait()
-                run(j)
+            while run_next(BaseException):
+                pass
 
-        crew = [self.submit(work) for _ in range(min(self.size, count) - 1)]
+        crew = [self.submit(work) for _ in range(min(self.size, len(slots)) - 1)]
         try:
-            for k in range(count):
-                while True:
-                    with changed:
-                        while k not in results and (j := claim()) is None:
-                            changed.wait()
-                        if k in results:
-                            error, value = results.pop(k)
-                            state["due"] = k + 1
-                            changed.notify_all()
-                            break
-                    interrupt = run(j)
-                    # An interrupt on this thread, unlike an error, is not
-                    # held until its item is due.
-                    if interrupt is not None and not isinstance(interrupt, Exception):
-                        raise interrupt
-                if error is not None:
-                    raise error
-                yield value
+            for k in range(len(slots)):
+                while not slots[k].done() and run_next(Exception):
+                    pass
+                yield slots[k].result()
+                slots[k] = None
         finally:
-            with changed:
-                state["stop"] = True
-                changed.notify_all()
+            drain()
             for future in crew:
                 future.result()
 

@@ -135,8 +135,12 @@ def _draws(threads: int) -> list[np.ndarray]:
     with workers.team(threads) as team:
         for n, h in ((64, 1.0 / 64), (1, 0.5), (5000, 1e-3)):
             stream = blocks.Stream(fabric, 3, n, h, factors=2)
-            out += stream.draw([(0, 0, 700)], team)
-            out += stream.draw([(0, 700, BLOCK_WIDTH), (1, 0, 50)], team)
+            for batch in ([(0, 0, 700)], [(0, 700, BLOCK_WIDTH), (1, 0, 50)]):
+                # One array per factor, from either layout: older trees
+                # draw a tuple of them, newer ones one array that stacks
+                # them in row blocks.
+                drawn = stream.draw(batch, team)
+                out += np.split(drawn, 2) if isinstance(drawn, np.ndarray) else drawn
     out.append(fabric.increments(17, 2, 300, 0.01, factor=1))
     out.append(fabric.block_normals(2, 7, 100, factor=1, rows=333))
     return out

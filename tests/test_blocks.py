@@ -59,7 +59,7 @@ class _Paths:
 
     def draw(self, batch, team=None):
         self.teams.add(team)
-        return (_paths(batch),)
+        return _paths(batch)
 
 
 @pytest.mark.parametrize("blocks", [0, 1, 2, 5])
@@ -78,8 +78,7 @@ def test_walk_yields_each_chunk_in_block_order(blocks, size, monkeypatch):
     def values(drawn, team):
         assert isinstance(team, Team) if slabbed else team is None
         assert team in stream.teams
-        (paths,) = drawn
-        return paths, -paths
+        return drawn, -drawn
 
     def check(batch, joined):
         assert np.array_equal(joined[0], _paths(batch))
@@ -146,66 +145,41 @@ def _block_rows(fabric, level, batch, n, factor):
 def test_slab_draws_equal_the_rows_of_whole_blocks(batch, n, size):
     # Each (factor, chunk) stream continues across the slabs through its
     # cursor and, with a team, is filled on whichever thread takes it.  A
-    # short switch interval interleaves the threads as often as the
-    # interpreter allows.
+    # slab is at most BLOCK_WIDTH stacked rows, and factor f's rows of each
+    # slab are its f-th row block: the threads write disjoint rows of one
+    # array, interleaved as often as the interpreter allows.
     if n == 1 << 12:  # keep the arrays small at long rows
         batch = [(block, lo, min(hi, lo + 150)) for block, lo, hi in batch]
     fabric = BrownianFabric(29)
-    stream = Stream(fabric, 5, n, 1.0, factors=2)
-    team = None if size is None else Team(size)
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        got = by_slabs(lambda chunk_list: stream.draw(chunk_list, team),
-                       batch, [(float, n)] * 2)
-    finally:
-        sys.setswitchinterval(interval)
-        if team is not None:
-            team.close()
-    for factor, drawn in enumerate(got):
-        expected = _block_rows(fabric, 5, batch, n, factor)
-        assert drawn.shape == expected.shape
-        assert np.array_equal(drawn, expected)
-    # A chunk left short of its block's end keeps its cursors there.
-    assert sorted(stream._cursors) == sorted((factor, block) for block, _, hi in batch
-                                             for factor in (0, 1) if hi < BLOCK_WIDTH)
+    for factors in (1, 2):
+        stream = Stream(fabric, 5, n, 1.0, factors=factors)
+        team = None if size is None else Team(size)
+        shapes = []
 
+        def split(chunk_list):
+            drawn = stream.draw(chunk_list, team)
+            assert drawn.flags.f_contiguous
+            shapes.append(drawn.shape)
+            return np.split(drawn, factors)
 
-@pytest.mark.parametrize("batch", [
-    [(0, 0, BLOCK_WIDTH)],                                   # one block
-    [(3, 0, BLOCK_WIDTH), (4, 0, 1001)],                     # a partial last block
-    [(0, 5, BLOCK_WIDTH), (1, 0, BLOCK_WIDTH), (2, 0, 7)],  # rows not divisible by 3
-], ids=["1", "2-partial", "3-uneven"])
-@pytest.mark.parametrize("size", [None, 3])
-def test_stacked_slab_draws_hold_each_factor_in_its_row_block(batch, size):
-    # A stacked stream's slabs are at most BLOCK_WIDTH stacked rows, and
-    # factor f's rows of each slab are the f-th row block, whichever thread
-    # fills them: the threads write disjoint rows of one array, interleaved
-    # as often as the interpreter allows.
-    n = 5
-    fabric = BrownianFabric(29)
-    stream = Stream(fabric, 5, n, 1.0, factors=2, stacked=True)
-    team = None if size is None else Team(size)
-    shapes = []
-
-    def factors(chunk_list):
-        (drawn,) = stream.draw(chunk_list, team)
-        assert drawn.flags.f_contiguous
-        shapes.append(drawn.shape)
-        return np.split(drawn, 2)
-
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        got = by_slabs(factors, batch, [(float, n)] * 2, stream.slab_rows)
-    finally:
-        sys.setswitchinterval(interval)
-        if team is not None:
-            team.close()
-    assert stream.slab_rows == BLOCK_WIDTH // 2
-    assert all(rows <= BLOCK_WIDTH and width == n for rows, width in shapes)
-    for factor, drawn in enumerate(got):
-        assert np.array_equal(drawn, _block_rows(fabric, 5, batch, n, factor))
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            got = by_slabs(split, batch, [(float, n)] * factors, stream.slab_rows)
+        finally:
+            sys.setswitchinterval(interval)
+            if team is not None:
+                team.close()
+        assert stream.slab_rows == BLOCK_WIDTH // factors
+        assert all(rows <= BLOCK_WIDTH and width == n for rows, width in shapes)
+        for factor, drawn in enumerate(got):
+            expected = _block_rows(fabric, 5, batch, n, factor)
+            assert drawn.shape == expected.shape
+            assert np.array_equal(drawn, expected)
+        # A chunk left short of its block's end keeps its cursors there.
+        assert sorted(stream._cursors) == sorted(
+            (factor, block) for block, _, hi in batch
+            for factor in range(factors) if hi < BLOCK_WIDTH)
 
 
 _EXPECTED = [BrownianFabric(31).block_normals(2, 4, 16, factor=factor) * 0.5
@@ -220,7 +194,8 @@ def test_increments_resume_a_block_where_the_last_chunk_stopped(cuts, fresh):
     # streams from their cursors, and leave none behind at the block's end.
     stream = Stream(BrownianFabric(31), 2, 16, 0.25, factors=2)
     bounds = [0] + sorted(cuts) + [BLOCK_WIDTH]
-    parts = [stream.draw([(4, lo, hi)]) for lo, hi in zip(bounds, bounds[1:])]
+    parts = [np.split(stream.draw([(4, lo, hi)]), 2)
+             for lo, hi in zip(bounds, bounds[1:])]
     for factor, expected in enumerate(_EXPECTED):
         assert np.array_equal(np.concatenate([part[factor] for part in parts]),
                               expected)
@@ -232,7 +207,7 @@ def test_increments_resume_a_block_where_the_last_chunk_stopped(cuts, fresh):
     lo = fresh[0] + (fresh[0] >= stop)
     hi = min(BLOCK_WIDTH, lo + fresh[1])
     if lo < BLOCK_WIDTH:
-        drawn = stream.draw([(4, lo, hi)])
+        drawn = np.split(stream.draw([(4, lo, hi)]), 2)
         for factor, expected in enumerate(_EXPECTED):
             assert np.array_equal(drawn[factor], expected[lo:hi])
 

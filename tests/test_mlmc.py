@@ -224,13 +224,13 @@ def test_implicit_price_benchmark():
 
 
 def _per_factor_price(problem, fabric, paths, fine_exponent):
-    """`implicit_price` as it stood before the factors were stacked: each
-    factor drawn into its own array and stepped alone, one `Moments` per
+    """`implicit_price` as it stood before the factors were stepped
+    together: each factor's row block stepped alone, one `Moments` per
     chunk merged in block order."""
     n = 1 << fine_exponent
     h = problem.horizon / n
     todo = chunks(0, paths)
-    w, w_perp = blocks.Stream(fabric, fine_exponent, n, h, 2).draw(todo)
+    w, w_perp = np.split(blocks.Stream(fabric, fine_exponent, n, h, 2).draw(todo), 2)
     correlate(w, w_perp, problem.correlation, out=w_perp)
     terminals = [reference._implicit_evolve(
         reference.ImplicitCirParams.from_model(t.transformed), n, h, drv)[0]
@@ -355,7 +355,7 @@ def test_non_finite_payoff_address_is_the_first_in_block_order(monkeypatch):
         for block, lo, hi in chunks:
             row = {0: 3000, 1: 5}.get(block, -1)
             if self.level == 3 and lo <= row < hi:
-                drivers[0][at + row - lo] = np.nan
+                np.split(drivers, 2)[0][at + row - lo] = np.nan
             at += hi - lo
         return drivers
 

@@ -136,7 +136,7 @@ def test_step_bits_on_strided_and_contiguous_columns():
     params = ImplicitCirParams.from_cir(0.5, 1.0, 0.5, 1.0)
     h = 1.0 / 8.0
     # Coarse steps from a low start, so some rows go below s = 0 on the way.
-    dw = blocks.Stream(BrownianFabric(23), 3, 8, h).draw([(0, 0, 500)])[0] * 6.0
+    dw = blocks.Stream(BrownianFabric(23), 3, 8, h).draw([(0, 0, 500)]) * 6.0
     for block in (dw, np.ascontiguousarray(dw)):
         new = old = np.full(block.shape[0], 0.05)
         for i in range(block.shape[1]):
@@ -372,7 +372,7 @@ def test_implicit_driver_writes_the_s_below_zero_rows_in_place(integrand):
 def test_path_and_terminal_agree():
     p = ImplicitCirParams.from_cir(0.5, 1.0, 0.5, 1.0)
     h = 1.0 / 32.0
-    (incs,) = blocks.Stream(BrownianFabric(19), 5, 32, h).draw([(0, 0, 8)])
+    incs = blocks.Stream(BrownianFabric(19), 5, 32, h).draw([(0, 0, 8)])
     terminal = implicit_cir_terminal(p, h, incs)
     for j in range(8):
         path = implicit_cir_path(p, h, incs[j])
@@ -467,7 +467,7 @@ def test_zcb_monotonicity():
 
 
 def test_running_sum_matches_cumsum_in_every_layout():
-    (incs,) = blocks.Stream(BrownianFabric(61), 3, 33, 0.125).draw([(0, 0, 50)])
+    incs = blocks.Stream(BrownianFabric(61), 3, 33, 0.125).draw([(0, 0, 50)])
     assert incs.flags.f_contiguous
     for terms in (incs, np.ascontiguousarray(incs), incs[7:], incs[0], incs[:1]):
         reference = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
@@ -478,7 +478,7 @@ def test_running_sum_matches_cumsum_in_every_layout():
 
 def test_gl_exact_layout_independent():
     times = np.linspace(0.0, 1.0, 65)
-    (incs,) = blocks.Stream(BrownianFabric(67), 4, 64, 1.0 / 64).draw([(0, 0, 40)])
+    incs = blocks.Stream(BrownianFabric(67), 4, 64, 1.0 / 64).draw([(0, 0, 40)])
     w = running_sum(incs)
     column_major = ginzburg_landau_exact(0.5, 1.0, 1.0, times, w)
     assert np.array_equal(column_major,
@@ -494,7 +494,7 @@ def test_gl_exact_layout_independent():
 ])
 def test_gl_terminal_matches_full_solution(lam, sigma, x0, horizon):
     n = 256
-    (incs,) = blocks.Stream(BrownianFabric(79), 8, n, horizon / n).draw([(0, 0, 300)])
+    incs = blocks.Stream(BrownianFabric(79), 8, n, horizon / n).draw([(0, 0, 300)])
     times = np.linspace(0.0, horizon, n + 1)
     for terms in (incs, np.ascontiguousarray(incs), incs[37:], incs[5]):
         full = ginzburg_landau_exact(lam, sigma, x0, times, running_sum(terms))

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -299,16 +300,14 @@ def test_imap_runs_free_under_thread_switching():
             stop = rng.randrange(count) if trial % 3 == 2 else count
             delays = [rng.uniform(5e-4, 3e-3) for _ in range(count)]
             lock = threading.Lock()
-            log = {"running": 0, "peak": 0, "received": 0, "failed": False}
-            started, finished, ahead, late = [], [], [], []
+            log = {"running": 0, "peak": 0, "failed": False}
+            started, finished, late = [], [], []
 
             def call(j):
                 with lock:
                     log["running"] += 1
                     log["peak"] = max(log["peak"], log["running"])
                     started.append(j)
-                    if j >= log["received"] + 1 + 2 * size:
-                        ahead.append(j)
                     if log["failed"]:
                         late.append(threading.current_thread())
                 time.sleep(delays[j])
@@ -323,8 +322,6 @@ def test_imap_runs_free_under_thread_switching():
             seen, raised = [], None
             try:
                 for value in crew.imap(call, list(range(count))):
-                    with lock:
-                        log["received"] += 1
                     seen.append(value)
                     if len(seen) > stop:
                         break
@@ -334,7 +331,6 @@ def test_imap_runs_free_under_thread_switching():
             assert seen == [j * j for j in range(expected)]
             assert raised == (fail if fail < count and stop >= fail else None)
             assert log["peak"] <= size
-            assert not ahead, f"items {ahead} started past the run-ahead bound"
             # A thread that saw a failure before its next claim starts
             # nothing more; another can start one call while the error is
             # on its way into the map.
@@ -351,12 +347,61 @@ def test_imap_runs_free_under_thread_switching():
     assert threading.active_count() == before
 
 
+def test_imap_drops_each_result_once_it_is_yielded():
+    class Result:
+        pass
+
+    crew = Team(2)
+    try:
+        results = crew.imap(lambda x: Result(), list(range(6)))
+        first = next(results)
+        for _ in range(5):
+            dropped = weakref.ref(first)
+            first = next(results)
+            assert dropped() is None
+    finally:
+        crew.close()
+
+
+def test_imap_raises_an_interrupt_on_the_calling_thread_at_once():
+    # The pool thread's item is due, and held until the calling thread's
+    # next item raises an interrupt, which must come out before the due
+    # result.  Item 0 returns if the calling thread takes it.  No item
+    # starts after the interrupt.
+    crew = Team(2)
+    caller = threading.current_thread()
+    on_pool, interrupted = threading.Event(), threading.Event()
+    started, yielded = [], []
+
+    def call(j):
+        started.append(j)
+        if threading.current_thread() is not caller:
+            on_pool.set()
+            interrupted.wait(5.0)
+            return j
+        if j == 0:
+            return j
+        interrupted.set()
+        raise KeyboardInterrupt(j)
+
+    try:
+        with pytest.raises(KeyboardInterrupt) as raised:
+            for value in crew.imap(call, list(range(8))):
+                yielded.append(value)
+                on_pool.wait(5.0)
+        assert yielded in ([], [0])
+        assert raised.value.args == (len(yielded) + 1,)
+        assert sorted(started) == list(range(len(yielded) + 2))
+    finally:
+        crew.close()
+
+
 def test_split_mix_under_thread_switching():
     # More workers than cores and a short switch interval: an overlap or a
     # lost chunk between the threads' column ranges would change the bits.
     fabric = BrownianFabric(83)
-    w, w_perp = blocks.Stream(fabric, 6, 256, 1.0 / 256,
-                              factors=2).draw([(0, 0, BLOCK_WIDTH)])
+    w, w_perp = np.split(blocks.Stream(fabric, 6, 256, 1.0 / 256,
+                                       factors=2).draw([(0, 0, BLOCK_WIDTH)]), 2)
     expected = correlate(w, w_perp, -0.7)
     interval = sys.getswitchinterval()
     crew = Team(8)

@@ -145,11 +145,46 @@ def _block_rows(fabric, level, batch, n, factor):
 def test_slab_draws_equal_the_rows_of_whole_blocks(batch, n, size):
     # Each (factor, chunk) stream continues across the slabs through its
     # cursor and, with a team, is filled on whichever thread takes it.  A
-    # slab is at most BLOCK_WIDTH stacked rows, and factor f's rows of each
-    # slab are its f-th row block: the threads write disjoint rows of one
-    # array, interleaved as often as the interpreter allows.
+    # short switch interval interleaves the threads as often as the
+    # interpreter allows.
     if n == 1 << 12:  # keep the arrays small at long rows
         batch = [(block, lo, min(hi, lo + 150)) for block, lo, hi in batch]
+    fabric = BrownianFabric(29)
+    for factors in (1, 2):
+        stream = Stream(fabric, 5, n, 1.0, factors=factors)
+        team = None if size is None else Team(size)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            got = by_slabs(lambda chunk_list: np.split(stream.draw(chunk_list, team),
+                                                       factors),
+                           batch, [(float, n)] * factors, stream.slab_rows)
+        finally:
+            sys.setswitchinterval(interval)
+            if team is not None:
+                team.close()
+        for factor, drawn in enumerate(got):
+            expected = _block_rows(fabric, 5, batch, n, factor)
+            assert drawn.shape == expected.shape
+            assert np.array_equal(drawn, expected)
+        # A chunk left short of its block's end keeps its cursors there.
+        assert sorted(stream._cursors) == sorted(
+            (factor, block) for block, _, hi in batch
+            for factor in range(factors) if hi < BLOCK_WIDTH)
+
+
+@pytest.mark.parametrize("batch", [
+    [(0, 0, BLOCK_WIDTH)],                                   # one block
+    [(3, 0, BLOCK_WIDTH), (4, 0, 1001)],                     # a partial last block
+    [(0, 5, BLOCK_WIDTH), (1, 0, BLOCK_WIDTH), (2, 0, 7)],  # rows not divisible by 3
+], ids=["1", "2-partial", "3-uneven"])
+@pytest.mark.parametrize("size", [None, 3])
+def test_stacked_slab_draws_hold_each_factor_in_its_row_block(batch, size):
+    # A stream's slabs are at most BLOCK_WIDTH stacked rows, and factor f's
+    # rows of each slab are the f-th row block, whichever thread fills them:
+    # the threads write disjoint rows of one array, interleaved as often as
+    # the interpreter allows.
+    n = 5
     fabric = BrownianFabric(29)
     for factors in (1, 2):
         stream = Stream(fabric, 5, n, 1.0, factors=factors)
@@ -173,13 +208,7 @@ def test_slab_draws_equal_the_rows_of_whole_blocks(batch, n, size):
         assert stream.slab_rows == BLOCK_WIDTH // factors
         assert all(rows <= BLOCK_WIDTH and width == n for rows, width in shapes)
         for factor, drawn in enumerate(got):
-            expected = _block_rows(fabric, 5, batch, n, factor)
-            assert drawn.shape == expected.shape
-            assert np.array_equal(drawn, expected)
-        # A chunk left short of its block's end keeps its cursors there.
-        assert sorted(stream._cursors) == sorted(
-            (factor, block) for block, _, hi in batch
-            for factor in range(factors) if hi < BLOCK_WIDTH)
+            assert np.array_equal(drawn, _block_rows(fabric, 5, batch, n, factor))
 
 
 _EXPECTED = [BrownianFabric(31).block_normals(2, 4, 16, factor=factor) * 0.5

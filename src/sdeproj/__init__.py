@@ -16,18 +16,16 @@ from .errors import (BudgetExceeded, ConfigError, DomainError, FellerViolation,
                      MissingThreshold, NonFinite, PlanInfeasible,
                      RateUnavailable, SdeProjError)
 from .mlmc import (MlmcConfig, MlmcLevel, MlmcReport, Problem, allocate_paths,
-                   implicit_price, level_sample, mlmc_estimate, payoff_spread)
+                   implicit_price, mlmc_estimate, payoff_spread)
 from .models import (LampertiMap, ModelTriple, RateTable, RawModel,
                      SmoothCoefficient, TransformedModel, ait_sahalia_model,
                      cir_model, ginzburg_landau_model, guaranteed_rate,
                      locally_smooth_model, three_halves_model)
-from .projection import (ProjectionPlan, SchemeGrid, clamp_variant,
-                         classical_plan, diffusion_bar, evolve_terminal,
-                         lipschitz_bound, manual_plan, plan_exponents, project,
-                         simulate_path, step)
+from .projection import (ProjectionPlan, clamp_variant, classical_plan,
+                         diffusion_bar, evolve_terminal, manual_plan,
+                         plan_exponents, project)
 from .reference import (ImplicitCirParams, cir_zcb_closed_form,
-                        implicit_cir_path, implicit_cir_step,
-                        implicit_cir_terminal)
+                        implicit_cir_step, implicit_cir_terminal)
 
 __version__ = "1.0.0"
 
@@ -45,15 +43,14 @@ __all__ = [
     "MissingThreshold", "NonFinite", "PlanInfeasible", "RateUnavailable",
     "SdeProjError",
     "MlmcConfig", "MlmcLevel", "MlmcReport", "Problem", "allocate_paths",
-    "implicit_price", "level_sample", "mlmc_estimate", "payoff_spread",
+    "implicit_price", "mlmc_estimate", "payoff_spread",
     "LampertiMap", "ModelTriple", "RateTable", "RawModel", "SmoothCoefficient",
     "TransformedModel", "ait_sahalia_model", "cir_model",
     "ginzburg_landau_model", "guaranteed_rate", "locally_smooth_model",
     "three_halves_model",
-    "ProjectionPlan", "SchemeGrid", "clamp_variant", "classical_plan",
-    "diffusion_bar", "evolve_terminal", "lipschitz_bound", "manual_plan",
-    "plan_exponents", "project", "simulate_path", "step",
-    "ImplicitCirParams", "cir_zcb_closed_form", "implicit_cir_path",
-    "implicit_cir_step", "implicit_cir_terminal",
+    "ProjectionPlan", "clamp_variant", "classical_plan", "diffusion_bar",
+    "evolve_terminal", "manual_plan", "plan_exponents", "project",
+    "ImplicitCirParams", "cir_zcb_closed_form", "implicit_cir_step",
+    "implicit_cir_terminal",
     "SPEC_VERSION", "__version__",
 ]

@@ -1,8 +1,8 @@
 """Counter-addressed Brownian increment streams.
 
 Every random number in the package is drawn from a `BrownianFabric`, which
-maps a structured address (tag, level, factor, path-or-block index) to an
-independent Philox substream.  Regenerating the same address always
+maps a structured address (level, factor, block index) to an independent
+Philox substream of BLOCK_WIDTH paths.  Regenerating the same address always
 reproduces the same draws, regardless of how many other addresses were
 consumed in between, so simulations are reproducible path-by-path and
 level-by-level.
@@ -19,8 +19,8 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 # Address layout inside the second Philox key word (high to low):
-# 4-bit tag | 8-bit level | 8-bit factor | 44-bit index.
-_TAG_PATH = 1
+# 4-bit tag | 8-bit level | 8-bit factor | 44-bit index.  Blocks are the
+# one tag; its value is in every key, so changing it would move every draw.
 _TAG_BLOCK = 2
 _INDEX_BITS = 44
 _MAX_INDEX = 1 << _INDEX_BITS
@@ -89,25 +89,6 @@ class BrownianFabric:
         # distinguish neighbouring addresses.
         return np.array([self._seed_word, _pack(tag, level, factor, index)],
                         dtype=np.uint64)
-
-    def increments(self, path: int, level: int, n: int, h: float, *, factor: int = 0) -> np.ndarray:
-        """Brownian increments for one path.
-
-        Args:
-            path: path index within the stream.
-            level: level or grid-exponent tag separating resolutions.
-            n: number of increments.
-            h: time step; each increment is N(0, h).
-            factor: sub-stream index, e.g. 1 for an independent second factor.
-
-        Returns:
-            Array of shape (n,).
-        """
-        if h <= 0:
-            raise ValueError("h must be positive")
-        out = np.empty((1, n))
-        BlockCursor(self._key(_TAG_PATH, level, factor, path), n).fill(out, keep=False)
-        return out[0] * math.sqrt(h)
 
     def block_normals(self, level: int, block: int, n: int, *, factor: int = 0,
                       rows: int | None = None) -> np.ndarray:
@@ -187,8 +168,8 @@ class BlockCursor:
 
     Successive `fill` calls continue the stream, on whichever thread makes
     them, so rows drawn in pieces equal the same rows of one `block_normals`
-    call.  Made by `BrownianFabric.block_cursor`; every draw of the package,
-    path streams included, goes through one.
+    call.  Made by `BrownianFabric.block_cursor`; every draw of the package
+    goes through one.
     """
 
     __slots__ = ("n", "row", "_state")
@@ -275,12 +256,12 @@ def correlate(w: np.ndarray, w_perp: np.ndarray, rho: float, *,
     Returns rho * w + sqrt(1 - rho**2) * w_perp, which is again a Brownian
     increment stream with the same step variance.
 
-    With `out` (which may be `w_perp` or `w` itself) the mix is written
-    there instead of into a new array.  It runs over column chunks of about
-    2^15 elements through one chunk-sized scratch buffer, so it allocates no
-    block-sized temporary.  A `workers.Team` splits the chunks over its
-    threads.  Each element is computed by the same two products and one sum
-    either way, so the result has the same bits for every layout, chunking
+    The mix is written into `out` (which may be `w_perp` or `w` itself),
+    or into a new array when `out` is None.  It runs over column chunks of
+    about 2^15 elements through one chunk-sized scratch buffer, so it
+    allocates no block-sized temporary.  A `workers.Team` splits the chunks
+    over its threads.  Each element is computed by the same two products
+    and one sum, so the result has the same bits for every layout, chunking
     and thread count.
     """
     if not -1.0 <= rho <= 1.0:
@@ -291,7 +272,7 @@ def correlate(w: np.ndarray, w_perp: np.ndarray, rho: float, *,
         raise ValueError(f"shape mismatch: {w.shape} vs {w_perp.shape}")
     scale = math.sqrt(1.0 - rho * rho)
     if out is None:
-        return rho * w + scale * w_perp
+        out = np.empty_like(w, np.result_type(w, w_perp, rho))
     if out.shape != w.shape:
         raise ValueError(f"out has shape {out.shape}, expected {w.shape}")
     cols = w.shape[-1]

@@ -65,15 +65,7 @@ class MissingThreshold(DomainError):
 
 
 class NonFinite(SdeProjError):
-    """A simulated value became NaN or infinite.
-
-    `index` is the time-step index at which the first non-finite value
-    appeared, or None when unknown.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    """A simulated value became NaN or infinite."""
 
 
 class BudgetExceeded(SdeProjError):

@@ -22,7 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .blocks import Moments, Stream, fold
-from .brownian import BLOCK_WIDTH, BrownianFabric, correlate, couple_levels
+from .brownian import BrownianFabric, correlate, couple_levels
 from .errors import BudgetExceeded, DomainError, NonFinite, check_bound, check_bounds
 from .models import ModelTriple
 # perfbench's tracer wraps `project` and `diffusion_bar` under this module.
@@ -277,26 +277,6 @@ def _check_finite(level: int, chunks: Sequence[tuple[int, int, int]],
             at -= row_hi - row_lo
         raise NonFinite(f"non-finite payoff at level {level}, block {block}, "
                         f"row {row_lo + at}")
-
-
-def level_sample(config: MlmcConfig, fabric: BrownianFabric, level: int,
-                 path: int) -> tuple[float, float]:
-    """Payoff pair (P_l, P_{l-1}) for a single path, with P_{-1} = 0.
-
-    Both payoffs are driven by the same Brownian path (the coarse one by the
-    summed increments), so regenerating the same (level, path) address
-    reproduces the pair exactly.  Intended for inspection and testing; the
-    estimator itself consumes whole blocks (this call generates the path's
-    block prefix).
-    """
-    check_bound(level, "level", lo=0, hi=config.max_level)
-    check_bound(path, "path", lo=0)
-    block, row = divmod(path, BLOCK_WIDTH)
-    chunks = [(block, row, row + 1)]
-    pair = _pair_batch(config, _projected(config), level,
-                       _stream(config, fabric, level).draw(chunks))
-    _check_finite(level, chunks, pair)
-    return float(pair[0][0]), float(pair[1][0]) if level else 0.0
 
 
 def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,

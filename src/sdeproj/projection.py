@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import walk
-from .errors import DomainError, MissingThreshold, NonFinite, PlanInfeasible
+from .errors import DomainError, MissingThreshold, PlanInfeasible
 from .models import TransformedModel
 
 _HP_TOL = 1e-9
@@ -223,88 +223,10 @@ def diffusion_bar(model: TransformedModel, y: np.ndarray | float, n: int,
     return model.gamma_bar(y)
 
 
-def lipschitz_bound(model: TransformedModel, n: int, plan: ProjectionPlan) -> float:
-    """Global Lipschitz constant of the clamped drift on the whole line.
-
-    L(n) = 2 K (1 + n^(k*beta) + n^(k'*alpha)) with K the local Lipschitz
-    modulus; the power terms appear only on sides the model actually blows
-    up on, and require the matching clamp to be present.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    total = 1.0
-    if model.beta > 0:
-        if plan.k is None:
-            raise DomainError("drift blows up at zero but the plan has no lower clamp")
-        total += float(n) ** (plan.k * model.beta)
-    if model.alpha > 0:
-        if plan.k_prime is None:
-            raise DomainError("drift grows at infinity but the plan has no upper clamp")
-        total += float(n) ** (plan.k_prime * model.alpha)
-    return 2.0 * model.local_lipschitz_k * total
-
-
-@dataclass(frozen=True)
-class SchemeGrid:
-    """Uniform time grid with n steps on [0, horizon]."""
-
-    horizon: float
-    n: int
-
-    def __post_init__(self):
-        if self.horizon <= 0:
-            raise DomainError("horizon must be positive")
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
-
-    @property
-    def h(self) -> float:
-        return self.horizon / self.n
-
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n + 1)
-
-
 def _advance(y, model: TransformedModel, plan: ProjectionPlan, n: int,
              h: float, dw):
     """One projected step of a state or a batch: the scheme's only copy."""
     return y + model.f(project(y, n, plan)) * h + diffusion_bar(model, y, n, plan) * dw
-
-
-def step(y: float, model: TransformedModel, n: int, plan: ProjectionPlan,
-         h: float, dw: float) -> float:
-    """One scalar scheme step.  Raises NonFinite if the result is not finite."""
-    out = _advance(y, model, plan, n, h, dw)
-    if not np.isfinite(out):
-        raise NonFinite(f"step produced {out}")
-    return float(out)
-
-
-def simulate_path(model: TransformedModel, grid: SchemeGrid,
-                  plan: ProjectionPlan, increments: np.ndarray) -> np.ndarray:
-    """Simulate one trajectory on the grid.
-
-    Args:
-        increments: Brownian increments, shape (grid.n,).
-
-    Returns:
-        States at the n + 1 grid nodes, starting from the model's y0.
-
-    Raises:
-        NonFinite: a step produced NaN or infinity; the exception's `index`
-            is the node at which it first appeared.
-    """
-    incs = np.asarray(increments, dtype=float)
-    if incs.shape != (grid.n,):
-        raise ValueError(f"expected {(grid.n,)} increments, got {incs.shape}")
-    out = np.empty(grid.n + 1)
-    out[0] = y = model.y0
-    for i in range(grid.n):
-        y = _advance(y, model, plan, grid.n, grid.h, incs[i])
-        if not np.isfinite(y):
-            raise NonFinite(f"non-finite state at node {i + 1}", index=i + 1)
-        out[i + 1] = y
-    return out
 
 
 def _evolve(model: TransformedModel, plan: ProjectionPlan, n: int, h: float,
@@ -321,7 +243,7 @@ def _evolve(model: TransformedModel, plan: ProjectionPlan, n: int, h: float,
 
 def evolve_terminal(model: TransformedModel, plan: ProjectionPlan, n: int,
                     h: float, increments: np.ndarray) -> np.ndarray:
-    """Terminal states of `_evolve`; one row reproduces `simulate_path`."""
+    """Terminal states of `_evolve` for a batch of paths (rows of `increments`)."""
     return _evolve(model, plan, n, h, increments)[0]
 
 

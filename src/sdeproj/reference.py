@@ -19,7 +19,6 @@ from .errors import DomainError
 __all__ = [
     "ImplicitCirParams",
     "implicit_cir_step",
-    "implicit_cir_path",
     "implicit_cir_terminal",
     "ginzburg_landau_terminal",
     "cir_zcb_closed_form",
@@ -117,26 +116,6 @@ def implicit_cir_step(y: np.ndarray | float, params: ImplicitCirParams,
     scalar for scalar or 0-d inputs.
     """
     return _implicit_step(y, dw, *_coefficients(params, h))
-
-
-def implicit_cir_path(params: ImplicitCirParams, h: float,
-                      increments: np.ndarray) -> np.ndarray:
-    """Full trajectory of the implicit stepper for one path.
-
-    Args:
-        increments: Brownian increments, shape (n,).
-
-    Returns:
-        States at the n + 1 grid nodes starting from params.y0.
-    """
-    incs = np.asarray(increments, dtype=float)
-    if incs.ndim != 1:
-        raise ValueError("increments must be one-dimensional")
-    out = np.empty(incs.shape[0] + 1)
-    out[0] = y = params.y0
-    for i, dw in enumerate(incs):
-        out[i + 1] = y = implicit_cir_step(y, params, h, dw)
-    return out
 
 
 def _implicit_evolve(params, n: int, h: float, increments: np.ndarray,

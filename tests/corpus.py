@@ -15,9 +15,9 @@ Two uses: run one tree at several thread counts and every digest must
 agree (`tests/test_corpus.py`); run this script against two trees on one
 machine and compare the lines to see whether a change moved any output bit
 (`--compare`, as CI does against the merge base).  Both trees run this
-one script, so a case may use only what both trees have: a case that
-raises in one of them counts as a difference.  Pytest does not collect this
-file.
+one script and the `oracles.py` beside it, so a case may use only what both
+trees have: a case that raises in one of them counts as a difference.
+Pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -33,11 +33,12 @@ import numpy as np
 
 from sdeproj import (BLOCK_WIDTH, BrownianFabric, ImplicitCirParams, MlmcConfig,
                      Problem, ait_sahalia_model, cir_model, ginzburg_landau_model,
-                     implicit_cir_path, implicit_cir_step, implicit_price,
-                     level_sample, manual_plan, mlmc_estimate, plan_exponents,
-                     run_convergence_study)
+                     implicit_cir_step, implicit_price, manual_plan, mlmc_estimate,
+                     plan_exponents, run_convergence_study)
 from sdeproj import blocks, workers
 from sdeproj.mlmc import gl_exact_price
+
+from oracles import implicit_path, level_pair
 
 SPREAD_MODELS = (cir_model(1.0, 0.06, 0.04, 0.05), cir_model(0.8, 0.05, 0.016, 0.06))
 ZCB_MODEL = cir_model(2.0, 1.0, 0.5, 1.0)
@@ -129,19 +130,14 @@ def _cli(command: str, text: str, threads: int) -> bytes:
 def _draws(threads: int) -> list[np.ndarray]:
     """Drawn increments: a pilot chunk, then its block resumed mid-block and
     a second block, on a team; one-column rows; rows longer than a staging
-    chunk; a path stream and a block's leading rows."""
+    chunk; a block's leading rows."""
     fabric = BrownianFabric(5)
     out = []
     with workers.team(threads) as team:
         for n, h in ((64, 1.0 / 64), (1, 0.5), (5000, 1e-3)):
             stream = blocks.Stream(fabric, 3, n, h, factors=2)
             for batch in ([(0, 0, 700)], [(0, 700, BLOCK_WIDTH), (1, 0, 50)]):
-                # One array per factor, from either layout: older trees
-                # draw a tuple of them, newer ones one array that stacks
-                # them in row blocks.
-                drawn = stream.draw(batch, team)
-                out += np.split(drawn, 2) if isinstance(drawn, np.ndarray) else drawn
-    out.append(fabric.increments(17, 2, 300, 0.01, factor=1))
+                out += np.split(stream.draw(batch, team), 2)
     out.append(fabric.block_normals(2, 7, 100, factor=1, rows=333))
     return out
 
@@ -156,7 +152,7 @@ def _implicit_steps() -> list:
     with np.errstate(all="ignore"):
         return [implicit_cir_step(y, params, 0.125, dw),
                 [implicit_cir_step(a, params, 0.125, b) for a, b in zip(y, dw)],
-                implicit_cir_path(params, 0.125, np.linspace(-0.4, 0.3, 40))]
+                implicit_path(params, 0.125, np.linspace(-0.4, 0.3, 40))]
 
 
 def _study(triple, plan, reference, exponents=(2, 3, 4), paths=3000,
@@ -217,7 +213,7 @@ def cases() -> dict:
         for level, path in ((0, 0), (2, 5000), (3, 4099)):
             table[f"level-sample-{config.payoff}-{level}-{path}"] = (
                 lambda threads, config=config, level=level, path=path:
-                level_sample(config, BrownianFabric(3), level, path))
+                level_pair(config, BrownianFabric(3), level, path))
     for name, (command, text) in CLI_CASES.items():
         table[name] = lambda threads, command=command, text=text: _cli(
             command, text, threads)

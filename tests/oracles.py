@@ -1,16 +1,25 @@
 """One-call oracles the tests check the package's steppers against.
 
-They are plain whole-grid formulas, kept out of the package because no
-engine calls them: `ginzburg_landau_exact` gives the pathwise
-ginzburg-landau solution at every node of a grid, from the Brownian values
-that `running_sum` builds from increments, and
+They are plain whole-grid formulas and one-path loops, kept out of the
+package because no engine calls them: `ginzburg_landau_exact` gives the
+pathwise ginzburg-landau solution at every node of a grid, from the
+Brownian values that `running_sum` builds from increments, and
 `reference.ginzburg_landau_terminal` must match its last node bit for bit.
+`projected_path`, `implicit_path` and `level_pair` step one path alone
+through the kernels the batch steppers share, and `path_increments` draws
+that path's row of its block stream.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from sdeproj import mlmc
+from sdeproj.brownian import BLOCK_WIDTH
 from sdeproj.errors import DomainError
+from sdeproj.projection import _advance
+from sdeproj.reference import implicit_cir_step
 
 
 def ginzburg_landau_exact(lam: float, sigma: float, x0: float,
@@ -69,3 +78,71 @@ def running_sum(terms: np.ndarray) -> np.ndarray:
     out[..., 0] = 0.0
     np.cumsum(terms, axis=-1, out=out[..., 1:])
     return out
+
+
+def path_increments(fabric, path: int, level: int, n: int, h: float, *,
+                    factor: int = 0) -> np.ndarray:
+    """The n Brownian increments of one path: its row of its block's stream
+    (`BrownianFabric.block_cursor`), each normal times sqrt(h)."""
+    block, row = divmod(path, BLOCK_WIDTH)
+    cursor = fabric.block_cursor(level, block, n, factor=factor)
+    cursor.fill(None, row)
+    out = np.empty((1, n))
+    cursor.fill(out, keep=False, scale=math.sqrt(h))
+    return out[0]
+
+
+def projected_path(model, plan, n: int, h: float, increments) -> np.ndarray:
+    """One path of the projected scheme stepped as floats by
+    `projection._advance`: the states at the n + 1 nodes, from the model's
+    y0, for n increments of a grid with step h."""
+    incs = np.asarray(increments, dtype=float)
+    out = np.empty(n + 1)
+    out[0] = y = model.y0
+    for i in range(n):
+        out[i + 1] = y = _advance(y, model, plan, n, h, incs[i])
+    return out
+
+
+def implicit_path(params, h: float, increments) -> np.ndarray:
+    """One path of the drift-implicit scheme stepped as scalars by
+    `reference.implicit_cir_step`: the states at every node, from params.y0."""
+    incs = np.asarray(increments, dtype=float)
+    out = np.empty(len(incs) + 1)
+    out[0] = y = params.y0
+    for i, dw in enumerate(incs):
+        out[i + 1] = y = implicit_cir_step(y, params, h, dw)
+    return out
+
+
+def level_pair(config, fabric, level: int, path: int) -> tuple[float, float]:
+    """Payoff pair (P_l, P_{l-1}) of one path of the multilevel estimator,
+    with P_{-1} = 0, drawn alone (its block's prefix) and stepped by
+    `mlmc._pair_batch`; raises `NonFinite` as the estimator does."""
+    block, row = divmod(path, BLOCK_WIDTH)
+    chunks = [(block, row, row + 1)]
+    pair = mlmc._pair_batch(config, mlmc._projected(config), level,
+                            mlmc._stream(config, fabric, level).draw(chunks))
+    mlmc._check_finite(level, chunks, pair)
+    return float(pair[0][0]), float(pair[1][0]) if level else 0.0
+
+
+def lipschitz_bound(model, n: int, plan) -> float:
+    """Global Lipschitz constant of the clamped drift on the whole line.
+
+    L(n) = 2 K (1 + n^(k*beta) + n^(k'*alpha)) with K the local Lipschitz
+    modulus; the power terms appear only on sides the model actually blows
+    up on, and require the matching clamp to be present.
+    """
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    total = 1.0
+    if model.beta > 0:
+        if plan.k is None:
+            raise DomainError("drift blows up at zero but the plan has no lower clamp")
+        total += float(n) ** (plan.k * model.beta)
+    if model.alpha > 0:
+        if plan.k_prime is None:
+            raise DomainError("drift grows at infinity but the plan has no upper clamp")
+        total += float(n) ** (plan.k_prime * model.alpha)
+    return 2.0 * model.local_lipschitz_k * total

@@ -254,8 +254,9 @@ def _check_roundtrips():
 
 def _check_coupling_identities():
     fabric = BrownianFabric(3)
-    w = fabric.increments(0, 0, 64, 0.015625)
-    w_perp = fabric.increments(0, 0, 64, 0.015625, factor=1)
+    # Path 0's row of each factor's level-0 block, as increments of step 2^-6.
+    w, w_perp = (fabric.block_normals(0, 0, 64, factor=f, rows=1)[0]
+                 * math.sqrt(0.015625) for f in (0, 1))
     assert np.array_equal(couple_levels(w, 1), w)
     assert np.array_equal(couple_levels(w, 4), w.reshape(16, 4).sum(axis=1))
     assert np.array_equal(correlate(w, w_perp, 1.0), w)

@@ -8,40 +8,41 @@ import numpy as np
 import pytest
 
 from sdeproj import BLOCK_WIDTH, BrownianFabric, blocks, correlate, couple_levels
-from sdeproj.brownian import (_CHUNK_NORMALS, _TAG_BLOCK, _TAG_PATH, _pack,
-                              _splitmix64, _start, _thread_generator,
-                              extend_coupling)
+from sdeproj.brownian import (_CHUNK_NORMALS, _TAG_BLOCK, _pack, _splitmix64,
+                              _start, _thread_generator, extend_coupling)
 from sdeproj.convergence import run_convergence_study
 from sdeproj.mlmc import MlmcConfig, implicit_price, mlmc_estimate
 from sdeproj.models import cir_model, ginzburg_landau_model
 from sdeproj.projection import plan_exponents
 
+from oracles import path_increments
+
 
 def test_increment_moments():
     fabric = BrownianFabric(101)
-    draws = fabric.increments(0, 0, 10 ** 6, 1.0)
+    draws = path_increments(fabric, 0, 0, 10 ** 6, 1.0)
     assert -0.004 < draws.mean() < 0.004
-    draws = fabric.increments(1, 0, 10 ** 6, 0.25)
+    draws = path_increments(fabric, 1, 0, 10 ** 6, 0.25)
     assert 0.25 * 0.99 < draws.var() < 0.25 * 1.01
 
 
 def test_repeat_call_is_bitwise_identical():
     fabric = BrownianFabric(5)
-    a = fabric.increments(3, 2, 512, 0.125)
-    b = fabric.increments(3, 2, 512, 0.125)
+    a = path_increments(fabric, 3, 2, 512, 0.125)
+    b = path_increments(fabric, 3, 2, 512, 0.125)
     assert np.array_equal(a, b)
-    c = BrownianFabric(5).increments(3, 2, 512, 0.125)
+    c = path_increments(BrownianFabric(5), 3, 2, 512, 0.125)
     assert np.array_equal(a, c)
 
 
 def test_distinct_seeds_differ():
-    a = BrownianFabric(1).increments(0, 0, 64, 1.0)
-    b = BrownianFabric(2).increments(0, 0, 64, 1.0)
+    a = path_increments(BrownianFabric(1), 0, 0, 64, 1.0)
+    b = path_increments(BrownianFabric(2), 0, 0, 64, 1.0)
     assert not np.array_equal(a, b)
 
 
 def test_couple_identity_at_m_one():
-    fine = BrownianFabric(9).increments(0, 3, 32, 0.5)
+    fine = path_increments(BrownianFabric(9), 0, 3, 32, 0.5)
     assert np.array_equal(couple_levels(fine, 1), fine)
 
 
@@ -64,16 +65,16 @@ def test_coupled_coarse_variance():
 
 def test_correlate_endpoints_exact():
     fabric = BrownianFabric(3)
-    w = fabric.increments(0, 0, 256, 1.0)
-    w_perp = fabric.increments(0, 0, 256, 1.0, factor=1)
+    w = path_increments(fabric, 0, 0, 256, 1.0)
+    w_perp = path_increments(fabric, 0, 0, 256, 1.0, factor=1)
     assert np.array_equal(correlate(w, w_perp, 0.0), w_perp)
     assert np.array_equal(correlate(w, w_perp, 1.0), w)
 
 
 def test_correlate_empirical_correlation():
     fabric = BrownianFabric(23)
-    w = fabric.increments(0, 0, 10 ** 6, 1.0)
-    w_perp = fabric.increments(0, 0, 10 ** 6, 1.0, factor=1)
+    w = path_increments(fabric, 0, 0, 10 ** 6, 1.0)
+    w_perp = path_increments(fabric, 0, 0, 10 ** 6, 1.0, factor=1)
     z = correlate(w, w_perp, -0.7)
     rho_hat = np.corrcoef(w, z)[0, 1]
     assert -0.71 < rho_hat < -0.69
@@ -94,10 +95,10 @@ def test_couple_commutes_with_correlate():
 
 def test_stream_independence():
     fabric = BrownianFabric(31)
-    base = fabric.increments(0, 0, 10 ** 6, 1.0)
-    for other in (fabric.increments(1, 0, 10 ** 6, 1.0),
-                  fabric.increments(0, 1, 10 ** 6, 1.0),
-                  fabric.increments(0, 0, 10 ** 6, 1.0, factor=1)):
+    base = path_increments(fabric, 0, 0, 10 ** 6, 1.0)
+    for other in (path_increments(fabric, 1, 0, 10 ** 6, 1.0),
+                  path_increments(fabric, 0, 1, 10 ** 6, 1.0),
+                  path_increments(fabric, 0, 0, 10 ** 6, 1.0, factor=1)):
         assert not np.array_equal(base, other)
         assert abs(np.corrcoef(base, other)[0, 1]) < 0.01
 
@@ -106,8 +107,8 @@ def test_adjacent_addresses_differ():
     # Addresses differing only in their lowest bits must not collide.
     fabric = BrownianFabric(31)
     for i in range(1, 8):
-        assert not np.array_equal(fabric.increments(0, 0, 16, 1.0),
-                                  fabric.increments(i, 0, 16, 1.0))
+        assert not np.array_equal(path_increments(fabric, 0, 0, 16, 1.0),
+                                  path_increments(fabric, i, 0, 16, 1.0))
         assert not np.array_equal(fabric.block_normals(0, 0, 16, rows=4),
                                   fabric.block_normals(0, i, 16, rows=4))
 
@@ -135,11 +136,9 @@ def test_addressing_validation():
     fabric = BrownianFabric(0)
     assert fabric.master_seed == 0
     with pytest.raises(ValueError):
-        fabric.increments(0, 0, 4, 0.0)
+        fabric.block_normals(0, -1, 4)
     with pytest.raises(ValueError):
-        fabric.increments(-1, 0, 4, 1.0)
-    with pytest.raises(ValueError):
-        fabric.increments(0, 256, 4, 1.0)
+        fabric.block_normals(256, 0, 4)
     with pytest.raises(ValueError):
         fabric.block_normals(0, 0, 4, rows=0)
     with pytest.raises(ValueError):
@@ -202,23 +201,12 @@ def _fresh_block(fabric, level, block, n, factor, rows):
     return np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, n))
 
 
-@pytest.mark.parametrize("n", [1, 7, 300, 4096])
-def test_path_increments_match_a_fresh_generator(n):
-    fabric = BrownianFabric(2 ** 63 + 5)
-    key = np.array([_splitmix64(fabric.master_seed), _pack(_TAG_PATH, 3, 1, 11)],
-                   dtype=np.uint64)
-    fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
-    got = fabric.increments(11, 3, n, 0.5, factor=1)
-    assert got.shape == (n,)
-    assert np.array_equal(got, fresh * math.sqrt(0.5))
-
-
 def test_rekeyed_generator_matches_a_fresh_one():
     fabric = BrownianFabric(2 ** 64 - 3)
     for level, block, n, factor, rows in [(0, 0, 1, 0, BLOCK_WIDTH), (3, 7, 9, 1, 33),
                                           (5, 2 ** 40, 300, 0, 1000)]:
         # Leave this thread's generator mid-buffer with a cached 32-bit half.
-        rng = _thread_generator(_start(fabric._key(_TAG_PATH, 1, 0, 9)))
+        rng = _thread_generator(_start(fabric._key(_TAG_BLOCK, 1, 0, 9)))
         rng.standard_normal(3)
         rng.random(5)
         rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)
@@ -348,7 +336,8 @@ def test_correlate_in_place_matches_allocating_form(rows, n):
                          2)
     kept = (w.copy(), w_perp.copy())
     for rho in (-0.7, 0.0, 1.0, 0.3):
-        expected = correlate(w, w_perp, rho)
+        expected = rho * w + math.sqrt(1.0 - rho * rho) * w_perp
+        assert np.array_equal(correlate(w, w_perp, rho), expected)
         # The allocating form leaves its inputs untouched.
         assert np.array_equal(w, kept[0]) and np.array_equal(w_perp, kept[1])
         for order in ("F", "C"):
@@ -363,9 +352,9 @@ def test_correlate_in_place_matches_allocating_form(rows, n):
 
 def test_correlate_out_into_first_operand_and_validation():
     fabric = BrownianFabric(73)
-    w = fabric.increments(0, 0, 100_000, 1.0)
-    w_perp = fabric.increments(0, 0, 100_000, 1.0, factor=1)
-    expected = correlate(w, w_perp, -0.7)
+    w = path_increments(fabric, 0, 0, 100_000, 1.0)
+    w_perp = path_increments(fabric, 0, 0, 100_000, 1.0, factor=1)
+    expected = -0.7 * w + math.sqrt(1.0 - 0.7 * 0.7) * w_perp
     assert np.array_equal(correlate(w, w_perp, -0.7, out=w), expected)
     with pytest.raises(ValueError):
         correlate(w, w_perp, -0.7, out=np.empty(3))

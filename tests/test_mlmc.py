@@ -9,8 +9,10 @@ from sdeproj.blocks import Moments, chunks, rows
 from sdeproj.brownian import _CHUNK_NORMALS, BLOCK_WIDTH, BlockCursor, BrownianFabric
 from sdeproj.errors import BudgetExceeded, DomainError, NonFinite
 from sdeproj.mlmc import (MlmcConfig, allocate_paths, implicit_price,
-                          level_sample, mlmc_estimate, payoff_spread)
+                          mlmc_estimate, payoff_spread)
 from sdeproj.models import ait_sahalia_model, cir_model, ginzburg_landau_model
+
+from oracles import level_pair
 
 ZCB_CLOSED_FORM = 0.3721963545473621
 
@@ -121,31 +123,28 @@ def test_allocate_paths_validation():
         allocate_paths([0.1], [1.0], 0.5, floor=0)
 
 
-def test_level_sample_level_zero():
+def test_single_path_pair_is_its_row_of_the_whole_block():
+    spread = MlmcConfig(models=(cir_model(1.0, 0.06, 0.04, 0.05),
+                                cir_model(0.8, 0.05, 0.016, 0.06)),
+                        payoff="spread", horizon=1.0, epsilon=1e-4,
+                        strike=0.001, correlation=-0.7)
+    fabric = BrownianFabric(11)
+    for config in (zcb_config(), spread):
+        for level in (0, 2):
+            block = mlmc._pair_batch(config, mlmc._projected(config), level,
+                                     mlmc._stream(config, fabric, level).draw(
+                                         [(1, 0, BLOCK_WIDTH)]))
+            # Two paths in the middle of block 1, so that each case meets a
+            # nonzero spread payoff.
+            pairs = [level_pair(config, fabric, level, BLOCK_WIDTH + row)
+                     for row in (2000, 2001)]
+            assert pairs == [(block[0][row], block[1][row] if level else 0.0)
+                             for row in (2000, 2001)], (config.payoff, level)
+            assert max(map(max, pairs)) > 0.0
     # One step: the discount integral is deterministic and the coarse half
     # of the pair is defined as zero.
-    fine, coarse = level_sample(zcb_config(), BrownianFabric(11), 0, 0)
-    assert fine == math.exp(-1.0)
-    assert coarse == 0.0
-
-
-def test_level_sample_reproducible():
-    config = zcb_config()
-    first = level_sample(config, BrownianFabric(11), 2, 77)
-    second = level_sample(config, BrownianFabric(11), 2, 77)
-    assert first == second
-    assert first[0] != first[1]
-
-
-def test_level_sample_validation():
-    config = zcb_config()
-    fabric = BrownianFabric(11)
-    with pytest.raises(DomainError):
-        level_sample(config, fabric, -1, 0)
-    with pytest.raises(DomainError):
-        level_sample(config, fabric, config.max_level + 1, 0)
-    with pytest.raises(DomainError):
-        level_sample(config, fabric, 0, -1)
+    assert level_pair(zcb_config(), fabric, 0, BLOCK_WIDTH + 2000) \
+        == (math.exp(-1.0), 0.0)
 
 
 def test_zcb_estimate_report():

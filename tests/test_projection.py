@@ -9,18 +9,17 @@ from hypothesis import strategies as st
 
 from sdeproj import config
 from sdeproj.brownian import BrownianFabric
-from sdeproj.errors import (DomainError, MissingThreshold, NonFinite,
-                            PlanInfeasible)
+from sdeproj.errors import DomainError, MissingThreshold, PlanInfeasible
 from sdeproj.models import (SmoothCoefficient, TransformedModel,
                             ait_sahalia_model, cir_model,
                             ginzburg_landau_model, locally_smooth_model,
                             three_halves_model)
-from sdeproj.projection import (ProjectionPlan, SchemeGrid, _advance, _evolve,
-                                clamp_variant,
-                                classical_plan, diffusion_bar,
-                                evolve_terminal, lipschitz_bound, manual_plan,
-                                plan_exponents, project, simulate_path,
-                                step)
+from sdeproj.projection import (ProjectionPlan, _advance, _evolve,
+                                clamp_variant, classical_plan, diffusion_bar,
+                                evolve_terminal, manual_plan, plan_exponents,
+                                project)
+
+from oracles import lipschitz_bound, path_increments, projected_path
 
 
 def synthetic_model(**overrides):
@@ -262,7 +261,7 @@ def test_projected_drift_is_globally_lipschitz():
 def test_step_example_exact():
     t = cir_model(0.5, 1.0, 0.5, 1.0).transformed
     plan = manual_plan(t, k=0.25)
-    assert step(1.0, t, 16, plan, 1.0 / 16.0, 0.0) == 0.998046875
+    assert _advance(1.0, t, plan, 16, 1.0 / 16.0, 0.0) == 0.998046875
 
 
 def test_step_diffusion_paths():
@@ -279,32 +278,33 @@ def test_step_diffusion_paths():
 
 def test_classical_plan_reduces_to_euler():
     t = cir_model(0.5, 1.0, 0.5, 1.0).transformed
-    grid = SchemeGrid(horizon=1.0, n=32)
-    incs = BrownianFabric(5).increments(0, 0, 32, grid.h)
-    path = simulate_path(t, grid, classical_plan(), incs)
+    n, h = 32, 1.0 / 32
+    incs = path_increments(BrownianFabric(5), 0, 0, n, h)
+    path = projected_path(t, classical_plan(), n, h, incs)
     y = t.y0
-    for i in range(grid.n):
-        y = y + t.f(y) * grid.h + t.gamma_const * incs[i]
+    for i in range(n):
+        y = y + t.f(y) * h + t.gamma_const * incs[i]
     assert path[-1] == y
     assert path[0] == t.y0
 
 
 def test_evolve_terminal_matches_simulate_path():
-    # One path stepped as floats equals its row of the batch, bit for bit:
+    # One path stepped as floats (`oracles.projected_path`, the loop the
+    # package's `simulate_path` was) equals its row of the batch, bit for bit:
     # these drifts round alike for a float and an array because they call
     # no `pow`, whose scalar and SIMD loops may differ in the last bit.
     cir_plan = plan_exponents(cir_model(0.5, 1.0, 0.5, 1.0, q=6.0).transformed)
     ait = ait_sahalia_model(1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.5, 1.0).transformed
     gl = ginzburg_landau_model(0.5, 1.0, 1.0).transformed
-    grid = SchemeGrid(horizon=1.0, n=256)
+    n, h = 256, 1.0 / 256
     fabric = BrownianFabric(9)
-    incs = np.stack([fabric.increments(p, 0, grid.n, grid.h) for p in range(200)])
+    incs = np.stack([path_increments(fabric, p, 0, n, h) for p in range(200)])
     for model, plan in [(cir_model(0.5, 1.0, 0.5, 1.0).transformed, cir_plan),
                         (ait, manual_plan(ait, k=0.25, k_prime=0.125)),
                         (gl, plan_exponents(gl))]:
-        batch = evolve_terminal(model, plan, grid.n, grid.h, incs)
+        batch = evolve_terminal(model, plan, n, h, incs)
         assert batch.shape == (200,)
-        paths = [simulate_path(model, grid, plan, row)[-1] for row in incs]
+        paths = [projected_path(model, plan, n, h, row)[-1] for row in incs]
         assert np.array_equal(batch, paths), model.name
 
 
@@ -380,11 +380,11 @@ def test_step_zero_from_y0_keeps_the_bits_of_full_length_rows(label, triple, pla
 def test_zero_diffusion_ignores_increment_signs():
     gl = ginzburg_landau_model(0.5, 0.0, 1.0).transformed
     plan = plan_exponents(gl)
-    grid = SchemeGrid(horizon=1.0, n=32)
-    incs = BrownianFabric(13).increments(0, 0, 32, grid.h)
-    a = simulate_path(gl, grid, plan, incs)
-    b = simulate_path(gl, grid, plan, -incs)
-    c = simulate_path(gl, grid, plan, np.zeros(32))
+    n, h = 32, 1.0 / 32
+    incs = path_increments(BrownianFabric(13), 0, 0, n, h)
+    a = projected_path(gl, plan, n, h, incs)
+    b = projected_path(gl, plan, n, h, -incs)
+    c = projected_path(gl, plan, n, h, np.zeros(n))
     assert np.array_equal(a, b)
     assert np.array_equal(a, c)
 
@@ -394,8 +394,8 @@ def test_symmetric_scheme_is_odd_in_state_and_noise():
     plan = plan_exponents(gl)
     rng = np.random.default_rng(3)
     for y, dw in zip(rng.uniform(-5.0, 5.0, 64), rng.normal(0.0, 0.1, 64)):
-        assert step(-y, gl, 16, plan, 0.03125, dw) \
-            == -step(y, gl, 16, plan, 0.03125, dw)
+        assert _advance(-y, gl, plan, 16, 0.03125, dw) \
+            == -_advance(y, gl, plan, 16, 0.03125, dw)
 
 
 def test_clamp_variants():
@@ -432,41 +432,13 @@ def test_clamp_double_applies_both_sides():
     assert clamp_variant(1.0, "double", plan, h) == 1.0
 
 
-def test_scheme_grid():
-    grid = SchemeGrid(horizon=1.0, n=16)
-    assert grid.h == 0.0625
-    np.testing.assert_array_equal(grid.times(), np.linspace(0.0, 1.0, 17))
-    with pytest.raises(DomainError):
-        SchemeGrid(horizon=0.0, n=16)
-    with pytest.raises(DomainError):
-        SchemeGrid(horizon=1.0, n=0)
-
-
 def test_simulate_path_reports_divergence_node():
+    # A cubic drift overflows within ten steps; the batch stepper lets the
+    # inf/NaN through on every row for its caller to flag.
     cube = synthetic_model(f=lambda y: y * y * y, regularity=None,
                            one_sided_k=100.0, y0=2.0)
-    grid = SchemeGrid(horizon=100.0, n=10)
-    expected = None
-    y = cube.y0
-    for i in range(grid.n):
-        y = y + (y * y * y) * grid.h + 0.0
-        if not np.isfinite(y):
-            expected = i + 1
-            break
-    assert expected is not None
-    with np.errstate(over="ignore"), pytest.raises(NonFinite) as err:
-        simulate_path(cube, grid, classical_plan(), np.zeros(10))
-    assert err.value.index == expected
-
     with np.errstate(over="ignore", invalid="ignore"):
         terminal = evolve_terminal(cube, classical_plan(), 10, 10.0,
                                    np.zeros((3, 10)))
     assert terminal.shape == (3,)
     assert not np.isfinite(terminal).any()
-
-
-def test_simulate_path_shape_check():
-    t = cir_model(0.5, 1.0, 0.5, 1.0).transformed
-    grid = SchemeGrid(horizon=1.0, n=8)
-    with pytest.raises(ValueError):
-        simulate_path(t, grid, classical_plan(), np.zeros(7))

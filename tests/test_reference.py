@@ -18,10 +18,10 @@ from sdeproj.mlmc import MlmcConfig, implicit_price
 from sdeproj.models import cir_model
 from sdeproj.projection import _evolve, manual_plan
 from sdeproj.reference import (ImplicitCirParams, cir_zcb_closed_form,
-                               ginzburg_landau_terminal, implicit_cir_path,
-                               implicit_cir_step, implicit_cir_terminal)
+                               ginzburg_landau_terminal, implicit_cir_step,
+                               implicit_cir_terminal)
 
-from oracles import ginzburg_landau_exact, running_sum
+from oracles import ginzburg_landau_exact, implicit_path, running_sum
 
 
 def test_params_validation():
@@ -124,7 +124,7 @@ def test_step_has_the_bits_of_the_where_formula(params):
         pos = (y + params.c * dw) / (2.0 * (1.0 - params.b * h)) >= 0.0
     assert _outcome(implicit_cir_step, y[pos], params, h, dw[pos]) \
         == _outcome(_where_step, y[pos], params, h, dw[pos])
-    # Scalars and 0-d arrays, as implicit_cir_path passes them.
+    # Scalars and 0-d arrays, as `oracles.implicit_path` passes them.
     for yi, dwi in itertools.product(_YS, _DWS):
         for args in ((yi, dwi), (np.float64(yi), np.float64(dwi)),
                      (np.array(yi), np.array(dwi))):
@@ -149,7 +149,7 @@ def test_step_bits_on_strided_and_contiguous_columns():
         whole = np.full(block.shape, 0.05)
         assert _outcome(implicit_cir_step, whole, params, h, block) \
             == _outcome(_where_step, whole, params, h, block)
-    path = implicit_cir_path(params, h, dw[7])
+    path = implicit_path(params, h, dw[7])
     reference_path = np.array([params.y0] + [0.0] * dw.shape[1])
     y = params.y0
     for i in range(dw.shape[1]):
@@ -375,7 +375,7 @@ def test_path_and_terminal_agree():
     incs = blocks.Stream(BrownianFabric(19), 5, 32, h).draw([(0, 0, 8)])
     terminal = implicit_cir_terminal(p, h, incs)
     for j in range(8):
-        path = implicit_cir_path(p, h, incs[j])
+        path = implicit_path(p, h, incs[j])
         assert path.shape == (33,)
         assert path[0] == p.y0
         assert terminal[j] == path[-1]
@@ -383,8 +383,6 @@ def test_path_and_terminal_agree():
     for i in range(32):
         y = implicit_cir_step(y, p, h, incs[0, i])
     assert y == terminal[0]
-    with pytest.raises(ValueError):
-        implicit_cir_path(p, h, incs)
 
 
 def test_gl_exact_zero_parameters():

@@ -187,33 +187,75 @@ def _numeric_local_k(f_prime: Callable, alpha: float, beta: float) -> float:
     return 1.02 * m + 1e-12
 
 
-def _square_root_regularity(omega: float, q: float | None,
-                            q_prime: float | None) -> tuple[str | None, float | None, float]:
-    """Regime label and moment exponents for drifts of the form a/y + b*y.
+class _Band(NamedTuple):
+    """One row of the square-root drift's band table: low < omega <= high."""
 
-    Inverse moments of order ell exist exactly for ell < 2*omega, which
-    bounds the usable q.  Defaults sit at the midpoint of the admissible
-    range for the strongest regime the band allows.
+    low: float
+    high: float
+    label: str
+    q_offset: float
+    y_rate: float | None
+    three_halves_x_rate: float | None
+
+
+# The regime bands of the drift a/y + b*y.  Inverse moments of order ell
+# exist exactly for ell < 2*omega; the default q = omega + q_offset sits at
+# the midpoint of the admissible range for the row's regime.  A row without
+# a y rate states every order in (1/6, 0.5 - 1/(omega + 1)).  The x rate
+# equals the y rate except for three-halves, which has its own column.
+_SQUARE_ROOT_BANDS = (
+    _Band(2.0, 3.0, "Hy1", 2.0, None, None),
+    _Band(3.0, 5.0, "Hy2", 3.0, 0.5, 0.25),
+    _Band(5.0, math.inf, "Hy2-const-diffusion", 5.0, 1.0, 1.0),
+)
+
+
+def _square_root_band(meta: dict) -> tuple[_Band | None, float, str]:
+    """The band row holding a model's omega (None below every row), the
+    shift the rows are read with, and the reading's name for source text.
+
+    cir and three-halves read the rows at omega.  Locally-smooth Hs2 has
+    inverse moments only below 2*(omega - 1), so it reads them shifted by
+    one; with uniform bounds it reads them at omega without the first row,
+    as constant coefficients make it CIR rescaled, with the same omega.
     """
+    omega, rows, shift = meta["omega"], _SQUARE_ROOT_BANDS, 0.0
+    name = f"{meta['family']}: square-root band"
+    if meta["family"] == "locally-smooth":
+        if meta["uniform_bounds"]:
+            rows, name = rows[1:], "locally-smooth Hs2 uniform bounds: band"
+        else:
+            shift, name = 1.0, "locally-smooth Hs2: band"
+    for band in rows:
+        if shift + band.low < omega <= shift + band.high:
+            return band, shift, name
+    return None, shift, name
+
+
+def _square_root_regime(meta: dict, q: float | None, q_prime: float | None,
+                        smooth: bool = True) -> tuple[str | None, float | None, float]:
+    """Regime label and moment exponents from the band row at omega.
+
+    An explicit q must lie below the inverse-moment order of the reading.
+    The unit-rate row falls back to Hy2 when q <= 10 or the drift has no
+    second derivative (`smooth` False).
+    """
+    band, shift, _ = _square_root_band(meta)
+    omega = meta["omega"]
     q_prime = 3.0 if q_prime is None else float(q_prime)
-    if q_prime <= 2.0:
-        raise DomainError("q' must exceed 2")
-    if q is not None:
-        q = float(q)
-        if not 4.0 < q < 2.0 * omega:
-            raise DomainError(f"q must lie in (4, 2*omega) = (4, {2 * omega}), got {q}")
-        if omega > 5.0 and q > 10.0:
-            return "Hy2-const-diffusion", q, q_prime
-        if omega > 3.0:
-            return "Hy2", q, q_prime
-        return "Hy1", q, q_prime
-    if omega > 5.0:
-        return "Hy2-const-diffusion", 5.0 + omega, q_prime
-    if omega > 3.0:
-        return "Hy2", 3.0 + omega, q_prime
-    if omega > 2.0:
-        return "Hy1", 2.0 + omega, q_prime
-    return None, None, q_prime
+    if q is None:
+        if band is None:
+            return None, None, q_prime
+        q = omega + (band.q_offset - shift)
+    else:
+        q, top = float(q), 2.0 * (omega - shift)
+        if not 4.0 < q < top:
+            raise DomainError(f"q must lie in (4, {top}), got {q}")
+        if band is None:
+            return None, q, q_prime
+    if band.label == "Hy2-const-diffusion" and (q <= 10.0 or not smooth):
+        return "Hy2", q, q_prime
+    return band.label, q, q_prime
 
 
 def _square_root_model(name: str, a: float, b: float, c: float, y0: float,
@@ -221,6 +263,8 @@ def _square_root_model(name: str, a: float, b: float, c: float, y0: float,
                        q: float | None, q_prime: float | None,
                        meta: dict) -> ModelTriple:
     """Assemble the transformed model for drift f(y) = a/y + b*y."""
+    if q_prime is not None and q_prime <= 2.0:
+        raise DomainError("q' must exceed 2")
 
     def f(y):
         return a / y + b * y
@@ -231,8 +275,8 @@ def _square_root_model(name: str, a: float, b: float, c: float, y0: float,
     def f_double_prime(y):
         return 2.0 * a / (y * y * y)
 
-    regularity, q_eff, qp_eff = _square_root_regularity(omega, q, q_prime)
     meta = dict(meta, omega=omega, drift_a=a, drift_b=b)
+    regularity, q_eff, qp_eff = _square_root_regime(meta, q, q_prime)
     transformed = TransformedModel(
         name=name,
         f=f,
@@ -345,7 +389,8 @@ def locally_smooth_model(mu1: SmoothCoefficient, mu2: SmoothCoefficient,
         regime: "Hs1" for nu in (1/2, 1) with mu1(0) > 0, or "Hs2" for the
             square-root boundary nu = 1/2.
         uniform_bounds: Hs2 only; attests inf mu1 > 0 and sup mu2 < inf
-            uniformly, which upgrades the guaranteed rate bands.
+            uniformly, which reads the band table at omega, as for CIR,
+            without its 2 < omega <= 3 row (see `_square_root_band`).
         q, q_prime: optional moment exponent overrides.
 
     Raises:
@@ -410,39 +455,6 @@ def locally_smooth_model(mu1: SmoothCoefficient, mu2: SmoothCoefficient,
                 - nu * mu1.deriv(x) / x + nu * mu1.fn(x) / (x * x)
                 - gamma ** 2 * nu * one_minus ** 2 * x ** (2.0 * nu - 3.0))
 
-    if regime == "Hs1":
-        q_eff = float(q) if q is not None else 6.0 * beta - 1.0
-        qp_eff = float(q_prime) if q_prime is not None else 6.0 * alpha + 3.0
-        if q_eff <= 2.0 * beta or qp_eff <= 2.0 * (alpha + 1.0):
-            raise DomainError("moment exponents too small for regime Hs1")
-        regularity = "Hy2-const-diffusion" if f_double is not None else "Hy2"
-    else:
-        # Inverse moments of Y exist for orders below 2*(omega - 1); default
-        # q sits at the midpoint of the admissible range for the band.
-        qp_eff = float(q_prime) if q_prime is not None else 3.0
-        if q is not None:
-            q_eff = float(q)
-            if not 4.0 < q_eff < 2.0 * (omega - 1.0):
-                raise DomainError(
-                    f"q must lie in (4, 2*(omega-1)) = (4, {2 * (omega - 1)})")
-            if omega > 6.0 and q_eff > 10.0 and f_double is not None:
-                regularity = "Hy2-const-diffusion"
-            elif omega > 4.0:
-                regularity = "Hy2"
-            else:
-                regularity = "Hy1"
-        elif omega > 6.0:
-            q_eff = omega + 4.0
-            regularity = "Hy2-const-diffusion" if f_double is not None else "Hy2"
-        elif omega > 4.0:
-            q_eff = omega + 2.0
-            regularity = "Hy2"
-        elif omega > 3.0:
-            q_eff = omega + 1.0
-            regularity = "Hy1"
-        else:
-            q_eff, regularity = None, None
-
     raw = RawModel(
         mu=lambda x: mu1.fn(x) - mu2.fn(x) * x,
         sigma=lambda x: gamma * x ** nu,
@@ -452,6 +464,13 @@ def locally_smooth_model(mu1: SmoothCoefficient, mu2: SmoothCoefficient,
     meta = {"family": "locally-smooth", "regime": regime, "nu": nu,
             "gamma": gamma, "x0": x0, "omega": omega,
             "uniform_bounds": uniform_bounds}
+    if regime == "Hs1":
+        q_eff = float(q) if q is not None else 6.0 * beta - 1.0
+        qp_eff = float(q_prime) if q_prime is not None else 6.0 * alpha + 3.0
+        regularity = "Hy2-const-diffusion" if f_double is not None else "Hy2"
+    else:
+        regularity, q_eff, qp_eff = _square_root_regime(
+            meta, q, q_prime, smooth=f_double is not None)
     transformed = TransformedModel(
         name="locally-smooth",
         f=f,
@@ -636,49 +655,20 @@ def ginzburg_landau_model(lam: float, sigma: float, x0: float) -> ModelTriple:
     return ModelTriple(raw, transformed, identity)
 
 
-def _square_root_rate(omega: float, family: str) -> RateTable:
-    if omega <= 2.0:
-        raise RateUnavailable(
-            f"no proved rate for omega = {omega} <= 2 in the {family} family")
-    if omega <= 3.0:
-        interval = (1.0 / 6.0, 0.5 - 1.0 / (omega + 1.0))
-        x_rate, x_interval = (None, interval) if family == "cir" else (None, None)
-        return RateTable(None, interval, x_rate, x_interval,
-                         source=f"{family}: square-root band 2 < omega <= 3")
-    if omega <= 5.0:
-        x_rate = 0.5 if family == "cir" else 0.25
-        return RateTable(0.5, None, x_rate, None,
-                         source=f"{family}: square-root band 3 < omega <= 5")
-    return RateTable(1.0, None, 1.0, None,
-                     source=f"{family}: square-root band omega > 5")
-
-
-def _locally_smooth_rate(meta: dict) -> RateTable:
-    if meta["regime"] == "Hs1":
-        return RateTable(1.0, None, None, None,
-                         source="locally-smooth Hs1: unit rate regime")
+def _square_root_rate(meta: dict) -> RateTable:
+    band, shift, name = _square_root_band(meta)
     omega = meta["omega"]
-    if meta["uniform_bounds"]:
-        if omega <= 3.0:
-            raise RateUnavailable(
-                f"no proved rate for omega = {omega} <= 3 (uniform-bounds bands)")
-        if omega <= 5.0:
-            return RateTable(0.5, None, 0.5, None,
-                             source="locally-smooth Hs2 uniform bounds: 3 < omega <= 5")
-        return RateTable(1.0, None, 1.0, None,
-                         source="locally-smooth Hs2 uniform bounds: omega > 5")
-    if omega <= 3.0:
-        raise RateUnavailable(
-            f"no proved rate for omega = {omega} <= 3 in regime Hs2")
-    if omega <= 4.0:
-        interval = (1.0 / 6.0, 0.5 - 1.0 / omega)
-        return RateTable(None, interval, None, interval,
-                         source="locally-smooth Hs2: band 3 < omega <= 4")
-    if omega <= 6.0:
-        return RateTable(0.5, None, 0.5, None,
-                         source="locally-smooth Hs2: band 4 < omega <= 6")
-    return RateTable(1.0, None, 1.0, None,
-                     source="locally-smooth Hs2: band omega > 6")
+    if band is None:
+        raise RateUnavailable(f"no proved rate for omega = {omega} ({name}s)")
+    low, high = shift + band.low, shift + band.high
+    edges = (f"omega > {low:g}" if high == math.inf
+             else f"{low:g} < omega <= {high:g}")
+    if band.y_rate is None:
+        y = (None, (1.0 / 6.0, 0.5 - 1.0 / (omega + (1.0 - shift))))
+    else:
+        y = (band.y_rate, None)
+    x = (band.three_halves_x_rate, None) if meta["family"] == "three-halves" else y
+    return RateTable(*y, *x, source=f"{name} {edges}")
 
 
 def guaranteed_rate(model: TransformedModel) -> RateTable:
@@ -688,10 +678,11 @@ def guaranteed_rate(model: TransformedModel) -> RateTable:
         RateUnavailable: the parameters sit outside every proved regime.
     """
     family = model.meta.get("family")
-    if family in ("cir", "three-halves"):
-        return _square_root_rate(model.meta["omega"], family)
-    if family == "locally-smooth":
-        return _locally_smooth_rate(model.meta)
+    if family == "locally-smooth" and model.meta["regime"] == "Hs1":
+        return RateTable(1.0, None, None, None,
+                         source="locally-smooth Hs1: unit rate regime")
+    if family in ("cir", "three-halves", "locally-smooth"):
+        return _square_root_rate(model.meta)
     if family == "ait-sahalia":
         if not model.meta["rate_available"]:
             raise RateUnavailable(

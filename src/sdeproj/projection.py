@@ -96,13 +96,15 @@ def classical_plan() -> ProjectionPlan:
                           regime="classical")
 
 
-def plan_exponents(model: TransformedModel, regime: str | None = None, *,
-                   scale_lo: float = 1.0, scale_hi: float = 1.0) -> ProjectionPlan:
-    """Derive projection exponents and the guaranteed rate from a regime.
+def plan_exponents(model: TransformedModel, *, scale_lo: float = 1.0,
+                   scale_hi: float = 1.0) -> ProjectionPlan:
+    """Derive projection exponents and the guaranteed rate from the model's
+    own regularity label.
 
     Args:
-        model: transformed model carrying exponents and moment bounds.
-        regime: regularity label to plan under; defaults to the model's own.
+        model: transformed model carrying exponents, moment bounds and the
+            label; `TransformedModel` checks that a label comes with q and q'
+            large enough for every rate below to be positive.
         scale_lo, scale_hi: clamp bound adjustments.
 
     Returns:
@@ -111,19 +113,15 @@ def plan_exponents(model: TransformedModel, regime: str | None = None, *,
         threshold exponents.
 
     Raises:
-        PlanInfeasible: the moment exponents give a nonpositive rate, or the
-            model claims no regime and none was supplied.
+        PlanInfeasible: the model claims no regime, or claims the unit-rate
+            regime with moment exponents below its thresholds.
     """
-    regime = regime if regime is not None else model.regularity
+    regime = model.regularity
     if regime is None:
         raise PlanInfeasible(
             "model claims no regularity regime; use manual_plan with explicit exponents")
-    if regime not in ("Hy1", "Hy2", "Hy2-const-diffusion"):
-        raise DomainError(f"unknown regime {regime!r}")
     alpha, beta = model.alpha, model.beta
     q, qp = model.q, model.q_prime
-    if q is None or qp is None:
-        raise PlanInfeasible("planning requires both moment exponents q and q'")
 
     if regime == "Hy1":
         k = 1.0 / (q + 2.0) if beta > 0 else None
@@ -145,17 +143,10 @@ def plan_exponents(model: TransformedModel, regime: str | None = None, *,
                 terms.append((qp - 2.0) / (4.0 * alpha) - 0.5)
             rate = min(terms)
         else:
-            if model.gamma_const is None:
-                raise PlanInfeasible("Hy2-const-diffusion needs a constant diffusion")
-            if model.f_double_prime is None:
-                raise PlanInfeasible("Hy2-const-diffusion needs f''")
             if q <= 6.0 * beta - 2.0 or qp <= 6.0 * alpha + 2.0:
                 raise PlanInfeasible(
                     "unit-rate regime needs q > 6*beta - 2 and q' > 6*alpha + 2")
             rate = 1.0
-    if rate <= 0:
-        raise PlanInfeasible(
-            f"moment exponents (q={q}, q'={qp}) give nonpositive rate {rate}")
 
     return ProjectionPlan(
         alpha=alpha, beta=beta, k=k, k_prime=k_prime,

@@ -32,9 +32,11 @@ import tempfile
 import numpy as np
 
 from sdeproj import (BLOCK_WIDTH, BrownianFabric, ImplicitCirParams, MlmcConfig,
-                     Problem, ait_sahalia_model, cir_model, ginzburg_landau_model,
-                     implicit_cir_step, implicit_price, manual_plan, mlmc_estimate,
-                     plan_exponents, run_convergence_study)
+                     Problem, SmoothCoefficient, ait_sahalia_model, cir_model,
+                     ginzburg_landau_model, guaranteed_rate, implicit_cir_step,
+                     implicit_price, locally_smooth_model, manual_plan,
+                     mlmc_estimate, plan_exponents, run_convergence_study,
+                     three_halves_model)
 from sdeproj import blocks, workers
 from sdeproj.mlmc import gl_exact_price
 
@@ -155,6 +157,63 @@ def _implicit_steps() -> list:
                 implicit_path(params, 0.125, np.linspace(-0.4, 0.3, 40))]
 
 
+# Every band edge of the square-root-drift families (cir and three-halves
+# at 2, 3 and 5; locally-smooth Hs2 at 3, 4 and 6), just above it, and
+# between.
+OMEGAS = (1.5, 2.0, 2.0 + 1e-6, 2.5, 3.0, 3.0 + 1e-6, 3.5, 4.0, 4.0 + 1e-6,
+          5.0, 5.0 + 1e-6, 5.5, 6.0, 6.0 + 1e-6, 7.0, 16.0)
+
+
+def _constant(value: float, second: bool = True) -> SmoothCoefficient:
+    return SmoothCoefficient(fn=lambda x: value + 0.0 * x, deriv=lambda x: 0.0 * x,
+                             second=(lambda x: 0.0 * x) if second else None)
+
+
+def _hs2(omega: float, second: bool = True, **options):
+    """Locally-smooth Hs2 with constant coefficients at `omega`, with or
+    without f''."""
+    return locally_smooth_model(_constant(omega / 2.0, second),
+                                _constant(1.0, second), 1.0, 0.5, 1.0,
+                                regime="Hs2", **options)
+
+
+def _regime(build) -> tuple | str:
+    """(label, q, q', plan, guaranteed rate) of the model `build()` gives,
+    each an exception type where it raises."""
+    try:
+        model = build().transformed
+    except Exception as exc:  # a refused model is a result too
+        return type(exc).__name__
+    out = [model.regularity, model.q, model.q_prime]
+    for read in (plan_exponents, guaranteed_rate):
+        try:
+            out.append(read(model))
+        except Exception as exc:
+            out.append(type(exc).__name__)
+    return tuple(out)
+
+
+def _regime_table(uniform_bounds: bool) -> list:
+    """`_regime` over OMEGAS, default and explicit q and q', for cir,
+    three-halves and Hs2 with and without f'', or for Hs2 with uniform
+    bounds."""
+    if uniform_bounds:
+        builders = {f"hs2-uniform-{second}": lambda w, second=second, **kw: _hs2(
+            w, second, uniform_bounds=True, **kw) for second in (True, False)}
+    else:
+        builders = {
+            "cir": lambda w, **kw: cir_model(w / 2.0, 1.0, 1.0, 1.0, **kw),
+            "three-halves": lambda w, **kw: three_halves_model(
+                (w - 2.0) / 2.0, 1.0, 1.0, 1.0, **kw),
+            "hs2-True": lambda w, **kw: _hs2(w, True, **kw),
+            "hs2-False": lambda w, **kw: _hs2(w, False, **kw),
+        }
+    return [(name, w, q, q_prime, _regime(
+                lambda: build(w, q=q, q_prime=q_prime)))
+            for name, build in builders.items() for w in OMEGAS
+            for q in (None, 4.5, 6.0, 9.0, 11.0, 13.0) for q_prime in (None, 4.0)]
+
+
 def _study(triple, plan, reference, exponents=(2, 3, 4), paths=3000,
            fine_exponent=7, **options):
     return lambda threads: run_convergence_study(
@@ -200,6 +259,14 @@ def cases() -> dict:
                                    exponents=(2, 3), paths=BLOCK_WIDTH + 50,
                                    fine_exponent=5),
     }
+    table["regime-table"] = lambda threads: _regime_table(False)
+    table["regime-table-hs2-uniform"] = lambda threads: _regime_table(True)
+    # Hs2 at omega 3.5 plans Hy1 without uniform bounds and Hy2 with them.
+    for name, uniform in (("study-hs2-3.5", False), ("study-hs2-uniform-3.5", True)):
+        triple = _hs2(3.5, uniform_bounds=uniform)
+        table[name] = _study(triple, plan_exponents(triple.transformed),
+                             "modified-scheme-fine-grid", paths=2000,
+                             fine_exponent=6)
     for payoff, problem in (("spread", SPREAD_PROBLEM), ("zcb", ZCB_PROBLEM)):
         for exponent in (4, 8):
             table[f"implicit-{payoff}-{exponent}"] = (

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from sdeproj import config
 from sdeproj.brownian import BrownianFabric
-from sdeproj.errors import DomainError, MissingThreshold, PlanInfeasible
+from sdeproj.errors import (DomainError, MissingThreshold, PlanInfeasible,
+                            RateUnavailable)
 from sdeproj.models import (SmoothCoefficient, TransformedModel,
                             ait_sahalia_model, cir_model,
-                            ginzburg_landau_model, locally_smooth_model,
-                            three_halves_model)
+                            ginzburg_landau_model, guaranteed_rate,
+                            locally_smooth_model, three_halves_model)
 from sdeproj.projection import (ProjectionPlan, _advance, _evolve,
                                 clamp_variant, classical_plan, diffusion_bar,
                                 evolve_terminal, manual_plan, plan_exponents,
@@ -181,22 +182,85 @@ def test_plan_exponents_errors():
                                   1.0).transformed
     with pytest.raises(PlanInfeasible):
         plan_exponents(no_regime)
-    with pytest.raises(PlanInfeasible):
-        plan_exponents(no_regime, regime="Hy2")
-    with pytest.raises(DomainError):
-        plan_exponents(synthetic_model(), regime="Hy9")
-    gl = ginzburg_landau_model(0.5, 1.0, 1.0).transformed
-    with pytest.raises(PlanInfeasible):
-        plan_exponents(gl, regime="Hy2-const-diffusion")
+    # Below the unit-rate thresholds, as Hs1 with a small explicit q can be.
     cube = synthetic_model(beta=2.0, q=9.0, q_prime=30.0,
                            f_prime=lambda y: 0.0 * y,
                            f_double_prime=lambda y: 0.0 * y,
                            regularity="Hy2-const-diffusion")
     with pytest.raises(PlanInfeasible):
         plan_exponents(cube)
-    flat = synthetic_model(beta=2.0, q=2.0, q_prime=30.0, regularity=None)
+    # A label whose q would give a nonpositive rate cannot be built, so the
+    # plan is only ever asked for positive rates.
+    with pytest.raises(DomainError):
+        synthetic_model(beta=2.0, q=2.0, q_prime=30.0, regularity="Hy1")
+
+
+def _constant(value, second=True):
+    return SmoothCoefficient(fn=lambda x: value + 0.0 * x,
+                             deriv=lambda x: 0.0 * x,
+                             second=(lambda x: 0.0 * x) if second else None)
+
+
+# Each family's omega bands (shifted by one for Hs2), each built at omega w.
+_BAND_FAMILIES = {
+    "cir": ((2.0, 3.0, 5.0), lambda w: cir_model(w / 2.0, 1.0, 1.0, 1.0)),
+    "three-halves": ((2.0, 3.0, 5.0), lambda w: three_halves_model(
+        (w - 2.0) / 2.0, 1.0, 1.0, 1.0)),
+    "Hs2": ((3.0, 4.0, 6.0), lambda w: locally_smooth_model(
+        _constant(w / 2.0), _constant(1.0), 1.0, 0.5, 1.0, regime="Hs2")),
+    "Hs2-uniform": ((3.0, 5.0), lambda w: locally_smooth_model(
+        _constant(w / 2.0), _constant(1.0), 1.0, 0.5, 1.0, regime="Hs2",
+        uniform_bounds=True)),
+}
+
+
+def _plan_meets_stated_rate(model):
+    rate, table = plan_exponents(model).rate, guaranteed_rate(model)
+    if table.y_rate is not None:
+        return rate == table.y_rate
+    lo, hi = table.y_interval
+    return lo < rate < hi
+
+
+@pytest.mark.parametrize("family", sorted(_BAND_FAMILIES))
+def test_plan_rate_meets_the_stated_rate_in_every_band(family):
+    edges, build = _BAND_FAMILIES[family]
+    # Just above each band's lower edge and at its upper edge (the top
+    # band's at its lower edge + 11), and the omegas 3.5 and 5.5.
+    points = [w for low, high in zip(edges, edges[1:] + (edges[-1] + 11.0,))
+              for w in (low + 1e-6, high)] + [3.5, 5.5]
+    for w in points:
+        model = build(w).transformed
+        assert model.meta["omega"] == w
+        assert _plan_meets_stated_rate(model), (family, w)
+    if family == "three-halves":
+        return  # omega = 2 + 2*c1/c3^2 lies above the first edge for c1 > 0
+    # Below the first band the model claims no regime and no rate.
+    model = build(edges[0]).transformed
+    assert model.regularity is None
     with pytest.raises(PlanInfeasible):
-        plan_exponents(flat, regime="Hy1")
+        plan_exponents(model)
+    with pytest.raises(RateUnavailable):
+        guaranteed_rate(model)
+
+
+def test_plans_that_fall_short_of_the_stated_rate_are_named():
+    # Without f'' the unit-rate row is demoted to Hy2, which plans 0.5
+    # against the stated 1.0: Hs1, and Hs2 in its top band.
+    rough = [_constant(value, second=False) for value in (1.0, 3.5, 2.75)]
+    short = [locally_smooth_model(rough[0], rough[0], 1.0, 0.75, 1.0),
+             locally_smooth_model(rough[1], rough[0], 1.0, 0.5, 1.0,
+                                  regime="Hs2"),
+             locally_smooth_model(rough[2], rough[0], 1.0, 0.5, 1.0,
+                                  regime="Hs2", uniform_bounds=True),
+             # The diffusion sigma*x is not constant, so ginzburg-landau
+             # plans Hy2 while its stated rate is 1.0.
+             ginzburg_landau_model(0.5, 1.0, 1.0)]
+    for triple in short:
+        model = triple.transformed
+        assert model.regularity == "Hy2"
+        assert plan_exponents(model).rate == 0.5
+        assert guaranteed_rate(model).y_rate == 1.0
 
 
 def test_manual_plan_thresholds():

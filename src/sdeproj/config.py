@@ -13,6 +13,14 @@ call the engines' rule functions.  One parser, `_parse`, reads every block,
 the top level included: each field through its reader and bound, then the
 unknown-field rule, then the block's cross-field rules in its `_check`.
 
+Each command block (`study`, `mlmc`, `price`) also declares, per payoff or
+mode, which fields of the file it reads (`reads`) and which engines it runs
+on which models (`runs`); each engine declares the families it runs beside
+itself.  From these the top level refuses a field set off its default that
+no command block of the file reads, and a model whose family an engine it
+runs does not declare.  A field is judged by its value, not its presence,
+so the `config` echo of every output, which writes every default, loads.
+
 Parsing is total: every diagnostic carries the dotted path of the offending
 field ("mlmc.epsilons[2]: must be positive").  A `null` value leaves an
 optional block, or a field whose default is unset, at its default.
@@ -24,20 +32,23 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import yaml
 
 # CLAMPS, PAYOFFS, REFERENCES and VARIANTS are the config's vocabulary too.
 from .convergence import (CLAMPS, REFERENCES, STUDY_BOUNDS, VARIANTS,  # noqa: F401
                           check_exponents, run_convergence_study)
-from .errors import ConfigError, DomainError, SdeProjError, check_bound
-from .mlmc import (PAYOFFS, PRICE_BOUNDS, MlmcConfig, Problem,  # noqa: F401
-                   check_levels, check_lower_exponent, check_strike, gl_exact_price)
+from .errors import ConfigError, DomainError, SdeProjError, check_bound, check_family
+from .mlmc import (MLMC_FAMILIES, PAYOFFS, PRICE_BOUNDS, MlmcConfig,  # noqa: F401
+                   Problem, check_levels, check_lower_exponent, check_strike,
+                   gl_exact_price)
 from .models import (ModelTriple, ait_sahalia_model, cir_model,
                      ginzburg_landau_model, three_halves_model)
 from .projection import (ProjectionPlan, check_readout, classical_plan, manual_plan,
                          plan_exponents)
+from .reference import (CLOSED_FORM_FAMILIES, IMPLICIT_FAMILIES,
+                        ZCB_CLOSED_FORM_FAMILIES)
 
 # Family -> (model constructor, its positional parameter names).
 _FAMILIES = {
@@ -48,7 +59,17 @@ _FAMILIES = {
     "ginzburg-landau": (ginzburg_landau_model, ("lambda", "sigma", "x0")),
 }
 FAMILIES = tuple(_FAMILIES)
-PRICE_MODES = ("zcb-closed-form", "spread-mc", "gl-exact")
+# What every command reads.
+_EVERY_COMMAND = ("model.family", "model.params", "seed", "out", "threads")
+
+
+class _Runs(NamedTuple):
+    """An engine a command runs: its name in diagnostics, the families it
+    declares that it runs, and the models of the file that it runs."""
+
+    engine: str
+    families: tuple[str, ...]
+    models: tuple[str, ...] = ("model",)
 
 
 def epsilon_tag(epsilon: float) -> str:
@@ -174,6 +195,29 @@ def _parse(cls, mapping: Any, path: str):
     return block
 
 
+def _own(block, path: str, skip: Iterable[str] = ()) -> tuple[str, ...]:
+    """The dotted names of `block`'s fields at `path`, but those in `skip`."""
+    return tuple(f"{path}.{f.name}" for f in fields(block) if f.name not in skip)
+
+
+def _refuse_unread(block, path: str, read: frozenset[str]) -> None:
+    """Refuse the first field of `block` at `path` that `read` does not name
+    and that is off its default: a block with a default (`scheme`) or none
+    (`model`) field by field, an optional one (`model2`) whole unless a
+    field of it is read."""
+    for f in fields(block):
+        at = f"{path}.{f.name}" if path else f.name
+        value = getattr(block, f.name)
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if at in read or value == default:
+            continue
+        if isinstance(value, _Block) and (
+                default is not None or any(r.startswith(f"{at}.") for r in read)):
+            _refuse_unread(value, at, read)
+        else:
+            raise ConfigError("no command block in this file reads it", at)
+
+
 def _to_mapping(block) -> dict:
     """A parsed block as a config mapping: unset (None) fields are left out,
     tuples become lists and nested blocks their own mappings."""
@@ -216,9 +260,10 @@ class ModelConfig(_Block):
             if name not in given:
                 raise ConfigError("required field is missing", f"{path}.params.{name}")
         _refuse_unknown(given, names, f"{path}.params")
-        if self.family == "ginzburg-landau" and (self.q is not None
-                                                 or self.q_prime is not None):
-            raise ConfigError("ginzburg-landau takes no moment overrides", path)
+        for name in ("q", "q_prime"):
+            if self.family == "ginzburg-landau" and getattr(self, name) is not None:
+                raise ConfigError("ginzburg-landau takes no moment overrides",
+                                  f"{path}.{name}")
 
     def to_mapping(self) -> dict:
         return dict(_to_mapping(self), params=dict(self.params))
@@ -263,6 +308,15 @@ class SchemeConfig(_Block):
                 else getattr(self, name) for name in ("k", "scale_lo")}
 
 
+# The engines a study runs besides the projected scheme, keyed by the
+# study's reference and by the scheme's variant.
+_STUDY_ENGINES = {
+    "implicit-fine-grid": _Runs("the implicit-fine-grid reference", IMPLICIT_FAMILIES),
+    "closed-form": _Runs("the closed-form reference", CLOSED_FORM_FAMILIES),
+    "implicit-reference": _Runs("the implicit-reference variant", IMPLICIT_FAMILIES),
+}
+
+
 @dataclass(frozen=True, eq=True)
 class StudyConfig(_Block):
     """Convergence-study block: tested resolutions and the reference choice."""
@@ -276,6 +330,23 @@ class StudyConfig(_Block):
 
     def _check(self, path: str) -> None:
         check_exponents(self.exponents, self.fine_exponent)
+
+    def reads(self, scheme: SchemeConfig) -> tuple[str, ...]:
+        """Its own fields, the variant and the read-out; unless the scheme
+        is classical, the exponents and scales of `build_plan`, and when
+        neither exponent is set, the model's moment exponents, which
+        `plan_exponents` plans from."""
+        out = _own(self, "study") + ("scheme.variant", "scheme.clamp")
+        if scheme.variant == "classical":
+            return out
+        out += _own(scheme, "scheme", ("variant", "clamp"))
+        if scheme.k is None and scheme.k_prime is None:
+            out += ("model.q", "model.q_prime")
+        return out
+
+    def runs(self, scheme: SchemeConfig) -> tuple[_Runs, ...]:
+        return tuple(_STUDY_ENGINES[key] for key in (self.reference, scheme.variant)
+                     if key in _STUDY_ENGINES)
 
 
 @dataclass(frozen=True, eq=True)
@@ -305,6 +376,42 @@ class MlmcSection(_Block):
                      self.path_ceiling)
         check_strike(self.payoff, self.strike)
 
+    @property
+    def factors(self) -> tuple[str, ...]:
+        """The models of the file that the payoff reads."""
+        return ("model", "model2") if self.payoff == "spread" else ("model",)
+
+    def reads(self, scheme: SchemeConfig) -> tuple[str, ...]:
+        """Its own fields (a spread's strike and correlation only), the
+        lower clamp, and a spread's second factor."""
+        spread = self.payoff == "spread"
+        return (_own(self, "mlmc", () if spread else ("strike", "correlation"))
+                + ("scheme.k", "scheme.scale_lo")
+                + (("model2.family", "model2.params") if spread else ()))
+
+    def runs(self, scheme: SchemeConfig) -> tuple[_Runs, ...]:
+        return (_Runs("the multilevel engine", MLMC_FAMILIES, self.factors),)
+
+
+class _Mode(NamedTuple):
+    """A price mode: what it reads besides `price.mode` and `_EVERY_COMMAND`,
+    and the engine it runs."""
+
+    reads: tuple[str, ...]
+    runs: _Runs
+
+
+_SAMPLING = ("price.paths", "price.fine_exponent", "price.horizon")
+_PRICE_MODES = {
+    "zcb-closed-form": _Mode(("price.horizon",), _Runs("zcb-closed-form mode",
+                                                       ZCB_CLOSED_FORM_FAMILIES)),
+    "spread-mc": _Mode(_SAMPLING + ("price.strike", "price.correlation",
+                                    "model2.family", "model2.params"),
+                       _Runs("spread-mc mode", IMPLICIT_FAMILIES, ("model", "model2"))),
+    "gl-exact": _Mode(_SAMPLING, _Runs("gl-exact mode", CLOSED_FORM_FAMILIES)),
+}
+PRICE_MODES = tuple(_PRICE_MODES)
+
 
 @dataclass(frozen=True, eq=True)
 class PriceSection(_Block):
@@ -318,8 +425,15 @@ class PriceSection(_Block):
     correlation: float = _engine_field(Problem, _number, "correlation")
 
     def _check(self, path: str) -> None:
-        if self.mode == "spread-mc" and self.strike is None:
-            raise ConfigError("spread-mc mode needs a strike", f"{path}.strike")
+        if self.mode == "spread-mc":
+            check_strike("spread", self.strike)
+
+    def reads(self, scheme: SchemeConfig) -> tuple[str, ...]:
+        """`mode` and what the mode reads (`_PRICE_MODES`); never `scheme`."""
+        return ("price.mode",) + _PRICE_MODES[self.mode].reads
+
+    def runs(self, scheme: SchemeConfig) -> tuple[_Runs, ...]:
+        return (_PRICE_MODES[self.mode].runs,)
 
 
 @dataclass(frozen=True, eq=True)
@@ -336,52 +450,29 @@ class ExperimentConfig(_Block):
     out: str = _field(_string, "results")
     threads: int = _field(_integer, 0, lo=0)
 
+    def _commands(self) -> tuple:
+        """The command blocks the file gives."""
+        return tuple(block for block in (self.study, self.mlmc, self.price)
+                     if block is not None)
+
+    def reads(self) -> frozenset[str]:
+        """The dotted fields that some command block of the file reads."""
+        return frozenset(_EVERY_COMMAND).union(
+            *(block.reads(self.scheme) for block in self._commands()))
+
     def _check(self, path: str) -> None:
-        mlmc, price, scheme, study = self.mlmc, self.price, self.scheme, self.study
-        needs_two = (mlmc is not None and mlmc.payoff == "spread") \
-            or (price is not None and price.mode == "spread-mc")
-        if needs_two and self.model2 is None:
+        mlmc, scheme, study = self.mlmc, self.scheme, self.study
+        runs = [run for block in self._commands() for run in block.runs(scheme)]
+        if self.model2 is None and any("model2" in run.models for run in runs):
             raise ConfigError("two-factor payoffs need a model2 block", "model2")
-        if price is not None:
-            if price.mode == "zcb-closed-form" and self.model.family != "cir":
-                raise ConfigError("zcb-closed-form mode needs a cir model",
-                                  "price.mode")
-            if price.mode == "gl-exact" and self.model.family != "ginzburg-landau":
-                raise ConfigError("gl-exact mode needs a ginzburg-landau model",
-                                  "price.mode")
-        if mlmc is not None and scheme.variant != "modified":
-            raise ConfigError("the multilevel engine runs the modified scheme only",
-                              "scheme.variant")
-        if mlmc is not None and (scheme.k_prime is not None
-                                 or scheme.scale_hi is not None):
-            raise ConfigError("the multilevel engine clamps from below only; "
-                              "k_prime and scale_hi do not apply", "scheme")
-        # Refuse up front the family/engine pairs that the engines refuse:
-        # the drift-implicit stepper needs cir (three-halves' transformed
-        # diffusion is -c3/2), the closed-form reference is ginzburg-landau's
-        # solution, and the multilevel engine cannot plan a full-line
-        # model's symmetric box.
-        gates = []  # (engine, admitted families, gated models)
-        if study is not None and study.reference == "implicit-fine-grid":
-            gates.append(("the implicit-fine-grid reference", ("cir",), ("model",)))
-        if study is not None and study.reference == "closed-form":
-            gates.append(("the closed-form reference", ("ginzburg-landau",),
-                          ("model",)))
-        if study is not None and scheme.variant == "implicit-reference":
-            gates.append(("the implicit-reference variant", ("cir",), ("model",)))
-        if price is not None and price.mode == "spread-mc":
-            gates.append(("spread-mc mode", ("cir",), ("model", "model2")))
-        if mlmc is not None:
-            factors = ("model", "model2") if mlmc.payoff == "spread" else ("model",)
-            half_line = ("cir", "three-halves", "ait-sahalia")
-            gates.append(("the multilevel engine", half_line, factors))
-        for engine, admitted, names in gates:
-            for name in names:
-                family = getattr(self, name).family
-                if family not in admitted:
-                    raise ConfigError(f"{engine} does not run the {family} family "
-                                      f"(it needs {', '.join(admitted)})",
-                                      f"{name}.family")
+        _refuse_unread(self, "", self.reads())
+        # Each engine's own family declaration, as far as the config names
+        # its families.
+        for run in runs:
+            admitted = tuple(family for family in FAMILIES if family in run.families)
+            for name in run.models:
+                check_family(getattr(self, name).family, admitted, run.engine,
+                             f"{name}.family")
         # The study's read-out and the multilevel plans' lower exponent,
         # checked on the built models and plan: parameters they refuse are
         # the run's to report (exit 3).
@@ -394,7 +485,7 @@ class ExperimentConfig(_Block):
                 check_readout(scheme.clamp, plan, "scheme.clamp")
         if mlmc is not None:
             try:
-                models = [getattr(self, name).build() for name in factors]
+                models = [getattr(self, name).build() for name in mlmc.factors]
             except SdeProjError:
                 return
             check_lower_exponent(models, scheme.lower_clamp()["k"], "scheme.k")

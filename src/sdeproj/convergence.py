@@ -22,12 +22,13 @@ import numpy as np
 
 from .blocks import Moments, Stream, fold
 from .brownian import BrownianFabric, couple_levels, extend_coupling
-from .errors import DomainError, check_bounds
+from .errors import DomainError, check_bounds, check_family
 from .models import LampertiMap, TransformedModel
 from .projection import ProjectionPlan, check_readout, clamp_variant, evolve_terminal
 # perfbench's tracer wraps `implicit_cir_step` under this module.
-from .reference import (ImplicitCirParams, ginzburg_landau_terminal,  # noqa: F401
-                        implicit_cir_step, implicit_cir_terminal)
+from .reference import (CLOSED_FORM_FAMILIES, ImplicitCirParams,  # noqa: F401
+                        ginzburg_landau_terminal, implicit_cir_step,
+                        implicit_cir_terminal)
 
 VALUE_CAP = 2.0 ** 20
 
@@ -169,9 +170,8 @@ def run_convergence_study(model: TransformedModel, lamperti: LampertiMap,
     check_readout(readout, plan)
 
     family = model.meta.get("family")
-    if reference == "closed-form" and family != "ginzburg-landau":
-        raise DomainError("closed-form reference is only available for the "
-                          "ginzburg-landau family")
+    if reference == "closed-form":
+        check_family(family, CLOSED_FORM_FAMILIES, "the closed-form reference")
     implicit_params = None
     if reference == "implicit-fine-grid" or variant == "implicit-reference":
         implicit_params = ImplicitCirParams.from_model(model)

@@ -52,6 +52,15 @@ def check_bounds(bounds: Mapping[str, Mapping], **values: Any) -> None:
         check_bound(value, name, **bounds[name])
 
 
+def check_family(family: str | None, families: tuple[str, ...], engine: str,
+                 field: str = "") -> None:
+    """Refuse a model `family` outside `families`, the ones `engine` declares
+    that it runs, with a `DomainError` naming `field`."""
+    if family not in families:
+        raise DomainError(f"{engine} does not run the {family} family "
+                          f"(it needs {', '.join(families)})", field)
+
+
 class RateUnavailable(SdeProjError):
     """No proved strong convergence rate for the requested parameter regime."""
 

@@ -23,12 +23,13 @@ import numpy as np
 
 from .blocks import Moments, Stream, fold
 from .brownian import BrownianFabric, correlate, couple_levels
-from .errors import BudgetExceeded, DomainError, NonFinite, check_bound, check_bounds
+from .errors import (BudgetExceeded, DomainError, NonFinite, check_bound, check_bounds,
+                     check_family)
 from .models import ModelTriple
 # perfbench's tracer wraps `project` and `diffusion_bar` under this module.
 from .projection import (_HP_TOL, _evolve, diffusion_bar, manual_plan,  # noqa: F401
                          project)
-from .reference import (ImplicitCirParams, _implicit_evolve,
+from .reference import (CLOSED_FORM_FAMILIES, ImplicitCirParams, _implicit_evolve,
                         ginzburg_landau_terminal)
 
 PAYOFFS = ("zcb", "spread")
@@ -116,9 +117,16 @@ class Problem:
         check_strike(self.payoff, self.strike)
 
 
+# The families the multilevel engine runs: those on the half line.  It
+# clamps from below only, and cannot plan a full-line model's symmetric box.
+MLMC_FAMILIES = ("cir", "three-halves", "ait-sahalia", "locally-smooth")
+
+
 @dataclass(frozen=True, kw_only=True)
 class MlmcConfig(Problem):
-    """A problem and the tuning of one multilevel run.
+    """A problem and the tuning of one multilevel run.  Construction also
+    refuses a factor outside `MLMC_FAMILIES` (`DomainError` naming
+    `models`).
 
     Attributes:
         epsilon: target root-mean-square error.
@@ -140,6 +148,9 @@ class MlmcConfig(Problem):
 
     def __post_init__(self):
         super().__post_init__()
+        for triple in self.models:
+            check_family(triple.transformed.meta.get("family"), MLMC_FAMILIES,
+                         "the multilevel engine", "models")
         check_levels(self.refinement, self.max_level, self.pilot_paths,
                      self.path_ceiling)
         check_lower_exponent(self.models, self.k)
@@ -446,8 +457,7 @@ def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
     check_bounds(PRICE_BOUNDS, paths=paths, fine_exponent=fine_exponent,
                  horizon=horizon)
     meta = triple.transformed.meta
-    if meta.get("family") != "ginzburg-landau":
-        raise DomainError("the exact price needs a ginzburg-landau model")
+    check_family(meta.get("family"), CLOSED_FORM_FAMILIES, "the exact price")
     lam, sigma, x0 = meta["lam"], meta["sigma"], meta["x0"]
     n = 1 << fine_exponent
     times = np.linspace(0.0, horizon, n + 1)

@@ -107,6 +107,9 @@ class TransformedModel:
             raise DomainError("exactly one of gamma / gamma_const is required")
         if not math.isfinite(self.y0):
             raise DomainError("y0 must be finite")
+        # The upper thresholds divide by q' - 2 (`projection`).
+        if self.q_prime is not None and self.q_prime <= 2.0:
+            raise DomainError("q' must exceed 2")
         if self.regularity is not None:
             if self.regularity not in _REGULARITY_CLASSES:
                 raise DomainError(f"unknown regularity class {self.regularity!r}")
@@ -263,8 +266,6 @@ def _square_root_model(name: str, a: float, b: float, c: float, y0: float,
                        q: float | None, q_prime: float | None,
                        meta: dict) -> ModelTriple:
     """Assemble the transformed model for drift f(y) = a/y + b*y."""
-    if q_prime is not None and q_prime <= 2.0:
-        raise DomainError("q' must exceed 2")
 
     def f(y):
         return a / y + b * y

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import walk
-from .errors import DomainError
+from .errors import DomainError, check_family
 
 __all__ = [
     "ImplicitCirParams",
@@ -23,6 +23,12 @@ __all__ = [
     "ginzburg_landau_terminal",
     "cir_zcb_closed_form",
 ]
+
+# The families whose transformed dynamics `ImplicitCirParams.from_model`
+# takes: a/y + b*y drift and a positive constant diffusion (three-halves'
+# is -c3/2).  The implicit-fine-grid reference, the implicit-reference
+# variant and the implicit price run them.
+IMPLICIT_FAMILIES = ("cir",)
 
 
 @dataclass(frozen=True)
@@ -56,11 +62,8 @@ class ImplicitCirParams:
 
     @classmethod
     def from_model(cls, model) -> "ImplicitCirParams":
-        """Coefficients of a square-root-type `TransformedModel`."""
-        if model.gamma_const is None or model.gamma_const <= 0 \
-                or "drift_a" not in model.meta:
-            raise DomainError("the implicit stepper needs square-root-type "
-                              "transformed dynamics with positive constant diffusion")
+        """Coefficients of a `TransformedModel` of one of `IMPLICIT_FAMILIES`."""
+        check_family(model.meta.get("family"), IMPLICIT_FAMILIES, "the implicit stepper")
         return cls(a=model.meta["drift_a"], b=model.meta["drift_b"],
                    c=model.gamma_const, y0=model.y0)
 
@@ -149,6 +152,11 @@ def implicit_cir_terminal(params: ImplicitCirParams, h: float,
     return _implicit_evolve(params, np.shape(increments)[-1], h, increments)[0]
 
 
+# The family whose pathwise solution `ginzburg_landau_terminal` gives: the
+# closed-form reference and the exact price run it only.
+CLOSED_FORM_FAMILIES = ("ginzburg-landau",)
+
+
 def ginzburg_landau_terminal(lam: float, sigma: float, x0: float,
                              times: np.ndarray,
                              increments: np.ndarray) -> np.ndarray:
@@ -186,6 +194,11 @@ def ginzburg_landau_terminal(lam: float, sigma: float, x0: float,
         w += dw[..., i]
     return x0 * np.exp(lam * t[-1] + sigma * w) \
         / np.sqrt(1.0 + 2.0 * x0 * x0 * integral)
+
+
+# The family whose bond price `cir_zcb_closed_form` gives, from its
+# parameters by name.
+ZCB_CLOSED_FORM_FAMILIES = ("cir",)
 
 
 def cir_zcb_closed_form(kappa: float, theta: float, xi: float, v0: float,

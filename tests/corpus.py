@@ -102,6 +102,15 @@ model: {family: cir, params: {kappa: 2.0, theta: 1.0, xi: 0.5, x0: 1.0}}
 price: {mode: zcb-closed-form}
 """),
 }
+# One file that serves all three commands and sets only fields that one of
+# them reads: `cli-shared-file` runs each command on it.
+SHARED_YAML = SPREAD_YAML + """\
+scheme: {k: 0.25, scale_lo: 0.5}
+study: {exponents: [2, 3], reference: implicit-fine-grid, paths: 300, fine_exponent: 5}
+mlmc: {payoff: spread, epsilons: [1.0e-3], strike: 0.001, correlation: -0.7, max_level: 2, pilot_paths: 200}
+price: {mode: spread-mc, strike: 0.001, correlation: -0.7, paths: 300, fine_exponent: 5}
+seed: 9
+"""
 
 
 def _cli(command: str, text: str, threads: int) -> bytes:
@@ -284,6 +293,8 @@ def cases() -> dict:
     for name, (command, text) in CLI_CASES.items():
         table[name] = lambda threads, command=command, text=text: _cli(
             command, text, threads)
+    table["cli-shared-file"] = lambda threads: b"\0".join(
+        _cli(command, SHARED_YAML, threads) for command in ("convergence", "mlmc", "price"))
     return table
 
 

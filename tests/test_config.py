@@ -1,6 +1,8 @@
 import copy
+import json
 import math
 import os
+import shutil
 from dataclasses import MISSING, fields
 
 import pytest
@@ -190,7 +192,7 @@ def test_cross_section_rules():
     with pytest.raises(ConfigError) as err:
         from_mapping({"model": gl_block(),
                       "price": {"mode": "zcb-closed-form"}})
-    assert err.value.path == "price.mode"
+    assert err.value.path == "model.family"
     with pytest.raises(ConfigError):
         from_mapping({"model": cir_block(), "price": {"mode": "gl-exact"}})
 
@@ -203,7 +205,7 @@ def test_cross_section_rules():
         with pytest.raises(ConfigError) as err:
             from_mapping({"model": cir_block(), "scheme": {key: 0.25},
                           "mlmc": {"payoff": "zcb", "epsilons": [1e-3]}})
-        assert err.value.path == "scheme"
+        assert err.value.path == f"scheme.{key}"
 
     with pytest.raises(ConfigError):
         from_mapping(base_mapping(seed=-1))
@@ -241,12 +243,14 @@ def test_scheme_build_plan():
 
 
 def test_roundtrip_through_mapping():
+    # The study reads `q`, since its plan comes from the planner.
     mapping = {
         "model": cir_block(q=12.0),
         "model2": {"family": "cir",
                    "params": {"kappa": 0.8, "theta": 0.05, "xi": 0.016,
                               "x0": 0.06}},
-        "scheme": {"variant": "modified", "k": 0.25, "scale_lo": 0.01},
+        "scheme": {"variant": "modified", "scale_lo": 0.01},
+        "study": {"exponents": [3, 4], "reference": "implicit-fine-grid"},
         "mlmc": {"payoff": "spread", "epsilons": [1e-3, 5e-4],
                  "strike": 0.001, "correlation": -0.7, "max_level": 3},
         "price": {"mode": "spread-mc", "strike": 0.001, "paths": 500},
@@ -327,6 +331,13 @@ GATES = {
                            lambda f: {"model": cir_block(), "model2": family_block(f),
                                       "mlmc": {"payoff": "spread", "epsilons": [1e-3],
                                                "strike": 0.001}}),
+    "zcb-closed-form": ("price", ("cir",), "model.family",
+                        lambda f: {"model": family_block(f),
+                                   "price": {"mode": "zcb-closed-form"}}),
+    "gl-exact": ("price", ("ginzburg-landau",), "model.family",
+                 lambda f: {"model": family_block(f),
+                            "price": {"mode": "gl-exact", "paths": 2,
+                                      "fine_exponent": 2}}),
 }
 
 
@@ -352,11 +363,14 @@ def test_engine_family_gates_refuse_before_running(gate, family, tmp_path):
     assert not out.exists()
 
 
-# Every block, each with its required fields only.
+# Every block, each with its required fields only and the strike that the
+# two-factor payoff and mode need, so that some command block reads each
+# field that a bound probe sets.
 MINIMAL = {"model": cir_block(), "model2": cir_block(),
            "study": {"exponents": [3], "reference": "implicit-fine-grid"},
-           "mlmc": {"payoff": "zcb", "epsilons": [1e-3]},
-           "price": {"mode": "zcb-closed-form"}}
+           "mlmc": {"payoff": "spread", "epsilons": [1e-3], "strike": 0.001},
+           "price": {"mode": "spread-mc", "strike": 0.001}}
+STRIKES = {"mlmc.strike", "price.strike"}
 
 
 def declared_fields(cls=ExperimentConfig, at=()):
@@ -421,7 +435,7 @@ def test_minimal_config_yields_every_declared_default():
         if f.default is MISSING and f.default_factory is MISSING:
             assert f.name in given, dotted
         elif f.name in given:  # an optional block, given to reach its fields
-            assert hasattr(f.metadata["read"], "__self__"), dotted
+            assert hasattr(f.metadata["read"], "__self__") or dotted in STRIKES, dotted
         else:
             default = f.default if f.default is not MISSING else f.default_factory()
             assert getattr(owner, f.name) == default, dotted
@@ -454,10 +468,10 @@ def test_mlmc_runs_that_cannot_finish_cleanly_are_refused(mlmc_block, path, tmp_
     assert not out.exists()
 
 
-# MINIMAL with the two-factor multilevel payoff and price mode.
-SPREAD = dict(copy.deepcopy(MINIMAL),
-              mlmc={"payoff": "spread", "epsilons": [1e-3], "strike": 0.001},
-              price={"mode": "spread-mc", "strike": 0.001})
+# MINIMAL with the one-factor multilevel payoff and price mode, which read
+# no second model.
+ZCB = {key: value for key, value in copy.deepcopy(MINIMAL).items() if key != "model2"}
+ZCB.update(mlmc={"payoff": "zcb", "epsilons": [1e-3]}, price={"mode": "zcb-closed-form"})
 DIAGNOSTICS = os.path.join(os.path.dirname(__file__), "data",
                            "config_diagnostics.txt")
 
@@ -491,10 +505,10 @@ def single_fault_variants(base):
 
 
 def diagnostic_lines():
-    """One line per single-fault variant of MINIMAL and SPREAD: its label
-    and `str(ConfigError)`, or "admitted"."""
+    """One line per single-fault variant of MINIMAL and ZCB: its label and
+    `str(ConfigError)`, or "admitted"."""
     lines = []
-    for name, base in (("minimal", MINIMAL), ("spread", SPREAD)):
+    for name, base in (("minimal", MINIMAL), ("zcb", ZCB)):
         for label, mapping in single_fault_variants(base):
             try:
                 from_mapping(mapping)
@@ -513,6 +527,157 @@ def test_every_single_fault_diagnostic_is_pinned():
     with open(DIAGNOSTICS, encoding="utf-8") as handle:
         pinned = handle.read().splitlines()
     assert diagnostic_lines() == pinned
+
+
+SPREAD_MODELS = {"model": {"family": "cir", "params": {"kappa": 1.0, "theta": 0.06,
+                                                         "xi": 0.04, "x0": 0.05}},
+                 "model2": {"family": "cir", "params": {"kappa": 0.8, "theta": 0.05,
+                                                          "xi": 0.016, "x0": 0.06}}}
+TINY_STUDY = {"exponents": [2, 3], "reference": "implicit-fine-grid", "paths": 16,
+              "fine_exponent": 5}
+TINY_MLMC = {"epsilons": [0.01], "max_level": 2, "pilot_paths": 8}
+# Per command, payoff and mode (and per way a study plans): the command and
+# a tiny file that runs it.
+READERS = {
+    "study planned": ("convergence", {"model": cir_block(), "study": TINY_STUDY}),
+    "study manual": ("convergence", {"model": cir_block(), "scheme": {"k": 0.25},
+                                     "study": TINY_STUDY}),
+    "study classical": ("convergence", {"model": cir_block(),
+                                        "scheme": {"variant": "classical"},
+                                        "study": TINY_STUDY}),
+    "mlmc zcb": ("mlmc", {"model": cir_block(), "mlmc": dict(TINY_MLMC, payoff="zcb")}),
+    "mlmc spread": ("mlmc", dict(SPREAD_MODELS, mlmc=dict(
+        TINY_MLMC, payoff="spread", epsilons=[1e-3], strike=0.001, correlation=-0.7))),
+    "price zcb-closed-form": ("price", {"model": cir_block(),
+                                        "price": {"mode": "zcb-closed-form"}}),
+    "price gl-exact": ("price", {"model": gl_block(), "price": {
+        "mode": "gl-exact", "paths": 16, "fine_exponent": 4}}),
+    "price spread-mc": ("price", dict(SPREAD_MODELS, price={
+        "mode": "spread-mc", "strike": 0.001, "correlation": -0.7, "paths": 16,
+        "fine_exponent": 4})),
+}
+# Valid values to try besides each field's other choices and the accepted
+# values of its bound probes, which are kept at or below TINY.
+OTHER_VALUES = {
+    "model.q": [9.0], "model.q_prime": [4.0, 1.5], "model2.q": [9.0],
+    "model2.q_prime": [4.0], "scheme.k": [0.2], "scheme.k_prime": [0.5],
+    "scheme.scale_lo": [0.5], "scheme.scale_hi": [0.5], "study.exponents": [[2, 4]],
+    "study.fine_exponent": [6], "price.fine_exponent": [5], "study.horizon": [0.5],
+    "mlmc.epsilons": [[0.02]], "mlmc.horizon": [0.5],
+    "mlmc.strike": [0.002], "mlmc.correlation": [0.5], "mlmc.path_ceiling": [24],
+    "price.horizon": [0.5], "price.strike": [0.002], "price.correlation": [0.5],
+}
+TINY = {"study.fine_exponent": 6, "price.fine_exponent": 6, "study.paths": 64,
+        "price.paths": 64, "mlmc.pilot_paths": 64}
+# Fields whose change alone may be refused by another rule: a family that an
+# engine does not run, a payoff or mode that needs fields the file lacks.
+SELECTORS = {"model.family", "model2.family", "mlmc.payoff", "price.mode"}
+UNREAD = "no command block in this file reads it"
+
+
+def other_values(dotted, f, base):
+    """Valid values of field `f` at `dotted` other than `base`'s: the other
+    choices, the accepted bound probes, then OTHER_VALUES.  A family comes
+    with its parameters, as the whole model block."""
+    bound = f.metadata["bound"]
+    values = [c for c in bound.get("choices", ())]
+    values += [v for v, accepted in bound_probes(f)
+               if accepted and v <= TINY.get(dotted, math.inf)]
+    values += OTHER_VALUES.get(dotted, [])
+    if dotted.endswith(".params"):
+        values.append(dict(base, x0=1.25))
+    return [v for v in values if v != base]
+
+
+def outcome(command, mapping, tmp_path):
+    """Exit code, stdout and stderr of `command` on `mapping`, and its output
+    files without the echoes of the file (`config`, and `model` in
+    convergence.json)."""
+    shutil.rmtree(tmp_path / "out", ignore_errors=True)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(mapping), encoding="utf-8")
+    result = CliRunner().invoke(main, [command, str(cfg), "--out", str(tmp_path / "out")])
+    files = {}
+    for path in sorted((tmp_path / "out").glob("*")):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            doc = json.loads(text)
+            doc.pop("config")
+            doc.pop("model", None)
+            text = json.dumps(doc, sort_keys=True)
+        files[path.name] = text
+    return result.exit_code, result.stdout, result.stderr, files
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_field_a_command_reads_changes_its_run_and_every_other_is_refused(
+        reader, tmp_path):
+    """Walks the schema for one command, payoff or mode.  A field that the
+    file's command blocks declare that they read (`ExperimentConfig.reads`)
+    changes the exit code or the output outside the echoes for some valid
+    value off the base's; `out` and `threads` change no value by design.
+    Any other field, set alone off its default, exits 2 at its own path."""
+    command, base = READERS[reader]
+    base = dict(copy.deepcopy(base), seed=9, threads=1)
+    read = from_mapping(base).reads()
+    first = outcome(command, base, tmp_path)
+    assert first[0] in (0, 1), first
+    refused = set()
+    for at, f in declared_fields():
+        dotted = ".".join(at + (f.name,))
+        block = at[0] if at else f.name
+        whole = dotted == "model2" and "model2" not in base
+        if dotted in ("out", "threads") \
+                or block in ("study", "mlmc", "price") and block not in base:
+            continue  # no value by design, or another command's block
+        if not at and hasattr(f.metadata["read"], "__self__") and not whole \
+                or at == ("model2",) and "model2" not in base:
+            continue  # a block walked field by field, or refused whole
+        owner = base
+        for key in at:
+            owner = owner[key] if key in owner else {}
+        default = f.default if f.default_factory is MISSING else None
+        current = owner.get(f.name, default)
+        if whole:
+            values = [gl_block()]
+        elif dotted.endswith(".family"):
+            values = [family_block(c) for c in FAMILIES if c != current]
+        else:
+            values = other_values(dotted, f, current)
+        assert values, dotted
+
+        def run(value):
+            mapping = copy.deepcopy(base)
+            target = mapping
+            for key in at:
+                target = target.setdefault(key, {})
+            if dotted.endswith(".family"):
+                mapping[at[0]] = value
+            else:
+                target[f.name] = value
+            return outcome(command, mapping, tmp_path)
+
+        if dotted in read:
+            for value in values:
+                code, stdout, stderr, files = run(value)
+                if (code, stdout, files) != (first[0], first[1], first[3]) \
+                        and (code != 2 or dotted in SELECTORS) \
+                        and not stderr.startswith(f"config error: {dotted}: {UNREAD}"):
+                    break
+            else:
+                pytest.fail(f"{reader}: no value of {dotted} changes the run")
+        else:
+            code, _, stderr, _ = run(values[0])
+            assert code == 2 and stderr.startswith(f"config error: {dotted}: "), \
+                (dotted, stderr)
+            refused.add(dotted)
+    # The fields each command used to admit and then ignore.
+    ignored = {"price gl-exact": {"scheme.variant", "scheme.k_prime", "scheme.clamp"},
+               "mlmc zcb": {"mlmc.strike", "mlmc.correlation", "model2", "model.q"},
+               "price zcb-closed-form": {"price.paths", "price.fine_exponent",
+                                         "price.strike", "price.correlation"},
+               "study classical": {"scheme.k", "scheme.scale_lo", "model2"}}
+    assert ignored.get(reader, set()) <= refused
 
 
 class Drawn(Exception):

@@ -283,10 +283,22 @@ def test_spread_price_holds_half_a_block_of_each_factor(threads, monkeypatch):
 def test_implicit_price_validation():
     with pytest.raises(DomainError):
         implicit_price(zcb_config(), BrownianFabric(11), paths=1)
-    gl = MlmcConfig(models=(ginzburg_landau_model(0.5, 1.0, 1.0),),
-                    payoff="zcb", horizon=1.0, epsilon=1e-3)
+    gl = mlmc.Problem(models=(ginzburg_landau_model(0.5, 1.0, 1.0),),
+                      payoff="zcb", horizon=1.0)
     with pytest.raises(DomainError):
         implicit_price(gl, BrownianFabric(11), paths=16)
+
+
+def test_multilevel_engine_refuses_a_full_line_factor_before_any_draw():
+    # A ginzburg-landau factor used to fail later, building its plan.
+    gl = ginzburg_landau_model(0.5, 1.0, 1.0)
+    for models, payoff in (((gl,), "zcb"), ((cir_model(2.0, 1.0, 0.5, 1.0), gl),
+                                            "spread")):
+        with pytest.raises(DomainError) as err:
+            MlmcConfig(models=models, payoff=payoff, horizon=1.0, epsilon=1e-3,
+                       strike=0.001 if payoff == "spread" else None)
+        assert err.value.field == "models"
+        assert "ginzburg-landau" in err.value.reason
 
 
 def _poison(monkeypatch, steps, rows, at):

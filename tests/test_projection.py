@@ -279,6 +279,18 @@ def test_manual_plan_thresholds():
     assert plan.eta_exponent is None
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ait_sahalia_model(1, 1, 1, 1, 1, 2, 1.5, 1, q_prime=2.0),
+    lambda: locally_smooth_model(_constant(1.25), _constant(1.0), 1.0, 0.5, 1.0,
+                                 regime="Hs2", q_prime=2.0),
+], ids=["ait-sahalia", "hs2-omega-2.5"])
+def test_upper_moment_exponent_of_two_is_refused_by_the_model(build):
+    # Neither claims a regime, so both used to build, and then
+    # `manual_plan(..., k_prime=0.1, rate=0.5)` divided by q' - 2 = 0.
+    with pytest.raises(DomainError, match="q' must exceed 2"):
+        build()
+
+
 def test_lipschitz_bound_values():
     t = synthetic_model(beta=2.0, local_lipschitz_k=1.0, regularity=None)
     plan = ProjectionPlan(alpha=0.0, beta=2.0, k=0.25, k_prime=None)

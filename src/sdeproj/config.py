@@ -15,7 +15,8 @@ unknown-field rule, then the block's cross-field rules in its `_check`.
 
 Each command block (`study`, `mlmc`, `price`) also declares, per payoff or
 mode, which fields of the file it reads (`reads`) and which engines it runs
-on which models (`runs`); each engine declares the families it runs beside
+(`_STUDY_ENGINES`, `_PRICE_MODES`); an engine runs on every model of the
+file whose family its block reads, and declares the families it runs beside
 itself.  From these the top level refuses a field set off its default that
 no command block of the file reads, and a model whose family an engine it
 runs does not declare.  A field is judged by its value, not its presence,
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping
 
 import yaml
 
@@ -63,13 +64,9 @@ FAMILIES = tuple(_FAMILIES)
 _EVERY_COMMAND = ("model.family", "model.params", "seed", "out", "threads")
 
 
-class _Runs(NamedTuple):
-    """An engine a command runs: its name in diagnostics, the families it
-    declares that it runs, and the models of the file that it runs."""
-
-    engine: str
-    families: tuple[str, ...]
-    models: tuple[str, ...] = ("model",)
+def _models(*names: str) -> tuple[str, ...]:
+    """The fields of the models `names` that every engine reads."""
+    return tuple(f"{name}.{key}" for name in names for key in ("family", "params"))
 
 
 def epsilon_tag(epsilon: float) -> str:
@@ -261,9 +258,14 @@ class ModelConfig(_Block):
                 raise ConfigError("required field is missing", f"{path}.params.{name}")
         _refuse_unknown(given, names, f"{path}.params")
         for name in ("q", "q_prime"):
-            if self.family == "ginzburg-landau" and getattr(self, name) is not None:
-                raise ConfigError("ginzburg-landau takes no moment overrides",
+            if name not in self.moments and getattr(self, name) is not None:
+                raise ConfigError(f"{self.family} takes no moment overrides",
                                   f"{path}.{name}")
+
+    @property
+    def moments(self) -> tuple[str, ...]:
+        """The moment exponents that the family's constructor takes."""
+        return () if self.family == "ginzburg-landau" else ("q", "q_prime")
 
     def to_mapping(self) -> dict:
         return dict(_to_mapping(self), params=dict(self.params))
@@ -309,11 +311,11 @@ class SchemeConfig(_Block):
 
 
 # The engines a study runs besides the projected scheme, keyed by the
-# study's reference and by the scheme's variant.
+# study's reference and by the scheme's variant: name, declared families.
 _STUDY_ENGINES = {
-    "implicit-fine-grid": _Runs("the implicit-fine-grid reference", IMPLICIT_FAMILIES),
-    "closed-form": _Runs("the closed-form reference", CLOSED_FORM_FAMILIES),
-    "implicit-reference": _Runs("the implicit-reference variant", IMPLICIT_FAMILIES),
+    "implicit-fine-grid": ("the implicit-fine-grid reference", IMPLICIT_FAMILIES),
+    "closed-form": ("the closed-form reference", CLOSED_FORM_FAMILIES),
+    "implicit-reference": ("the implicit-reference variant", IMPLICIT_FAMILIES),
 }
 
 
@@ -331,22 +333,27 @@ class StudyConfig(_Block):
     def _check(self, path: str) -> None:
         check_exponents(self.exponents, self.fine_exponent)
 
-    def reads(self, scheme: SchemeConfig) -> tuple[str, ...]:
+    def reads(self, scheme: SchemeConfig, plan: ProjectionPlan | None,
+              model: ModelConfig) -> tuple[str, ...]:
         """Its own fields, the variant and the read-out; unless the scheme
-        is classical, the exponents and scales of `build_plan`, and when
-        neither exponent is set, the model's moment exponents, which
-        `plan_exponents` plans from."""
+        is classical, what `build_plan` reads: both exponents, either of
+        which makes the plan manual, and on each side that `plan` clamps,
+        the side's scale and, when neither exponent is set, the model's
+        moment exponent that `plan_exponents` plans that side from.
+        Without a plan (the model or the plan is refused, which the run
+        reports) both sides."""
         out = _own(self, "study") + ("scheme.variant", "scheme.clamp")
         if scheme.variant == "classical":
             return out
-        out += _own(scheme, "scheme", ("variant", "clamp"))
-        if scheme.k is None and scheme.k_prime is None:
-            out += ("model.q", "model.q_prime")
+        out += ("scheme.k", "scheme.k_prime")
+        planned = scheme.k is None and scheme.k_prime is None
+        for exponent, scale, moment in (("k", "scale_lo", "q"),
+                                        ("k_prime", "scale_hi", "q_prime")):
+            if plan is None or getattr(plan, exponent) is not None:
+                out += (f"scheme.{scale}",)
+                if planned and moment in model.moments:
+                    out += (f"model.{moment}",)
         return out
-
-    def runs(self, scheme: SchemeConfig) -> tuple[_Runs, ...]:
-        return tuple(_STUDY_ENGINES[key] for key in (self.reference, scheme.variant)
-                     if key in _STUDY_ENGINES)
 
 
 @dataclass(frozen=True, eq=True)
@@ -381,34 +388,23 @@ class MlmcSection(_Block):
         """The models of the file that the payoff reads."""
         return ("model", "model2") if self.payoff == "spread" else ("model",)
 
-    def reads(self, scheme: SchemeConfig) -> tuple[str, ...]:
+    def reads(self) -> tuple[str, ...]:
         """Its own fields (a spread's strike and correlation only), the
-        lower clamp, and a spread's second factor."""
+        lower clamp, and the factors."""
         spread = self.payoff == "spread"
         return (_own(self, "mlmc", () if spread else ("strike", "correlation"))
-                + ("scheme.k", "scheme.scale_lo")
-                + (("model2.family", "model2.params") if spread else ()))
-
-    def runs(self, scheme: SchemeConfig) -> tuple[_Runs, ...]:
-        return (_Runs("the multilevel engine", MLMC_FAMILIES, self.factors),)
+                + ("scheme.k", "scheme.scale_lo") + _models(*self.factors))
 
 
-class _Mode(NamedTuple):
-    """A price mode: what it reads besides `price.mode` and `_EVERY_COMMAND`,
-    and the engine it runs."""
-
-    reads: tuple[str, ...]
-    runs: _Runs
-
-
+# Per price mode: what it reads besides `price.mode` and `_EVERY_COMMAND`,
+# and the engine it runs, with the engine's declared families.
 _SAMPLING = ("price.paths", "price.fine_exponent", "price.horizon")
 _PRICE_MODES = {
-    "zcb-closed-form": _Mode(("price.horizon",), _Runs("zcb-closed-form mode",
-                                                       ZCB_CLOSED_FORM_FAMILIES)),
-    "spread-mc": _Mode(_SAMPLING + ("price.strike", "price.correlation",
-                                    "model2.family", "model2.params"),
-                       _Runs("spread-mc mode", IMPLICIT_FAMILIES, ("model", "model2"))),
-    "gl-exact": _Mode(_SAMPLING, _Runs("gl-exact mode", CLOSED_FORM_FAMILIES)),
+    "zcb-closed-form": (("price.horizon",),
+                        ("zcb-closed-form mode", ZCB_CLOSED_FORM_FAMILIES)),
+    "spread-mc": (_SAMPLING + ("price.strike", "price.correlation") + _models("model2"),
+                  ("spread-mc mode", IMPLICIT_FAMILIES)),
+    "gl-exact": (_SAMPLING, ("gl-exact mode", CLOSED_FORM_FAMILIES)),
 }
 PRICE_MODES = tuple(_PRICE_MODES)
 
@@ -428,12 +424,9 @@ class PriceSection(_Block):
         if self.mode == "spread-mc":
             check_strike("spread", self.strike)
 
-    def reads(self, scheme: SchemeConfig) -> tuple[str, ...]:
+    def reads(self) -> tuple[str, ...]:
         """`mode` and what the mode reads (`_PRICE_MODES`); never `scheme`."""
-        return ("price.mode",) + _PRICE_MODES[self.mode].reads
-
-    def runs(self, scheme: SchemeConfig) -> tuple[_Runs, ...]:
-        return (_PRICE_MODES[self.mode].runs,)
+        return ("price.mode",) + _PRICE_MODES[self.mode][0]
 
 
 @dataclass(frozen=True, eq=True)
@@ -450,45 +443,60 @@ class ExperimentConfig(_Block):
     out: str = _field(_string, "results")
     threads: int = _field(_integer, 0, lo=0)
 
-    def _commands(self) -> tuple:
-        """The command blocks the file gives."""
-        return tuple(block for block in (self.study, self.mlmc, self.price)
-                     if block is not None)
+    @functools.cached_property
+    def _plan(self) -> ProjectionPlan | None:
+        """The study's projection plan; None when the model or the plan is
+        refused, which is the run's to report (exit 3)."""
+        try:
+            return self.scheme.build_plan(self.model.build())
+        except SdeProjError:
+            return None
+
+    def _commands(self) -> list[tuple[tuple[str, ...], list]]:
+        """Per command block of the file: the fields it reads and the
+        engines it runs, as (name, declared families) pairs."""
+        study, mlmc, price, out = self.study, self.mlmc, self.price, []
+        if study is not None:
+            out.append((study.reads(self.scheme, self._plan, self.model),
+                        [_STUDY_ENGINES[key] for key in (study.reference,
+                                                         self.scheme.variant)
+                         if key in _STUDY_ENGINES]))
+        if mlmc is not None:
+            out.append((mlmc.reads(), [("the multilevel engine", MLMC_FAMILIES)]))
+        if price is not None:
+            out.append((price.reads(), [_PRICE_MODES[price.mode][1]]))
+        return out
 
     def reads(self) -> frozenset[str]:
         """The dotted fields that some command block of the file reads."""
-        return frozenset(_EVERY_COMMAND).union(
-            *(block.reads(self.scheme) for block in self._commands()))
+        return frozenset(_EVERY_COMMAND).union(*(read for read, _ in self._commands()))
 
     def _check(self, path: str) -> None:
-        mlmc, scheme, study = self.mlmc, self.scheme, self.study
-        runs = [run for block in self._commands() for run in block.runs(scheme)]
-        if self.model2 is None and any("model2" in run.models for run in runs):
+        commands = self._commands()
+        read = frozenset(_EVERY_COMMAND).union(*(reads for reads, _ in commands))
+        if self.model2 is None and "model2.family" in read:
             raise ConfigError("two-factor payoffs need a model2 block", "model2")
-        _refuse_unread(self, "", self.reads())
+        _refuse_unread(self, "", read)
         # Each engine's own family declaration, as far as the config names
-        # its families.
-        for run in runs:
-            admitted = tuple(family for family in FAMILIES if family in run.families)
-            for name in run.models:
-                check_family(getattr(self, name).family, admitted, run.engine,
-                             f"{name}.family")
+        # its families, for every model whose family its block reads.
+        for reads, runs in commands:
+            models = ("model", "model2") if "model2.family" in reads else ("model",)
+            for engine, families in runs:
+                admitted = tuple(family for family in FAMILIES if family in families)
+                for name in models:
+                    check_family(getattr(self, name).family, admitted, engine,
+                                 f"{name}.family")
         # The study's read-out and the multilevel plans' lower exponent,
-        # checked on the built models and plan: parameters they refuse are
+        # checked on the built plan and models: parameters they refuse are
         # the run's to report (exit 3).
-        if study is not None:
+        if self.study is not None and self._plan is not None:
+            check_readout(self.scheme.clamp, self._plan, "scheme.clamp")
+        if self.mlmc is not None:
             try:
-                plan = scheme.build_plan(self.model.build())
-            except SdeProjError:
-                pass
-            else:
-                check_readout(scheme.clamp, plan, "scheme.clamp")
-        if mlmc is not None:
-            try:
-                models = [getattr(self, name).build() for name in mlmc.factors]
+                models = [getattr(self, name).build() for name in self.mlmc.factors]
             except SdeProjError:
                 return
-            check_lower_exponent(models, scheme.lower_clamp()["k"], "scheme.k")
+            check_lower_exponent(models, self.scheme.lower_clamp()["k"], "scheme.k")
 
 
 def from_mapping(mapping: Mapping) -> ExperimentConfig:

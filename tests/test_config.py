@@ -370,7 +370,10 @@ MINIMAL = {"model": cir_block(), "model2": cir_block(),
            "study": {"exponents": [3], "reference": "implicit-fine-grid"},
            "mlmc": {"payoff": "spread", "epsilons": [1e-3], "strike": 0.001},
            "price": {"mode": "spread-mc", "strike": 0.001}}
-STRIKES = {"mlmc.strike", "price.strike"}
+# MINIMAL with the one-factor multilevel payoff and price mode, which read
+# no second model.
+ZCB = {key: value for key, value in copy.deepcopy(MINIMAL).items() if key != "model2"}
+ZCB.update(mlmc={"payoff": "zcb", "epsilons": [1e-3]}, price={"mode": "zcb-closed-form"})
 
 
 def declared_fields(cls=ExperimentConfig, at=()):
@@ -425,22 +428,31 @@ def test_declared_bounds_refuse_the_value_just_past_them():
 
 
 def test_minimal_config_yields_every_declared_default():
-    config = from_mapping(MINIMAL)
-    defaults = 0
-    for at, f in declared_fields():
-        owner, given = config, MINIMAL
-        for key in at:
-            owner, given = getattr(owner, key), given.get(key, {})
-        dotted = ".".join(at + (f.name,))
-        if f.default is MISSING and f.default_factory is MISSING:
-            assert f.name in given, dotted
-        elif f.name in given:  # an optional block, given to reach its fields
-            assert hasattr(f.metadata["read"], "__self__") or dotted in STRIKES, dotted
-        else:
-            default = f.default if f.default is not MISSING else f.default_factory()
-            assert getattr(owner, f.name) == default, dotted
-            defaults += 1
-    assert defaults >= 25
+    """Each field that MINIMAL or ZCB leaves out takes its declared default,
+    and each field but a block that one of them gives, the other leaves
+    out: ZCB has none of the strikes that MINIMAL's spread payoff and mode
+    need."""
+    defaulted, given_fields = set(), set()
+    for base in (MINIMAL, ZCB):
+        config = from_mapping(base)
+        for at, f in declared_fields():
+            owner, given = config, base
+            for key in at:
+                owner, given = getattr(owner, key), given.get(key, {})
+            if owner is None:
+                continue  # a block that this fixture leaves out
+            dotted = ".".join(at + (f.name,))
+            if f.default is MISSING and f.default_factory is MISSING:
+                assert f.name in given, dotted
+            elif f.name in given:
+                if not hasattr(f.metadata["read"], "__self__"):
+                    given_fields.add(dotted)
+            else:
+                default = f.default if f.default is not MISSING else f.default_factory()
+                assert getattr(owner, f.name) == default, dotted
+                defaulted.add(dotted)
+    assert given_fields <= defaulted, given_fields - defaulted
+    assert len(defaulted) >= 25
 
 
 @pytest.mark.parametrize("mlmc_block, path", [
@@ -468,10 +480,6 @@ def test_mlmc_runs_that_cannot_finish_cleanly_are_refused(mlmc_block, path, tmp_
     assert not out.exists()
 
 
-# MINIMAL with the one-factor multilevel payoff and price mode, which read
-# no second model.
-ZCB = {key: value for key, value in copy.deepcopy(MINIMAL).items() if key != "model2"}
-ZCB.update(mlmc={"payoff": "zcb", "epsilons": [1e-3]}, price={"mode": "zcb-closed-form"})
 DIAGNOSTICS = os.path.join(os.path.dirname(__file__), "data",
                            "config_diagnostics.txt")
 
@@ -545,6 +553,8 @@ READERS = {
     "study classical": ("convergence", {"model": cir_block(),
                                         "scheme": {"variant": "classical"},
                                         "study": TINY_STUDY}),
+    "study symmetric": ("convergence", {"model": gl_block(), "study": dict(
+        TINY_STUDY, reference="closed-form")}),
     "mlmc zcb": ("mlmc", {"model": cir_block(), "mlmc": dict(TINY_MLMC, payoff="zcb")}),
     "mlmc spread": ("mlmc", dict(SPREAD_MODELS, mlmc=dict(
         TINY_MLMC, payoff="spread", epsilons=[1e-3], strike=0.001, correlation=-0.7))),
@@ -559,7 +569,7 @@ READERS = {
 # Valid values to try besides each field's other choices and the accepted
 # values of its bound probes, which are kept at or below TINY.
 OTHER_VALUES = {
-    "model.q": [9.0], "model.q_prime": [4.0, 1.5], "model2.q": [9.0],
+    "model.q": [9.0], "model.q_prime": [4.0], "model2.q": [9.0],
     "model2.q_prime": [4.0], "scheme.k": [0.2], "scheme.k_prime": [0.5],
     "scheme.scale_lo": [0.5], "scheme.scale_hi": [0.5], "study.exponents": [[2, 4]],
     "study.fine_exponent": [6], "price.fine_exponent": [5], "study.horizon": [0.5],
@@ -591,8 +601,8 @@ def other_values(dotted, f, base):
 
 def outcome(command, mapping, tmp_path):
     """Exit code, stdout and stderr of `command` on `mapping`, and its output
-    files without the echoes of the file (`config`, and `model` in
-    convergence.json)."""
+    files without the echoes of the file (`config`, and `model` and `plan`
+    in convergence.json)."""
     shutil.rmtree(tmp_path / "out", ignore_errors=True)
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(yaml.safe_dump(mapping), encoding="utf-8")
@@ -604,6 +614,7 @@ def outcome(command, mapping, tmp_path):
             doc = json.loads(text)
             doc.pop("config")
             doc.pop("model", None)
+            doc.pop("plan", None)
             text = json.dumps(doc, sort_keys=True)
         files[path.name] = text
     return result.exit_code, result.stdout, result.stderr, files
@@ -676,8 +687,33 @@ def test_every_field_a_command_reads_changes_its_run_and_every_other_is_refused(
                "mlmc zcb": {"mlmc.strike", "mlmc.correlation", "model2", "model.q"},
                "price zcb-closed-form": {"price.paths", "price.fine_exponent",
                                          "price.strike", "price.correlation"},
-               "study classical": {"scheme.k", "scheme.scale_lo", "model2"}}
+               "study classical": {"scheme.k", "scheme.scale_lo", "model2"},
+               # Sides that the plan does not clamp: cir grows at most
+               # linearly (alpha 0), and ginzburg-landau's box is symmetric.
+               "study planned": {"scheme.scale_hi", "model.q_prime"},
+               "study manual": {"scheme.scale_hi", "model.q", "model.q_prime"},
+               "study symmetric": {"scheme.scale_lo"}}
     assert ignored.get(reader, set()) <= refused
+
+
+@pytest.mark.parametrize("scheme", [{"variant": "classical"},
+                                    {"variant": "implicit-reference"},
+                                    {"k_prime": 0.5, "scale_hi": 2.0}])
+def test_mlmc_beside_a_study_runs_the_modified_scheme_whatever_the_study_sets(
+        scheme, tmp_path):
+    """A field is admitted when any command block of the file reads it, so
+    `sdeproj mlmc` runs on a file whose study sets scheme fields that the
+    multilevel engine never reads, and its outputs are those of the file
+    without them."""
+    alone = {"model": cir_block(), "mlmc": dict(TINY_MLMC, payoff="zcb"), "seed": 9,
+             "threads": 1}
+    first = outcome("mlmc", alone, tmp_path)
+    assert first[0] == 0, first
+    shared = dict(copy.deepcopy(alone), scheme=scheme, study=TINY_STUDY)
+    assert outcome("mlmc", shared, tmp_path) == first
+    with pytest.raises(ConfigError) as err:
+        from_mapping(dict(alone, scheme=scheme))
+    assert err.value.path == f"scheme.{next(iter(scheme))}"
 
 
 class Drawn(Exception):

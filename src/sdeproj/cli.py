@@ -4,9 +4,10 @@ Three commands, each reading one YAML experiment file: `convergence` fits a
 strong rate and writes convergence.csv/.json, `mlmc` prices a payoff at each
 target accuracy and writes mlmc_<eps>.csv/.json, `price` prints a single
 value (closed form, exact-solution Monte Carlo, or the implicit-scheme
-benchmark).  Exit codes: 2 config parse, 3 model or plan construction,
-4 path budget exceeded.  All randomness flows from the config seed, so a
-rerun with the same file and seed reproduces every output file bytewise.
+benchmark).  Exit codes: 2 config parse, 3 model or plan construction or
+a non-finite payoff, 4 path budget exceeded.  All randomness flows from the
+config seed, so a rerun with the same file and seed reproduces every output
+file bytewise.
 """
 from __future__ import annotations
 

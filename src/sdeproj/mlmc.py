@@ -402,10 +402,11 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
 def _mean_and_error(values, stream: Stream, paths: int,
                     threads: int) -> tuple[float, float]:
     """Mean and standard error of the per-path `values(increments, team)`
-    over paths [0, paths) of `stream`, folded by `blocks.fold`."""
+    over paths [0, paths) of `stream`, folded by `blocks.fold`; a non-finite
+    value raises `NonFinite`, as in `mlmc_estimate`."""
     moments = Moments()
-    fold(lambda drawn, team: (values(drawn, team),), stream, 0, paths,
-         (moments,), threads=threads)
+    fold(lambda drawn, team: (values(drawn, team),), stream, 0, paths, (moments,),
+         threads=threads, check=functools.partial(_check_finite, stream.level))
     return moments.mean, math.sqrt(moments.var / paths)
 
 

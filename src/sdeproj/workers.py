@@ -6,11 +6,11 @@ share of rows in a row slab, is drawn in order on one thread, the
 correlation mix is elementwise over disjoint column ranges, and a batch of
 whole blocks steps each path on its own increments.  `blocks.fold` alone
 opens a team, for the engine's `threads`, and decides how it is used, from
-the row length: batches of short rows are drawn and stepped on workers
+the row length: batches of short rows are drawn and stepped on the pool
 (`Team.imap`) down to one `Moments` per block, and long rows are drawn in
-row slabs whose streams the team fills at once (`Team.run_split`, called
-by `blocks.Stream.draw`).  Every merge stays on the calling thread, one
-block at a time in block order.
+row slabs whose streams the pool fills at once (`Team.run_split`, called
+by `blocks.Stream.draw`) while the calling thread waits.  Every merge
+stays on the calling thread, one block at a time in block order.
 
 NumPy releases the interpreter lock while it fills normals and runs
 elementwise loops on large arrays, so threads fill streams at the same
@@ -30,13 +30,14 @@ draws (lock released) while another steps.  Batches started together
 would draw together and then step together, handing the lock back and
 forth on every ufunc call, and a round would wait for its slowest batch.
 Nor does it bound how far the threads run ahead of the next result to
-merge: each result waits in its own slot until it is due, and a batch's
+merge: each result waits in its future until it is due, and a batch's
 result is a few `Moments`.
 """
 from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from contextlib import contextmanager
 
 
@@ -76,10 +77,13 @@ def split(count: int, pieces: int) -> list[tuple[int, int]]:
 
 
 class Team:
-    """The calling thread plus a pool of `size - 1` threads.
+    """A pool of `size` threads, on which the calling thread only waits.
 
     The pool starts on the first `submit`, so a team that is never asked for
-    work starts no thread.  `close` shuts it down.
+    work starts no thread.  `close` shuts it down.  `run_split` runs through
+    `imap`, so one rule ends both on a failure (see `imap`).  A pool thread
+    that called either would wait on the queue it occupies, and with every
+    thread doing so the team would deadlock: they raise `RuntimeError`.
     """
 
     def __init__(self, size: int):
@@ -87,84 +91,68 @@ class Team:
             raise ValueError("a team needs at least two workers")
         self.size = size
         self._pool = None
+        self._threads = set()
 
     def submit(self, fn, *args, **kwargs):
         """Run fn(*args, **kwargs) on a pool thread; returns its future."""
         if self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            self._pool = ThreadPoolExecutor(self.size - 1)
+            self._pool = ThreadPoolExecutor(self.size, initializer=lambda: (
+                self._threads.add(threading.current_thread())))
         return self._pool.submit(fn, *args, **kwargs)
 
     def run_split(self, fn, count: int) -> None:
-        """fn(lo, hi) over the spans of `split(count, size)`.
-
-        The first span runs on the calling thread, the rest on the pool; the
-        call returns when all are done and re-raises the first error.
-        """
-        spans = split(count, self.size)
-        pending = [self.submit(fn, lo, hi) for lo, hi in spans[1:]]
-        fn(*spans[0])
-        for future in pending:
-            future.result()
+        """fn(lo, hi) over the spans of `split(count, size)`, by `imap`."""
+        for _ in self.imap(lambda span: fn(*span), split(count, self.size)):
+            pass
 
     def imap(self, fn, items):
-        """Yield fn(item) for each of `items`, in order.
+        """Yield fn(item) for each of the sequence `items`, in order.
 
-        Each item has a result slot, a `Future`, and the calling thread and
-        the pool take (item, slot) claims from one shared iterator, in
-        order: each thread takes the next claim as soon as it is free, with
-        no round to wait for, so at most `size` calls run at once.  The
-        calling thread runs claims only while the slot that is due is not
-        filled, and drops each slot once its result is yielded.
+        Each item is one `submit`: the pool's queue hands the items to its
+        threads in order, each taking the next as soon as it is free, so at
+        most `size` calls run at once.  Each result is dropped once yielded.
 
-        The first failure drains the claims, so no item starts after it.
-        Its error is raised when its result is due, once the calls already
-        running have finished.  A consumer that stops early also waits for
-        them.  An interrupt raised by an item on the calling thread is not
-        held until that item is due: it propagates at once.
+        An item past the first failing one returns without calling `fn`, and
+        so does every item not yet started once the consumer stops.  Indices
+        are compared, not a flag: a thread may take an earlier item off the
+        queue and look only after a later one has failed, and that item's
+        result is still due.  The error is raised when its result is due.
+        However the map ends, by an error, an early stop or an interrupt
+        while waiting, it waits for the calls already running.
         """
-        from concurrent.futures import Future
+        from concurrent.futures import wait
 
-        slots = [Future() for _ in items]
-        claims = zip(items, slots)
+        if threading.current_thread() in self._threads:
+            raise RuntimeError("a team thread cannot wait on its own team")
         lock = threading.Lock()
+        last = [len(items)]  # items past this index do not call fn
 
-        def drain():
-            with lock:
-                for _ in claims:
-                    pass
-
-        def run_next(caught) -> bool:
-            """Run the next claim, if one is left, holding any `caught`
-            error in its slot; False if none is left."""
-            with lock:
-                claim = next(claims, None)
-            if claim is None:
-                return False
-            item, slot = claim
+        def call(k, item):
+            if k > last[0]:
+                return None
             try:
-                slot.set_result(fn(item))
-            except caught as error:
-                slot.set_exception(error)
-                drain()
-            return True
+                return fn(item)
+            except BaseException:
+                with lock:
+                    last[0] = min(last[0], k)
+                raise
 
-        def work():
-            while run_next(BaseException):
-                pass
-
-        crew = [self.submit(work) for _ in range(min(self.size, len(slots)) - 1)]
+        pending = deque()
         try:
-            for k in range(len(slots)):
-                while not slots[k].done() and run_next(Exception):
-                    pass
-                yield slots[k].result()
-                slots[k] = None
+            pending.extend(self.submit(call, k, item) for k, item in enumerate(items))
+            while pending:
+                # Popped only once its result is taken, so that an interrupt
+                # during the wait still waits for this call.
+                yield pending[0].result()
+                pending.popleft()
         finally:
-            drain()
-            for future in crew:
-                future.result()
+            with lock:
+                last[0] = -1
+            for future in pending:
+                future.cancel()
+            wait(pending)
 
     def close(self) -> None:
         if self._pool is not None:

@@ -334,3 +334,58 @@ def test_threads_change_only_the_echoed_setting(tmp_path, monkeypatch, command,
             assert doc_1 == doc_2
         else:
             assert text == files_2[name]
+
+
+def test_non_finite_price_exits_3_and_writes_nothing(tmp_path):
+    # sigma = 1000 overflows the exact solution on every path: the price is
+    # refused, as a multilevel estimate is, instead of printed as nan.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "hot.yaml", {
+        "model": {"family": "ginzburg-landau",
+                  "params": {"lambda": 0.5, "sigma": 1000.0, "x0": 1.0}},
+        "price": {"mode": "gl-exact", "paths": 64, "fine_exponent": 6},
+        "seed": 3,
+        "out": str(out)})
+    result = invoke("price", cfg)
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: non-finite payoff at level 6, block 0, row 0")
+    assert "nan" not in result.stdout
+    assert not out.exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command, mapping", [
+    ("convergence", conv_mapping(None, exponents=[3, 4], paths=500, fine_exponent=6)),
+    ("convergence", {"model": {"family": "ginzburg-landau",
+                               "params": {"lambda": 0.0, "sigma": 7.0, "x0": 1.0}},
+                     "scheme": {"variant": "classical"},
+                     "study": {"exponents": [3, 4], "reference": "closed-form",
+                               "paths": 64, "fine_exponent": 8, "horizon": 3.0},
+                     "seed": 5}),
+    ("mlmc", {"model": {"family": "cir",
+                        "params": {"kappa": 2.0, "theta": 1.0, "xi": 0.5, "x0": 1.0}},
+              "mlmc": {"payoff": "zcb", "epsilons": [1e-2]}}),
+    ("mlmc", dict(spread_models(), mlmc={"payoff": "spread", "epsilons": [1e-3],
+                                         "strike": 0.001, "max_level": 2})),
+    ("price", {"model": {"family": "cir",
+                         "params": {"kappa": 2.0, "theta": 1.0, "xi": 0.5, "x0": 1.0}},
+               "price": {"mode": "zcb-closed-form"}}),
+    ("price", {"model": {"family": "ginzburg-landau",
+                         "params": {"lambda": 0.5, "sigma": 1.0, "x0": 1.0}},
+               "price": {"mode": "gl-exact", "paths": 500, "fine_exponent": 6}}),
+    ("price", dict(spread_models(), price={"mode": "spread-mc", "strike": 0.001,
+                                           "paths": 500, "fine_exponent": 5})),
+], ids=["convergence", "convergence-divergent", "mlmc-zcb", "mlmc-spread",
+        "price-zcb-closed-form", "price-gl-exact", "price-spread-mc"])
+def test_every_json_output_is_strict_json(tmp_path, command, mapping):
+    # NaN and Infinity are Python's extensions, which strict parsers refuse.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "exp.yaml", dict(mapping, out=str(out)))
+    assert invoke(command, cfg).exit_code in (0, 1)
+    written = sorted(out.glob("*.json"))
+    assert written
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_refuse_constant)

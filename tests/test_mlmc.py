@@ -376,6 +376,22 @@ def test_non_finite_payoff_address_is_the_first_in_block_order(monkeypatch):
         mlmc_estimate(config, BrownianFabric(3), threads=2)
 
 
+def test_non_finite_price_payoff_names_its_block_and_row(monkeypatch):
+    # The price engines fold with the multilevel engine's check: one
+    # non-finite increment gives a non-finite payoff, refused by address.
+    real = blocks.Stream.draw
+
+    def poisoned(self, chunks, team=None):
+        drivers = real(self, chunks, team)
+        drivers[3] = np.nan
+        return drivers
+
+    monkeypatch.setattr(blocks.Stream, "draw", poisoned)
+    with pytest.raises(NonFinite, match=r"^non-finite payoff at level 5, "
+                                        r"block 0, row 3$"):
+        implicit_price(_spread(), BrownianFabric(3), paths=100, fine_exponent=5)
+
+
 def _drawn_rows(monkeypatch):
     """Record the rows each cursor fill draws (or skips), by (level, factor,
     block) address."""

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
+import signal
 import sys
 import threading
 import time
@@ -155,12 +157,17 @@ def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):
     # Four usable cores, so that threads = 3 builds a real three-worker team
     # on any machine.
     monkeypatch.setattr(workers, "available_cores", lambda: 4)
-    submitted = []
-    real_submit = Team.submit
+    # Record the functions that `run_split` and `imap` ran on a pool thread.
+    on_pool = set()
 
-    def counting_submit(self, fn, *args, **kwargs):
-        submitted.append(fn)
-        return real_submit(self, fn, *args, **kwargs)
+    def recording(method):
+        def record(self, fn, items):
+            def call(*args):
+                if threading.current_thread() is not threading.main_thread():
+                    on_pool.add(fn.__name__)
+                return fn(*args)
+            return method(self, call, items)
+        return record
 
     # A batch of whole blocks is drawn with no team and reduced to `Moments`
     # by one `batch_moments` call: record the thread of each stage.
@@ -176,7 +183,8 @@ def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):
         batch_threads["reduce"].add(threading.current_thread())
         return real_of(cls, values)
 
-    monkeypatch.setattr(Team, "submit", counting_submit)
+    monkeypatch.setattr(Team, "run_split", recording(Team.run_split))
+    monkeypatch.setattr(Team, "imap", recording(Team.imap))
     prices = [implicit_price(SPREAD, BrownianFabric(13), paths=BLOCK_WIDTH + 100,
                              fine_exponent=6, threads=t) for t in (1, 2, 3)]
     assert prices[0] == prices[1] == prices[2]
@@ -185,10 +193,9 @@ def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):
     reports = [mlmc_estimate(MANY_BLOCKS, BrownianFabric(13), threads=t)
                for t in (1, 2, 3)]
     assert reports[0] == reports[1] == reports[2]
-    # Streams of slabs went to the pool, and so did pieces of the mix and
-    # the free-running `imap` workers.
-    names = {getattr(fn, "func", fn).__name__ for fn in submitted}
-    assert names == {"fill", "mix", "work"}
+    # Streams of slabs ran on the pool, and so did pieces of the mix and
+    # `fold`'s batches of whole blocks.
+    assert {"fill", "mix", "batch_moments"} <= on_pool
     # Whole batches were drawn and reduced on pool threads.
     pool = (batch_threads["draw"] & batch_threads["reduce"]) \
         - {threading.main_thread()}
@@ -363,35 +370,80 @@ def test_imap_drops_each_result_once_it_is_yielded():
         crew.close()
 
 
-def test_imap_raises_an_interrupt_on_the_calling_thread_at_once():
-    # The pool thread's item is due, and held until the calling thread's
-    # next item raises an interrupt, which must come out before the due
-    # result.  Item 0 returns if the calling thread takes it.  No item
-    # starts after the interrupt.
+def test_imap_raises_a_ctrl_c_once_the_running_calls_have_finished():
+    # Item 1 sends the process a SIGINT once the calling thread waits for
+    # item 0, which takes 2 s.  The interrupt reaches the calling thread,
+    # every started item has finished when it does, and none starts later.
     crew = Team(2)
-    caller = threading.current_thread()
-    on_pool, interrupted = threading.Event(), threading.Event()
-    started, yielded = [], []
+    lock = threading.Lock()
+    started, finished = [], []
 
     def call(j):
-        started.append(j)
-        if threading.current_thread() is not caller:
-            on_pool.set()
-            interrupted.wait(5.0)
-            return j
+        with lock:
+            started.append(j)
         if j == 0:
-            return j
-        interrupted.set()
-        raise KeyboardInterrupt(j)
+            time.sleep(2.0)
+        elif j == 1:
+            time.sleep(0.2)
+            os.kill(os.getpid(), signal.SIGINT)
+        else:
+            time.sleep(0.05)
+        with lock:
+            finished.append(j)
+        return j
 
     try:
-        with pytest.raises(KeyboardInterrupt) as raised:
-            for value in crew.imap(call, list(range(8))):
-                yielded.append(value)
-                on_pool.wait(5.0)
-        assert yielded in ([], [0])
-        assert raised.value.args == (len(yielded) + 1,)
-        assert sorted(started) == list(range(len(yielded) + 2))
+        begun = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            for _ in crew.imap(call, list(range(8))):
+                pass
+        assert time.monotonic() - begun >= 2.0
+        with lock:
+            assert sorted(started) == sorted(finished)
+            at_raise = list(started)
+        assert 0 in at_raise and 1 in at_raise
+        time.sleep(0.2)
+        assert started == at_raise
+    finally:
+        crew.close()
+
+
+def test_imap_yields_every_result_before_a_failure_that_comes_first():
+    # Item 0 blocks until item 5 has failed; the results of items 0 to 4
+    # are still due and come out before item 5's error.
+    crew = Team(3)
+    failed = threading.Event()
+
+    def call(j):
+        if j == 0:
+            assert failed.wait(5.0)
+            time.sleep(0.05)
+        if j == 5:
+            failed.set()
+            raise KeyError(j)
+        return j
+
+    seen = []
+    try:
+        with pytest.raises(KeyError) as raised:
+            for value in crew.imap(call, list(range(10))):
+                seen.append(value)
+        assert seen == [0, 1, 2, 3, 4]
+        assert raised.value.args == (5,)
+    finally:
+        crew.close()
+
+
+def test_a_team_thread_cannot_wait_on_its_own_team():
+    # A pool thread that waited on the pool's queue would occupy it; the
+    # map raises instead of hanging, and the team keeps working.
+    crew = Team(2)
+    try:
+        with pytest.raises(RuntimeError):
+            list(crew.imap(lambda x: list(crew.imap(abs, [x])), [1, 2]))
+        with pytest.raises(RuntimeError):
+            list(crew.imap(lambda x: crew.run_split(lambda lo, hi: None, 4), [1]))
+        assert list(crew.imap(abs, [-1, -2])) == [1, 2]
     finally:
         crew.close()
 

@@ -159,21 +159,24 @@ def _place(out, parts, slab, spans, batch) -> None:
 
 def walk(step, y, increments: np.ndarray, h: float, integrand=None, scratch=None):
     """A scheme stepped over the n columns of `increments`, one path a row,
-    by `y = step(y, increments[:, i])`: terminal states and, with an
-    `integrand`, the left Riemann sum of integrand(state) * h (else None).
+    by `y = step(y, column)`: terminal states and, with an `integrand`, the
+    left Riemann sum of integrand(state) * h (else None).
 
     `y` is the step-0 state: one element when every path starts at one
     value, so step 0 and its integrand term are computed once and broadcast.
     Each term is made in `scratch`, a row that `step` leaves free between
-    steps, else in one of the driver's own: no per-step temporary."""
+    steps, else in one of the driver's own: no per-step temporary.  The
+    columns are the rows of `increments.T`, and h is a 0-d array, so no
+    step parses an index or converts a float."""
     incs = np.asarray(increments, dtype=float)
     rows, n = incs.shape
     integral = None if integrand is None else np.zeros(rows)
     scratch = np.empty(rows) if scratch is None and integrand is not None else scratch
-    for i in range(n):
+    h = np.array(h, dtype=float)
+    for column in incs.T:
         if integral is not None:
             integral += np.multiply(integrand(y), h, out=scratch)
-        y = step(y, incs[:, i])
+        y = step(y, column)
     return (y if n else np.resize(y, rows)), integral
 
 

@@ -14,6 +14,7 @@ transformed and the original coordinates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -62,8 +63,18 @@ class TransformedModel:
 
     Attributes:
         f: drift, defined on (0, inf) for transformed families and on all of
-            R for identity-transform families.
-        gamma: diffusion coefficient; None when it is a constant.
+            R for identity-transform families.  The families' drifts are
+            `f(y, out=None, s=None)`: with no rows they allocate, for
+            scalars, oracles and grids; the batch stepper hands them an
+            output row `out` and a scratch row `s` of y's shape, and they
+            return the drift, written into `out` with the same bits.  In
+            that form every + - * / constant is a 0-d float64 array, so no
+            ufunc call converts a Python float, while `**` exponents stay
+            floats: a 0-d exponent would send a float base through numpy's
+            SIMD `pow` loop instead of C `pow`.  A drift of one argument
+            (a model of your own) allocates at every step.
+        gamma: diffusion coefficient; None when it is a constant.  The
+            families' are `gamma(y, out=None)`, writing into `out` like f.
         gamma_const: constant diffusion value; None when state dependent.
         f_prime, f_double_prime: drift derivatives when available.
         one_sided_k: smallest K >= 0 with (x - y)(f(x) - f(y)) <= K (x - y)^2.
@@ -157,23 +168,41 @@ def _grid(lo: float = 1e-3, hi: float = 1e3, points: int = 20001) -> np.ndarray:
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
-def _power(s: float) -> Callable[[np.ndarray], np.ndarray]:
-    """y -> y**s, by binary powering when s is a positive integer.
+# A kernel's arithmetic in its two forms (`TransformedModel.f`): Python's
+# operators, which leave scalars their own types and warnings, and ufuncs
+# writing into a given row; both take (a, b, out).
+_OPERATORS = tuple(lambda a, b, out=None, op=op: op(a, b)
+                   for op in (operator.mul, operator.add, operator.sub, operator.truediv))
+_UFUNCS = (np.multiply, np.add, np.subtract, np.divide)
+
+
+def _forms(*constants: float) -> dict:
+    """A kernel's operators and + - * / constants, keyed by whether it
+    writes into rows: floats for the allocating form, 0-d float64 arrays for
+    the in-place one."""
+    return {False: (_OPERATORS, constants),
+            True: (_UFUNCS, tuple(np.array(c, dtype=float) for c in constants))}
+
+
+def _power(s: float) -> Callable:
+    """(y, out=None) -> y**s, by binary powering into `out` when s is a
+    positive integer.
 
     Products and quotients round the same for a float and an array, while
     `**` calls C `pow` on a float and a per-CPU SIMD loop on an array.
     """
     if not (s >= 1.0 and s.is_integer()):
-        return lambda y: y ** s
+        return lambda y, out=None: y ** s
     bits = bin(int(s))[3:]
 
-    def power(y):
-        out = y
+    def power(y, out=None):
+        mul = _OPERATORS[0] if out is None else np.multiply
+        u = y
         for bit in bits:
-            out = out * out
+            u = mul(u, u, out)
             if bit == "1":
-                out = out * y
-        return out
+                u = mul(u, y, out)
+        return u
     return power
 
 
@@ -266,9 +295,11 @@ def _square_root_model(name: str, a: float, b: float, c: float, y0: float,
                        q: float | None, q_prime: float | None,
                        meta: dict) -> ModelTriple:
     """Assemble the transformed model for drift f(y) = a/y + b*y."""
+    forms = _forms(a, b)
 
-    def f(y):
-        return a / y + b * y
+    def f(y, out=None, s=None):
+        (mul, add, _, div), (a_, b_) = forms[out is not None]
+        return add(div(a_, y, s), mul(b_, y, out), out)
 
     def f_prime(y):
         return -a / (y * y) + b
@@ -435,7 +466,8 @@ def locally_smooth_model(mu1: SmoothCoefficient, mu2: SmoothCoefficient,
     def inverse(y):
         return (scale * y) ** (1.0 / one_minus)
 
-    def f(y):
+    def f(y, out=None, s=None):
+        # Allocates with rows too: mu1 and mu2 are the caller's functions.
         x = inverse(y)
         return (mu1.fn(x) - mu2.fn(x) * x) / (gamma * x ** nu) \
             - 0.5 * gamma * nu * x ** (nu - 1.0)
@@ -530,17 +562,26 @@ def ait_sahalia_model(a_minus1: float, a0: float, a1: float, a2: float,
     power = _power(1.0 / (rho - 1.0))
     if e3 == -1.0:
         # varrho + 1 == 2 rho: the a2 term and the Ito term are both 1/y.
-        merged = a2 + half_rg2
+        forms = _forms(a_minus1, a0, a1, pref, a2 + half_rg2)
 
-        def tail(y):
-            return merged / y
+        def tail(y, s, ops, merged):
+            return ops[3](merged, y, s)
     else:
-        def tail(y):
-            return a2 * y ** e3 + half_rg2 / y
+        forms = _forms(a_minus1, a0, a1, pref, a2, half_rg2)
 
-    def f(y):
-        u = power(y)
-        return pref * (y * (a1 + u * (a_minus1 * u - a0)) - tail(y))
+        def tail(y, s, ops, a2_, half_):
+            mul, add, _, div = ops
+            # The power is a new value either way, so a2 scales it in place.
+            power_e3 = y ** e3
+            return add(mul(a2_, power_e3, power_e3), div(half_, y, s), s)
+
+    def f(y, out=None, s=None):
+        ops, (am1, a0_, a1_, pref_, *rest) = forms[out is not None]
+        mul, add, sub, _ = ops
+        u = power(y, s)
+        inner = mul(y, add(a1_, mul(u, sub(mul(am1, u, out), a0_, out), out), out), out)
+        # u is spent, so the tail may take its row.
+        return mul(pref_, sub(inner, tail(y, s, ops, *rest), out), out)
 
     def f_prime(y):
         return (-a_minus1 * (1.0 + rho) * y ** alpha
@@ -615,15 +656,23 @@ def ginzburg_landau_model(lam: float, sigma: float, x0: float) -> ModelTriple:
     if x0 <= 0:
         raise DomainError("x0 must be positive")
     c = lam + 0.5 * sigma * sigma
+    forms = _forms(c)
 
-    def f(y):
-        return y * (c - y * y)
+    def f(y, out=None, s=None):
+        (mul, _, sub, _), (c_,) = forms[out is not None]
+        return mul(y, sub(c_, mul(y, y, s), s), out)
 
     def f_prime(y):
         return -3.0 * y * y + c
 
     def f_double_prime(y):
         return -6.0 * y
+
+    scale = _forms(sigma)
+
+    def gamma(y, out=None):
+        (mul, _, _, _), (sigma_,) = scale[out is not None]
+        return mul(sigma_, y, out)
 
     raw = RawModel(
         mu=f,
@@ -638,7 +687,7 @@ def ginzburg_landau_model(lam: float, sigma: float, x0: float) -> ModelTriple:
     transformed = TransformedModel(
         name="ginzburg-landau",
         f=f,
-        gamma=lambda y: sigma * y,
+        gamma=gamma,
         gamma_const=None,
         f_prime=f_prime,
         f_double_prime=f_double_prime,

@@ -19,13 +19,16 @@ explicit Euler.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .blocks import walk
 from .errors import DomainError, MissingThreshold, PlanInfeasible
-from .models import TransformedModel
+from .models import _OPERATORS, _UFUNCS, TransformedModel
 
 _HP_TOL = 1e-9
 
@@ -181,6 +184,15 @@ def manual_plan(model: TransformedModel, *, k: float | None = None,
     )
 
 
+def _bounds(plan: ProjectionPlan, n: int) -> tuple[float | None, float | None]:
+    """The bounds of D_n, each None on a side the plan does not clamp."""
+    if plan.symmetric:
+        hi = plan.scale_hi * float(n) ** plan.k_prime
+        return -hi, hi
+    return (None if plan.k is None else plan.scale_lo * float(n) ** -plan.k,
+            None if plan.k_prime is None else plan.scale_hi * float(n) ** plan.k_prime)
+
+
 def project(y: np.ndarray | float, n: int, plan: ProjectionPlan) -> np.ndarray | float:
     """Clamp the state onto the drift-evaluation domain D_n.
 
@@ -188,15 +200,32 @@ def project(y: np.ndarray | float, n: int, plan: ProjectionPlan) -> np.ndarray |
     carries no clamps (and then also on negative inputs).  Symmetric plans
     clamp onto [-scale_hi * n^k', scale_hi * n^k'].
     """
-    if plan.symmetric:
-        hi = plan.scale_hi * float(n) ** plan.k_prime
-        return np.minimum(np.maximum(y, -hi), hi)
+    lo, hi = _bounds(plan, n)
     out = y
-    if plan.k is not None:
-        out = np.maximum(out, plan.scale_lo * float(n) ** -plan.k)
-    if plan.k_prime is not None:
-        out = np.minimum(out, plan.scale_hi * float(n) ** plan.k_prime)
+    if lo is not None:
+        out = np.maximum(out, lo)
+    if hi is not None:
+        out = np.minimum(out, hi)
     return out
+
+
+def _clamp(lo: float | None, hi: float | None) -> Callable:
+    """`project` onto [lo, hi] (None: no clamp on that side) as (y, out) ->
+    the clamped y, in `out` unless nothing is clamped, with the bounds bound
+    once as 0-d arrays.
+
+    `ndarray.clip` (which skips the dispatch of `np.clip`) takes both sides
+    in one call, faster than np.maximum alone, and gives the bits of
+    np.maximum then np.minimum, NaN and infinities included, unless a bound
+    is zero: np.maximum(-0.0, 0.0) is +0.0, the clip keeps -0.0.  So a zero
+    bound (scale_lo * n^-k can underflow) keeps the two ufuncs."""
+    if lo is None and hi is None:
+        return lambda y, out: y
+    lo_ = np.array(-np.inf if lo is None else lo, dtype=float)
+    hi_ = np.array(np.inf if hi is None else hi, dtype=float)
+    if lo == 0.0 or hi == 0.0:
+        return lambda y, out: np.minimum(np.maximum(y, lo_, out=out), hi_, out=out)
+    return lambda y, out: y.clip(lo_, hi_, out=out)
 
 
 def diffusion_bar(model: TransformedModel, y: np.ndarray | float, n: int,
@@ -214,10 +243,83 @@ def diffusion_bar(model: TransformedModel, y: np.ndarray | float, n: int,
     return model.gamma_bar(y)
 
 
+class _Rows(NamedTuple):
+    """What `_evolve` binds once for the in-place step: the clamp (`_clamp`),
+    whether the drift takes rows, h as a 0-d array, the diffusion factor as
+    a function of (clamped state, state, row s), and the rows `y` (the
+    state), `p` (the clamped state; None with no clamp), `d` and `s`."""
+
+    clamp: Callable
+    drift_rows: bool
+    h: np.ndarray
+    noise: Callable
+    y: np.ndarray
+    p: np.ndarray | None
+    d: np.ndarray
+    s: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _takes_rows(fn, arguments: int) -> bool:
+    """Whether the coefficient `fn` takes `arguments` positional arguments:
+    the state and its rows (`TransformedModel.f` and `gamma`)."""
+    try:
+        inspect.signature(fn).bind(*[None] * arguments)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _noise(model: TransformedModel, plan: ProjectionPlan, n: int) -> Callable:
+    """`diffusion_bar` as (x, y, s) -> the factor, from the clamped state x
+    and the state y, computed in s for a diffusion that takes rows."""
+    if model.gamma_const is not None:
+        gamma = np.array(model.gamma_const, dtype=float)
+        return lambda x, y, s: gamma
+    if not _takes_rows(model.gamma, 2):
+        return lambda x, y, s: diffusion_bar(model, y, n, plan)
+    if plan.symmetric:
+        return lambda x, y, s: model.gamma(x, s)
+    zero = np.array(0.0)
+    return lambda x, y, s: model.gamma(np.maximum(y, zero, out=s), s)
+
+
+def _rows(model: TransformedModel, plan: ProjectionPlan, n: int, h: float,
+          count: int) -> _Rows:
+    """The `_Rows` of `count` paths stepped at n steps of size h."""
+    lo, hi = _bounds(plan, n)
+    clamped = lo is not None or hi is not None
+    return _Rows(_clamp(lo, hi), _takes_rows(model.f, 3), np.array(h, dtype=float),
+                 _noise(model, plan, n), np.empty(count),
+                 np.empty(count) if clamped else None, np.empty(count), np.empty(count))
+
+
 def _advance(y, model: TransformedModel, plan: ProjectionPlan, n: int,
-             h: float, dw):
-    """One projected step of a state or a batch: the scheme's only copy."""
-    return y + model.f(project(y, n, plan)) * h + diffusion_bar(model, y, n, plan) * dw
+             h: float, dw, *, rows: _Rows | None = None):
+    """One projected step of a state or a batch: the scheme's only copy,
+    y + f(project(y)) * h + diffusion_bar(y) * dw.
+
+    With no `rows` each term is a new value, for scalars and the oracles.
+    With `rows` (`_Rows`, bound by `_evolve`) the step runs in place with
+    the same bits: each element takes the same operations on the same
+    operands in the same order.  The clamped state goes into row p, the
+    drift into d with s as its scratch, the noise term into s and the new
+    state into rows.y, which is returned; `y` may be rows.y itself.  The
+    constants are 0-d arrays, so no ufunc call converts a float.  A
+    one-element `y` (step 0, from every path's start value) has its clamp,
+    drift and diffusion taken on that one element."""
+    if rows is None:
+        (mul, add, _, _), out, d, s = _OPERATORS, None, None, None
+    else:
+        (mul, add, _, _), out, d, s, h = _UFUNCS, rows.y, rows.d, rows.s, rows.h
+    if rows is None or len(y) < len(out):
+        drift = model.f(project(y, n, plan))
+        noise = diffusion_bar(model, y, n, plan)
+    else:
+        x = rows.clamp(y, rows.p)
+        drift = model.f(x, d, s) if rows.drift_rows else model.f(x)
+        noise = rows.noise(x, y, s)
+    return add(add(y, mul(drift, h, d), d), mul(noise, dw, s), out)
 
 
 def _evolve(model: TransformedModel, plan: ProjectionPlan, n: int, h: float,
@@ -226,10 +328,17 @@ def _evolve(model: TransformedModel, plan: ProjectionPlan, n: int, h: float,
     (`blocks.walk`): terminal states and the integrand's left Riemann sum
     (else None).  inf/NaN propagate for callers to flag.  The step-0 state
     is one element, not a scalar: `**` on a float calls C `pow`, and on an
-    array numpy's SIMD loop, as on the rows (see `models._power`)."""
+    array numpy's SIMD loop, as on the rows (see `models._power`).
+
+    Two or more steps run in place on the four rows of `_advance`, whose
+    noise row carries the integrand's terms; a single step, as at level 0 of
+    the multilevel estimator, allocates the two rows that it makes."""
+    incs = np.asarray(increments, dtype=float)
+    rows = _rows(model, plan, n, h, len(incs)) if incs.shape[1] > 1 else None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return walk(lambda y, dw: _advance(y, model, plan, n, h, dw),
-                    np.full(1, model.y0, dtype=float), increments, h, integrand)
+        return walk(lambda y, dw: _advance(y, model, plan, n, h, dw, rows=rows),
+                    np.full(1, model.y0, dtype=float), incs, h, integrand,
+                    None if rows is None else rows.s)
 
 
 def evolve_terminal(model: TransformedModel, plan: ProjectionPlan, n: int,

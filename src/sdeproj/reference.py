@@ -8,13 +8,13 @@ price under square-root short rates.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import walk
 from .errors import DomainError, check_family
+from .models import _OPERATORS, _UFUNCS
 
 __all__ = [
     "ImplicitCirParams",
@@ -76,19 +76,13 @@ def _coefficients(params: ImplicitCirParams, h: float) -> tuple[float, float, fl
     return params.c, 2.0 * denom, params.a * h / denom
 
 
-# Python's operators, which leave numpy scalars their own arithmetic and
-# warnings, in the form of ufuncs called with an output.
-_OPERATORS = tuple(lambda a, b, out, op=op: op(a, b)
-                   for op in (operator.mul, operator.add, operator.truediv))
-
-
 def _implicit_step(y, dw, c, two_denom, t, out=None, s=None, mask=None):
     """The step of `implicit_cir_step` from `y` with increments `dw`, into
     `out` through the scratch `s` and the bool row `mask` (arrays of the
     broadcast shape; `out` may be `y`), or, with no buffers, by operators
     into new values.  The coefficients (`_coefficients`) are scalars or one
     entry per row.  `fmin` skips NaN, so a NaN row hides no s < 0 row."""
-    mul, add, div = _OPERATORS if out is None else (np.multiply, np.add, np.divide)
+    mul, add, _, div = _OPERATORS if out is None else _UFUNCS
     # Each buffer argument is read before its name is rebound, and `y`
     # before the root is made in `out`.
     s = div(add(y, mul(c, dw, s), s), two_denom, s)

@@ -33,10 +33,10 @@ import numpy as np
 
 from sdeproj import (BLOCK_WIDTH, BrownianFabric, ImplicitCirParams, MlmcConfig,
                      Problem, SmoothCoefficient, ait_sahalia_model, cir_model,
-                     ginzburg_landau_model, guaranteed_rate, implicit_cir_step,
-                     implicit_price, locally_smooth_model, manual_plan,
-                     mlmc_estimate, plan_exponents, run_convergence_study,
-                     three_halves_model)
+                     classical_plan, ginzburg_landau_model, guaranteed_rate,
+                     implicit_cir_step, implicit_price, locally_smooth_model,
+                     manual_plan, mlmc_estimate, plan_exponents,
+                     run_convergence_study, three_halves_model)
 from sdeproj import blocks, workers
 from sdeproj.mlmc import gl_exact_price
 
@@ -47,6 +47,8 @@ ZCB_MODEL = cir_model(2.0, 1.0, 0.5, 1.0)
 CIR = cir_model(0.5, 1.0, 0.5, 1.0)
 AIT = ait_sahalia_model(1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.5, 1.0)
 GL = ginzburg_landau_model(0.5, 1.0, 1.0)
+# omega 4: a lower clamp only, and the constant diffusion -c3/2 is negative.
+THREE_HALVES = three_halves_model(1.0, 1.0, 1.0, 1.0)
 # Near the boundary (2 kappa theta / xi^2 = 1.02): the implicit stepper
 # meets rows with s < 0 in most steps.
 EDGE = cir_model(1.0, 0.01, 0.14, 1e-4)
@@ -267,6 +269,16 @@ def cases() -> dict:
         "study-two-blocks": _study(CIR, cir_plan, "implicit-fine-grid",
                                    exponents=(2, 3), paths=BLOCK_WIDTH + 50,
                                    fine_exponent=5),
+        # The projected step's other clamp shapes: no clamp at all, and an
+        # upper bound only.
+        "study-three-halves-y": _study(THREE_HALVES, plan_exponents(THREE_HALVES.transformed),
+                                       "modified-scheme-fine-grid", exponents=(2, 3),
+                                       paths=2000, fine_exponent=6, space="y"),
+        "study-classical-plan": _study(CIR, classical_plan(), "implicit-fine-grid",
+                                       variant="classical"),
+        "study-ait-sahalia-upper-only": _study(
+            AIT, manual_plan(AIT.transformed, k_prime=0.125),
+            "modified-scheme-fine-grid", exponents=(2, 3), fine_exponent=6),
     }
     table["regime-table"] = lambda threads: _regime_table(False)
     table["regime-table-hs2-uniform"] = lambda threads: _regime_table(True)

@@ -338,8 +338,8 @@ def test_non_finite_payoff_names_its_block_and_row(monkeypatch):
 
 
 @pytest.mark.parametrize("rows, at, block, row", [
-    (2 * BLOCK_WIDTH, BLOCK_WIDTH + 7, 1, 7),   # first batch: the calling thread
-    (300, 3, 2, 3),                             # second batch: a pool thread
+    (2 * BLOCK_WIDTH, BLOCK_WIDTH + 7, 1, 7),   # first batch, on a pool thread
+    (300, 3, 2, 3),                             # second batch, on a pool thread
 ])
 def test_non_finite_payoff_address_reaches_the_caller(rows, at, block, row,
                                                       monkeypatch):

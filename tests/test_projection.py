@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdeproj import config
+from sdeproj import config, projection
 from sdeproj.brownian import BrownianFabric
 from sdeproj.errors import (DomainError, MissingThreshold, PlanInfeasible,
                             RateUnavailable)
-from sdeproj.models import (SmoothCoefficient, TransformedModel,
+from sdeproj.models import (LampertiMap, SmoothCoefficient, TransformedModel,
                             ait_sahalia_model, cir_model,
                             ginzburg_landau_model, guaranteed_rate,
                             locally_smooth_model, three_halves_model)
@@ -451,6 +453,88 @@ def test_step_zero_from_y0_keeps_the_bits_of_full_length_rows(label, triple, pla
                     assert integral.shape == (rows,)
                     np.testing.assert_array_equal(integral, old_integral)
     assert _evolve(model, plan, 0, 1.0, np.empty((3, 0)))[0].shape == (3,)
+
+
+# Every clamp shape the in-place step meets: none, lower only, upper only,
+# both (also crossed, lo > hi), symmetric, and a lower bound that
+# underflows to +0.0 from n = 2 on, which the clip does not take.  The
+# stepper reads only k, k', the scales and `symmetric`.
+_CLAMPS = {
+    "classical": classical_plan(),
+    "lower": ProjectionPlan(alpha=0.0, beta=0.0, k=0.25, k_prime=None, scale_lo=0.5),
+    "upper": ProjectionPlan(alpha=0.0, beta=0.0, k=None, k_prime=0.125, scale_hi=2.0),
+    "both": ProjectionPlan(alpha=0.0, beta=0.0, k=0.25, k_prime=0.125),
+    "crossed": ProjectionPlan(alpha=0.0, beta=0.0, k=0.25, k_prime=0.125,
+                              scale_lo=4.0, scale_hi=0.5),
+    "symmetric": ProjectionPlan(alpha=0.0, beta=0.0, k=None, k_prime=0.25,
+                                symmetric=True),
+    "zero-lower": ProjectionPlan(alpha=0.0, beta=0.0, k=1.0, k_prime=0.125,
+                                 scale_lo=5e-324),
+}
+_EDGES = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                   1.0, -1.0, 0.25, 3.0, 1e300, -1e300])
+
+
+def _in_place_cases():
+    """(label, triple) for every family of `_step_zero_cases`, and a model of
+    one's own whose drift and state-dependent diffusion take one argument,
+    so they allocate inside the in-place step."""
+    own = synthetic_model(f=lambda y: y - y * y * y, gamma=lambda y: 0.5 * y,
+                          gamma_const=None)
+    identity = LampertiMap(forward=lambda x: x, inverse=lambda y: y)
+    return [case[:2] for case in _step_zero_cases()] + [
+        ("own-coefficients", SimpleNamespace(transformed=own, lamperti=identity))]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("label, triple", _in_place_cases(),
+                         ids=[case[0] for case in _in_place_cases()])
+def test_in_place_step_keeps_the_bits_of_the_allocating_step(label, triple):
+    # From its second step on `_evolve` steps in place; it must give the
+    # bits of the allocating `_advance` looped over full-length rows, under
+    # every clamp shape, from start values and through increments that make
+    # +-0.0, NaN, +-inf and 5e-324 states.
+    rng = np.random.default_rng(17)
+
+    def rate(y):
+        return triple.lamperti.inverse(np.maximum(y, 0.0))
+
+    for clamp, plan in _CLAMPS.items():
+        for y0 in (triple.transformed.y0, 0.0, -0.0, 5e-324):
+            model = dataclasses.replace(triple.transformed, y0=y0)
+            for n in (0, 1, 2, 5):
+                h = 1.0 / max(n, 1)
+                for rows in (1, 7, 4096):
+                    incs = np.asfortranarray(rng.standard_normal((rows, n)) * math.sqrt(h))
+                    for j, edge in enumerate(_EDGES if n else ()):
+                        incs[(5 * j + 1) % rows, j % n] = edge
+                    for integrand in (None, rate):
+                        y, integral = _evolve(model, plan, n, h, incs, integrand)
+                        old_y, old_integral = _full_length_evolve(model, plan, n, h,
+                                                                  incs, integrand)
+                        where = f"{label} {clamp} y0={y0} n={n} rows={rows}"
+                        assert np.array_equal(_bits(y), _bits(old_y)), where
+                        if integrand is not None:
+                            assert np.array_equal(_bits(integral), _bits(old_integral)), where
+
+    # One step on a state row of edge values, also into its own row.
+    model = triple.transformed
+    states = np.tile(_EDGES, 3)
+    dw = np.concatenate([_EDGES, 0.5 * _EDGES[::-1], rng.standard_normal(len(_EDGES))])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for clamp, plan in _CLAMPS.items():
+            for n in (2, 5):
+                expected = _bits(_advance(states, model, plan, n, 1.0 / n, dw))
+                rows = projection._rows(model, plan, n, 1.0 / n, len(states))
+                got = _advance(states, model, plan, n, 1.0 / n, dw, rows=rows)
+                assert got is rows.y
+                assert np.array_equal(_bits(got), expected), f"{label} {clamp} n={n}"
+                rows.y[:] = states
+                got = _advance(rows.y, model, plan, n, 1.0 / n, dw, rows=rows)
+                assert np.array_equal(_bits(got), expected), f"{label} {clamp} n={n}"
 
 
 def test_zero_diffusion_ignores_increment_signs():

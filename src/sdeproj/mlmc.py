@@ -401,12 +401,14 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
 
 def _mean_and_error(values, stream: Stream, paths: int,
                     threads: int) -> tuple[float, float]:
-    """Mean and standard error of the per-path `values(increments, team)`
-    over paths [0, paths) of `stream`, folded by `blocks.fold`; a non-finite
-    value raises `NonFinite`, as in `mlmc_estimate`."""
+    """Mean and standard error of the per-path `values(increments, team,
+    gate)` over paths [0, paths) of `stream`, folded by a gated
+    `blocks.fold`, so `values` holds `gate` around its stepping call alone;
+    a non-finite value raises `NonFinite`, as in `mlmc_estimate`."""
     moments = Moments()
-    fold(lambda drawn, team: (values(drawn, team),), stream, 0, paths, (moments,),
-         threads=threads, check=functools.partial(_check_finite, stream.level))
+    fold(lambda drawn, team, gate: (values(drawn, team, gate),), stream, 0, paths,
+         (moments,), threads=threads, gated=True,
+         check=functools.partial(_check_finite, stream.level))
     return moments.mean, math.sqrt(moments.var / paths)
 
 
@@ -426,9 +428,12 @@ def implicit_price(problem: Problem, fabric: BrownianFabric, *, paths: int,
 
     `threads` works as in `mlmc_estimate` (0, the default, means all
     cores): `blocks.fold` steps short rows in batches of whole blocks on the
-    workers, and draws long ones in row slabs, one block per worker, with
-    every (factor, block) stream filled at once and the correlation mix
-    split over the workers.  The result is the same for every value.
+    workers.  Long ones, when there is a block for every worker, are
+    walked one block a worker, each drawing, mixing and, under the stepping
+    gate, stepping its block in row slabs, one worker stepping at a time;
+    a range of fewer blocks is drawn in shared row slabs, with every
+    (factor, block) stream filled at once and the correlation mix split
+    over the workers.  The result is the same for every value.
     """
     check_bounds(PRICE_BOUNDS, paths=paths, fine_exponent=fine_exponent)
     stepper = functools.partial(_implicit_evolve, [
@@ -436,9 +441,10 @@ def implicit_price(problem: Problem, fabric: BrownianFabric, *, paths: int,
     n = 1 << fine_exponent
     h = problem.horizon / n
 
-    def payoffs(drawn, team):
-        return _payoff_values(problem, (stepper,), _correlated(problem, drawn, team),
-                              n, h)
+    def payoffs(drawn, team, gate):
+        mixed = _correlated(problem, drawn, team)
+        with gate:
+            return _payoff_values(problem, (stepper,), mixed, n, h)
 
     stream = Stream(fabric, fine_exponent, n, h, len(problem.models))
     return _mean_and_error(payoffs, stream, paths, threads)
@@ -466,8 +472,9 @@ def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
         value = ginzburg_landau_terminal(lam, 0.0, x0, times, np.zeros((1, n)))
         return float(value[0]), 0.0
 
-    def terminals(drawn, team):
-        return ginzburg_landau_terminal(lam, sigma, x0, times, drawn)
+    def terminals(drawn, team, gate):
+        with gate:
+            return ginzburg_landau_terminal(lam, sigma, x0, times, drawn)
 
     return _mean_and_error(terminals, Stream(fabric, fine_exponent, n, horizon / n),
                            paths, threads)

@@ -6,24 +6,32 @@ share of rows in a row slab, is drawn in order on one thread, the
 correlation mix is elementwise over disjoint column ranges, and a batch of
 whole blocks steps each path on its own increments.  `blocks.fold` alone
 opens a team, for the engine's `threads`, and decides how it is used, from
-the row length: batches of short rows are drawn and stepped on the pool
-(`Team.imap`) down to one `Moments` per block, and long rows are drawn in
-row slabs whose streams the pool fills at once (`Team.run_split`, called
-by `blocks.Stream.draw`) while the calling thread waits.  Every merge
-stays on the calling thread, one block at a time in block order.
+the row length and from whether its caller gates its stepping: batches of
+short rows are drawn and stepped on the pool (`Team.imap`) down to one
+`Moments` per block.  Long rows of the price engines, when the range has
+a block for every worker, are walked one block a worker (`Team.imap`),
+each worker drawing its own block in row slabs, mixing it, and stepping
+it under the stepping gate, one lock that lets one thread step at a time.
+Other long rows are drawn in row slabs whose streams the pool fills at
+once (`Team.run_split`, called by `blocks.Stream.draw`) while the calling
+thread waits, then stepped on the calling thread.  Every merge stays on
+the calling thread, one block at a time in block order.
 
 NumPy releases the interpreter lock while it fills normals and runs
 elementwise loops on large arrays, so threads fill streams at the same
 time: every (factor, block) stream of a row slab on its own worker.
 Stepping overlaps only where the arrays are long: each step is several
 ufunc calls whose set-up holds the lock.  A batch of many small blocks
-gives long arrays and lets one thread step while another draws; a slab of
-long rows does not (stepping two blocks or two factors on two threads was
-slower than stepping both on one), so the calling thread steps it alone.
-What a slab's stepping leaves of the lock goes to large ufunc calls: in a
-convergence study one pool thread builds the coupled coarse grids (a few
-dozen sums over whole columns) while the calling thread steps the fine
-reference.
+gives long arrays and lets one thread step while another draws.  Two
+threads stepping long rows at once convoy on the lock (one 4096-row slab's
+38 ms became 62-75 ms as two concurrent halves), while one stepping thread
+beside one filling Philox rows loses little (38-53 ms): hence the gate,
+held around the stepping call alone, so that one worker's fills and mix
+overlap the other's stepping.  The multilevel levels and the
+convergence study keep the shared slab: walked per block, they were
+slower, since their stepping calls halve in size and the study's coupled
+coarse grids (a few dozen sums over whole columns, built on a pool thread
+while the calling thread steps the fine reference) lose their overlap.
 
 `Team.imap` has no round barrier, so the threads drift out of step: one
 draws (lock released) while another steps.  Batches started together

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sdeproj import BLOCK_WIDTH, BrownianFabric, correlate
-from sdeproj import blocks, workers
+from sdeproj import blocks, mlmc, workers
 from sdeproj.convergence import run_convergence_study
 from sdeproj.mlmc import MlmcConfig, gl_exact_price, implicit_price, mlmc_estimate
 from sdeproj.models import cir_model, ginzburg_landau_model
@@ -202,29 +202,31 @@ def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):
     assert pool, "no batch of whole blocks ran on a pool thread"
 
 
-@pytest.mark.parametrize("engine", [
-    # A pair of blocks and a lone partial one.
-    lambda threads: implicit_price(SPREAD, BrownianFabric(37),
-                                   paths=2 * BLOCK_WIDTH + 100, fine_exponent=6,
-                                   threads=threads),
+@pytest.mark.parametrize("engine, by_block", [
+    # Two blocks and a partial one: with two or three workers, each block
+    # is walked on its own pool thread.
+    (lambda threads: implicit_price(SPREAD, BrownianFabric(37),
+                                    paths=2 * BLOCK_WIDTH + 100, fine_exponent=6,
+                                    threads=threads), True),
     # Levels 3 and 4 (64 and 256 steps) are walked in slabs.  Both pilots
     # end mid-block, and level 3's final pass resumes block 0 at row 2000
     # and ends in block 1 (7860 paths).
-    lambda threads: mlmc_estimate(
+    (lambda threads: mlmc_estimate(
         dataclasses.replace(SPREAD, max_level=4, epsilon=1.2e-5, pilot_paths=2000),
-        BrownianFabric(37), threads=threads),
+        BrownianFabric(37), threads=threads), False),
 ], ids=["implicit-spread", "mlmc-spread"])
 def test_two_factor_slab_walks_give_the_same_report_for_every_thread_count(
-        engine, monkeypatch):
+        engine, by_block, monkeypatch):
     # Four usable cores, so that threads = 3 builds a real three-worker team
     # on any machine, and a short switch interval that interleaves the
     # workers as often as the interpreter allows.
     monkeypatch.setattr(workers, "available_cores", lambda: 4)
-    slabbed = []
+    slabbed, walked = [], []
     real_by_slabs = blocks.by_slabs
 
     def counting_by_slabs(values, batch, *args):
         slabbed.append(len(batch))
+        walked.append((batch, threading.current_thread()))
         return real_by_slabs(values, batch, *args)
 
     monkeypatch.setattr(blocks, "by_slabs", counting_by_slabs)
@@ -235,7 +237,87 @@ def test_two_factor_slab_walks_give_the_same_report_for_every_thread_count(
     finally:
         sys.setswitchinterval(interval)
     assert reports[0] == reports[1] == reports[2]
-    assert max(slabbed) >= 2, "no batch of several blocks was drawn in slabs"
+    if by_block:
+        # At threads 2 and 3, every block of the range is one batch, walked
+        # on a pool thread.
+        pooled = [batch for batch, thread in walked
+                  if thread is not threading.main_thread()]
+        assert len(pooled) == 6 and all(len(batch) == 1 for batch in pooled)
+    else:
+        assert max(slabbed) >= 2, "no batch of several blocks was drawn in slabs"
+
+
+# Each price engine, and the stepping call it holds the stepping gate around.
+GATED = {
+    "implicit-spread": (lambda paths, threads: implicit_price(
+        SPREAD, BrownianFabric(41), paths=paths, fine_exponent=6, threads=threads),
+        "_payoff_values"),
+    "gl-exact": (lambda paths, threads: gl_exact_price(
+        GL, BrownianFabric(41), paths=paths, fine_exponent=6, threads=threads),
+        "ginzburg_landau_terminal"),
+}
+
+
+@pytest.mark.parametrize("engine", list(GATED))
+def test_price_engines_walk_each_block_on_one_worker_and_step_one_at_a_time(
+        engine, monkeypatch):
+    # Three blocks and a partial one of 64 steps: with two or three workers
+    # each block is drawn in row slabs on one pool thread, and the gate
+    # lets one thread step at a time.  A range of fewer blocks than
+    # workers keeps the shared slab: its streams filled on the team, its
+    # stepping on the calling thread.  Four usable cores and a short switch
+    # interval, as above.
+    monkeypatch.setattr(workers, "available_cores", lambda: 4)
+    price, stepper = GATED[engine]
+    lock = threading.Lock()
+    stepping = {"now": 0, "most": 0, "threads": set()}
+    draws = []
+    real_step, real_draw = getattr(mlmc, stepper), blocks.Stream.draw
+
+    def counted_step(*args):
+        with lock:
+            stepping["now"] += 1
+            stepping["most"] = max(stepping["most"], stepping["now"])
+            stepping["threads"].add(threading.current_thread())
+        try:
+            return real_step(*args)
+        finally:
+            with lock:
+                stepping["now"] -= 1
+
+    def recorded_draw(self, batch, team=None):
+        draws.append((batch, team, threading.current_thread()))
+        return real_draw(self, batch, team)
+
+    monkeypatch.setattr(mlmc, stepper, counted_step)
+    monkeypatch.setattr(blocks.Stream, "draw", recorded_draw)
+    interval = sys.getswitchinterval()
+    results = []
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in (1, 2, 3):
+            draws.clear()
+            results.append(repr(price(3 * BLOCK_WIDTH + 100, threads)))
+            if threads == 1:
+                continue
+            for block in range(4):
+                walks = [(thread, team, len(batch)) for batch, team, thread in draws
+                         if batch[0][0] == block]
+                assert len({thread for thread, _, _ in walks}) == 1
+                assert walks[0][0] is not threading.main_thread()
+                assert all(team is None and chunks == 1 for _, team, chunks in walks)
+                assert len(walks) >= (2 if block < 3 else 1)
+        draws.clear()
+        stepping["threads"].clear()
+        price(BLOCK_WIDTH + 100, 3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
+    assert stepping["most"] == 1
+    assert all(isinstance(team, Team) and thread is threading.main_thread()
+               for _, team, thread in draws)
+    assert max(len(batch) for batch, _, _ in draws) == 2
+    assert stepping["threads"] == {threading.main_thread()}
 
 
 @pytest.mark.parametrize("cap", [BLOCK_WIDTH, 3 * BLOCK_WIDTH, 4 * BLOCK_WIDTH,

@@ -10,13 +10,11 @@ used, from the row length: batches of short rows run on the workers, and a
 batch of long rows is drawn and stepped in row slabs (`by_slabs`), at most
 the rows one stepping call covers (`Stream.slab_rows`) in flight.  Either
 each slab holds a share of every block of the batch, its streams filled at
-once on the team, or, in a gated fold, each worker walks its own block in
-slabs and holds the stepping gate while it steps."""
+once on the team, or, in a fold `by_block` on two workers, each worker
+walks its own block in slabs of half those rows."""
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +191,7 @@ def rows(batch) -> list[slice]:
 
 
 def fold(values, stream: Stream, start: int, stop: int, totals, *,
-         threads: int, check=None, gated: bool = False) -> None:
+         threads: int, check=None, by_block: bool = False) -> None:
     """Fold the values of paths [start, stop), drawn from `stream`, into
     `totals`, a sequence of `Moments`, on a `workers.team(threads)`.
 
@@ -217,46 +215,40 @@ def fold(values, stream: Stream, start: int, stop: int, totals, *,
     correlation mix, split over the team, or a convergence study's coupled
     grids, built on a pool thread.
 
-    A `gated` fold calls `values(increments, team, gate)`, which holds the
-    context manager `gate` around its stepping call alone.  Its long rows,
-    when the range has a block for every worker, are walked one block a
-    worker (`Team.imap`): each worker draws its block in row slabs of
-    `stream.slab_rows // team.size` rows, with no team, and holds the
-    fold's one lock, the stepping gate, only while it steps.  One thread
-    steps at a time (two stepping at once convoy on the interpreter lock),
-    and the other's streams fill and its mix runs meanwhile, both with the
-    lock released.  Elsewhere `gate` holds nothing.  At every team size
+    `by_block` walks long rows one block a worker instead (`Team.imap`),
+    where that was measured to pay: a team of two and a range of two or
+    more blocks.  Each worker draws its block in row slabs of
+    `stream.slab_rows // 2` rows and `values` gets no team, so the two
+    slabs in flight hold at most `stream.slab_rows` rows, and every
+    stepping call covers half the shared slab.  Its caller lets one thread
+    step at a time (two stepping at once convoy on the interpreter lock),
+    so one worker's streams fill while the other steps.  At every team size
     and in either walk, the slabs in flight hold at most BLOCK_WIDTH
     stacked rows: with two factors, half a block of each.
     """
     per_batch = _BATCH_NORMALS // (BLOCK_WIDTH * stream.n)
     todo = chunks(start, stop)
     with workers.team(threads) as team:
-        by_block = (gated and not per_batch and team is not None
-                    and len(todo) >= team.size)
-        size = per_batch or (1 if team is None or by_block else team.size)
+        per_block = (by_block and not per_batch and team is not None
+                     and team.size == 2 and len(todo) >= 2)
+        size = per_batch or (1 if team is None or per_block else team.size)
         batches = [todo[i:i + size] for i in range(0, len(todo), size)]
-        gate = threading.Lock() if by_block else contextlib.nullcontext()
-
-        def drawn_values(part, crew):
-            drawn = stream.draw(part, crew)
-            return values(drawn, crew, gate) if gated else values(drawn, crew)
+        crew, slab_rows = ((None, stream.slab_rows // 2) if per_block
+                           else (team, stream.slab_rows))
 
         def batch_moments(batch):
             if per_batch:
-                joined = drawn_values(batch, None)
+                joined = values(stream.draw(batch), None)
             else:
-                slab_rows, crew = ((stream.slab_rows // team.size, None) if by_block
-                                   else (stream.slab_rows, team))
                 # The increments are a call argument only, so each slab is
                 # released before the next one is drawn.
-                joined = by_slabs(lambda part: drawn_values(part, crew), batch,
-                                  [float] * len(totals), slab_rows)
+                joined = by_slabs(lambda part: values(stream.draw(part, crew), crew),
+                                  batch, [float] * len(totals), slab_rows)
             if check is not None:
                 check(batch, joined)
             return [[Moments.of(v[r]) for v in joined] for r in rows(batch)]
 
-        run = team.imap if team is not None and (per_batch or by_block) else map
+        run = team.imap if team is not None and (per_batch or per_block) else map
         for items in run(batch_moments, batches):
             for item in items:
                 for total, moments in zip(totals, item):

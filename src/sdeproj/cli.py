@@ -77,10 +77,11 @@ def _run(body) -> None:
 def _options(fn):
     fn = click.option("--threads", type=click.IntRange(0), default=None,
                       help="Worker threads (batches of short-row blocks step "
-                           "on them; price walks long-row blocks one per "
-                           "thread, in row slabs, one thread stepping at a "
-                           "time; other long-row blocks are drawn on them in "
-                           "row slabs, one stream per thread and factor); 0 = "
+                           "on them; on two threads, price walks long-row "
+                           "blocks one per thread, in row slabs, one thread "
+                           "stepping at a time; other long-row blocks are "
+                           "drawn on them in row slabs, one stream per thread "
+                           "and factor); 0 = "
                            "all cores, larger values are clamped to the cores "
                            "available. Moments fold in block order: never "
                            "affects results.")(fn)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Sequence
 
@@ -401,13 +402,14 @@ def mlmc_estimate(config: MlmcConfig, fabric: BrownianFabric, *,
 
 def _mean_and_error(values, stream: Stream, paths: int,
                     threads: int) -> tuple[float, float]:
-    """Mean and standard error of the per-path `values(increments, team,
-    gate)` over paths [0, paths) of `stream`, folded by a gated
-    `blocks.fold`, so `values` holds `gate` around its stepping call alone;
-    a non-finite value raises `NonFinite`, as in `mlmc_estimate`."""
+    """Mean and standard error of the per-path `values(increments, team)`
+    over paths [0, paths) of `stream`, folded by `blocks.fold` with
+    `by_block=True`; a non-finite value raises `NonFinite`, as in
+    `mlmc_estimate`.  `values` must hold a lock of its own around its
+    stepping call, so that the per-block walk steps one block at a time."""
     moments = Moments()
-    fold(lambda drawn, team, gate: (values(drawn, team, gate),), stream, 0, paths,
-         (moments,), threads=threads, gated=True,
+    fold(lambda drawn, team: (values(drawn, team),), stream, 0, paths, (moments,),
+         threads=threads, by_block=True,
          check=functools.partial(_check_finite, stream.level))
     return moments.mean, math.sqrt(moments.var / paths)
 
@@ -428,12 +430,14 @@ def implicit_price(problem: Problem, fabric: BrownianFabric, *, paths: int,
 
     `threads` works as in `mlmc_estimate` (0, the default, means all
     cores): `blocks.fold` steps short rows in batches of whole blocks on the
-    workers.  Long ones, when there is a block for every worker, are
-    walked one block a worker, each drawing, mixing and, under the stepping
-    gate, stepping its block in row slabs, one worker stepping at a time;
-    a range of fewer blocks is drawn in shared row slabs, with every
-    (factor, block) stream filled at once and the correlation mix split
-    over the workers.  The result is the same for every value.
+    workers.  Long ones, on two workers and two or more blocks, are walked
+    one block a worker, each drawing, mixing and stepping its block in row
+    slabs, one worker stepping at a time under the stepping gate, a lock
+    held around the stepping call alone.  On more workers, or a single
+    block, they are drawn in shared row slabs, with every (factor, block)
+    stream filled at once and the correlation mix split over the workers,
+    and stepped on the calling thread.  The result is the same for every
+    value.
     """
     check_bounds(PRICE_BOUNDS, paths=paths, fine_exponent=fine_exponent)
     stepper = functools.partial(_implicit_evolve, [
@@ -441,8 +445,10 @@ def implicit_price(problem: Problem, fabric: BrownianFabric, *, paths: int,
     n = 1 << fine_exponent
     h = problem.horizon / n
 
-    def payoffs(drawn, team, gate):
-        mixed = _correlated(problem, drawn, team)
+    gate = threading.Lock()  # one worker steps at a time
+
+    def payoffs(drawn, team):
+        mixed = _correlated(problem, drawn, team)  # outside the gate
         with gate:
             return _payoff_values(problem, (stepper,), mixed, n, h)
 
@@ -472,7 +478,9 @@ def gl_exact_price(triple: ModelTriple, fabric: BrownianFabric, *, paths: int,
         value = ginzburg_landau_terminal(lam, 0.0, x0, times, np.zeros((1, n)))
         return float(value[0]), 0.0
 
-    def terminals(drawn, team, gate):
+    gate = threading.Lock()  # as in implicit_price
+
+    def terminals(drawn, team):
         with gate:
             return ginzburg_landau_terminal(lam, sigma, x0, times, drawn)
 

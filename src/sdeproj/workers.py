@@ -6,15 +6,16 @@ share of rows in a row slab, is drawn in order on one thread, the
 correlation mix is elementwise over disjoint column ranges, and a batch of
 whole blocks steps each path on its own increments.  `blocks.fold` alone
 opens a team, for the engine's `threads`, and decides how it is used, from
-the row length and from whether its caller gates its stepping: batches of
-short rows are drawn and stepped on the pool (`Team.imap`) down to one
-`Moments` per block.  Long rows of the price engines, when the range has
-a block for every worker, are walked one block a worker (`Team.imap`),
-each worker drawing its own block in row slabs, mixing it, and stepping
-it under the stepping gate, one lock that lets one thread step at a time.
-Other long rows are drawn in row slabs whose streams the pool fills at
-once (`Team.run_split`, called by `blocks.Stream.draw`) while the calling
-thread waits, then stepped on the calling thread.  Every merge stays on
+the row length and from its `by_block` keyword: batches of short rows are
+drawn and stepped on the pool (`Team.imap`) down to one `Moments` per
+block.  Long rows of the price engines, on a team of two and a range of
+two or more blocks, are walked one block a worker (`Team.imap`), each
+worker drawing its own block in row slabs of half the shared slab's rows,
+mixing it, and stepping it under the engine's stepping gate, one lock
+that lets one thread step at a time.  Other long rows are drawn in row
+slabs whose streams the pool fills at once (`Team.run_split`, called by
+`blocks.Stream.draw`) while the calling thread waits, then stepped on the
+calling thread.  Every merge stays on
 the calling thread, one block at a time in block order.
 
 NumPy releases the interpreter lock while it fills normals and runs
@@ -27,7 +28,11 @@ threads stepping long rows at once convoy on the lock (one 4096-row slab's
 38 ms became 62-75 ms as two concurrent halves), while one stepping thread
 beside one filling Philox rows loses little (38-53 ms): hence the gate,
 held around the stepping call alone, so that one worker's fills and mix
-overlap the other's stepping.  The multilevel levels and the
+overlap the other's stepping.  The walk is measured on two workers only:
+on more, each stepping call would shrink to `slab_rows // workers` rows,
+and stepping costs about twice as much per path-step at 1024 rows as at
+4096, so a larger team keeps the shared slab, whose streams it fills all
+at once.  The multilevel levels and the
 convergence study keep the shared slab: walked per block, they were
 slower, since their stepping calls halve in size and the study's coupled
 coarse grids (a few dozen sums over whole columns, built on a pool thread

@@ -203,8 +203,8 @@ def test_engines_give_the_same_report_for_every_thread_count(monkeypatch):
 
 
 @pytest.mark.parametrize("engine, by_block", [
-    # Two blocks and a partial one: with two or three workers, each block
-    # is walked on its own pool thread.
+    # Two blocks and a partial one: with two workers, each block is walked
+    # on its own pool thread; three workers draw all three in one batch.
     (lambda threads: implicit_price(SPREAD, BrownianFabric(37),
                                     paths=2 * BLOCK_WIDTH + 100, fine_exponent=6,
                                     threads=threads), True),
@@ -221,12 +221,13 @@ def test_two_factor_slab_walks_give_the_same_report_for_every_thread_count(
     # on any machine, and a short switch interval that interleaves the
     # workers as often as the interpreter allows.
     monkeypatch.setattr(workers, "available_cores", lambda: 4)
-    slabbed, walked = [], []
+    slabbed, pooled = [], []
     real_by_slabs = blocks.by_slabs
 
     def counting_by_slabs(values, batch, *args):
         slabbed.append(len(batch))
-        walked.append((batch, threading.current_thread()))
+        if threading.current_thread() is not threading.main_thread():
+            pooled.append(len(batch))
         return real_by_slabs(values, batch, *args)
 
     monkeypatch.setattr(blocks, "by_slabs", counting_by_slabs)
@@ -237,14 +238,10 @@ def test_two_factor_slab_walks_give_the_same_report_for_every_thread_count(
     finally:
         sys.setswitchinterval(interval)
     assert reports[0] == reports[1] == reports[2]
+    assert max(slabbed) >= 2, "no batch of several blocks was drawn in slabs"
     if by_block:
-        # At threads 2 and 3, every block of the range is one batch, walked
-        # on a pool thread.
-        pooled = [batch for batch, thread in walked
-                  if thread is not threading.main_thread()]
-        assert len(pooled) == 6 and all(len(batch) == 1 for batch in pooled)
-    else:
-        assert max(slabbed) >= 2, "no batch of several blocks was drawn in slabs"
+        # At threads 2, each block of the range is one batch on a pool thread.
+        assert pooled == [1, 1, 1]
 
 
 # Each price engine, and the stepping call it holds the stepping gate around.
@@ -261,10 +258,10 @@ GATED = {
 @pytest.mark.parametrize("engine", list(GATED))
 def test_price_engines_walk_each_block_on_one_worker_and_step_one_at_a_time(
         engine, monkeypatch):
-    # Three blocks and a partial one of 64 steps: with two or three workers
-    # each block is drawn in row slabs on one pool thread, and the gate
-    # lets one thread step at a time.  A range of fewer blocks than
-    # workers keeps the shared slab: its streams filled on the team, its
+    # Three blocks and a partial one of 64 steps: with two workers each
+    # block is drawn in row slabs on one pool thread, and the gate lets one
+    # thread step at a time.  Three workers, and two on a range of one
+    # block, keep the shared slab: its streams filled on the team, its
     # stepping on the calling thread.  Four usable cores and a short switch
     # interval, as above.
     monkeypatch.setattr(workers, "available_cores", lambda: 4)
@@ -289,6 +286,17 @@ def test_price_engines_walk_each_block_on_one_worker_and_step_one_at_a_time(
         draws.append((batch, team, threading.current_thread()))
         return real_draw(self, batch, team)
 
+    def run(paths, threads):
+        draws.clear()
+        stepping["threads"].clear()
+        return repr(price(paths, threads))
+
+    def assert_shared_slab(blocks_a_batch):
+        assert all(isinstance(team, Team) and thread is threading.main_thread()
+                   for _, team, thread in draws)
+        assert max(len(batch) for batch, _, _ in draws) == blocks_a_batch
+        assert stepping["threads"] == {threading.main_thread()}
+
     monkeypatch.setattr(mlmc, stepper, counted_step)
     monkeypatch.setattr(blocks.Stream, "draw", recorded_draw)
     interval = sys.getswitchinterval()
@@ -296,28 +304,23 @@ def test_price_engines_walk_each_block_on_one_worker_and_step_one_at_a_time(
     try:
         sys.setswitchinterval(1e-6)
         for threads in (1, 2, 3):
-            draws.clear()
-            results.append(repr(price(3 * BLOCK_WIDTH + 100, threads)))
-            if threads == 1:
-                continue
-            for block in range(4):
-                walks = [(thread, team, len(batch)) for batch, team, thread in draws
-                         if batch[0][0] == block]
-                assert len({thread for thread, _, _ in walks}) == 1
-                assert walks[0][0] is not threading.main_thread()
-                assert all(team is None and chunks == 1 for _, team, chunks in walks)
-                assert len(walks) >= (2 if block < 3 else 1)
-        draws.clear()
-        stepping["threads"].clear()
-        price(BLOCK_WIDTH + 100, 3)
+            results.append(run(3 * BLOCK_WIDTH + 100, threads))
+            if threads == 2:
+                for block in range(4):
+                    walks = [(thread, team, len(batch))
+                             for batch, team, thread in draws if batch[0][0] == block]
+                    assert len({thread for thread, _, _ in walks}) == 1
+                    assert walks[0][0] is not threading.main_thread()
+                    assert all(team is None and chunks == 1 for _, team, chunks in walks)
+                    assert len(walks) >= (2 if block < 3 else 1)
+            elif threads == 3:
+                assert_shared_slab(3)
+        run(BLOCK_WIDTH, 2)
+        assert_shared_slab(1)
     finally:
         sys.setswitchinterval(interval)
     assert results[0] == results[1] == results[2]
     assert stepping["most"] == 1
-    assert all(isinstance(team, Team) and thread is threading.main_thread()
-               for _, team, thread in draws)
-    assert max(len(batch) for batch, _, _ in draws) == 2
-    assert stepping["threads"] == {threading.main_thread()}
 
 
 @pytest.mark.parametrize("cap", [BLOCK_WIDTH, 3 * BLOCK_WIDTH, 4 * BLOCK_WIDTH,
